@@ -2,8 +2,9 @@
 ranked by dissipated power, and power-capped noise injection synthesized from
 a contraction fixed point of the co-state equation."""
 
-from .dynamics import (Kernel, TimeGrid, Trajectory, average_and_disagreement,
-                       matrix_exponential, objective, propagate)
+from .dynamics import (Kernel, Spectrum, TimeGrid, Trajectory,
+                       average_and_disagreement, matrix_exponential, objective,
+                       propagate)
 from .link_attack import (Attack1Outcome, SweepResult, costate_backward,
                           edge_power, forward_backward_sweep, greedy_control,
                           simulate_attack1, switching_functions,
@@ -18,6 +19,6 @@ from .scenario import (LinkAttackSpec, NoiseAttackSpec, ScenarioConfig,
                        paper_k4_topology, save_scenario, write_report)
 from .topology import (LinkControl, NetworkTopology, TopologyError,
                        build_system_matrix, connected_components,
-                       min_cut_size, pair_to_slot, slot_to_pair)
+                       pair_to_slot, slot_to_pair)
 
 __version__ = "0.1.0"

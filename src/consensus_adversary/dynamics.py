@@ -1,10 +1,11 @@
 """Time grids, kernels, trajectory propagation, and the disagreement objective.
 
 The system matrix is always symmetric with zero row sums, so matrix
-exponentials are computed through an eigendecomposition: exact for this class
-and free of Pade/squaring tuning. Controls are piecewise constant on the grid,
-so per-step propagation by the exact exponential leaves control-switching
-granularity as the only discretization error.
+exponentials are computed through one eigendecomposition per matrix
+(`Spectrum`): exact for this class and free of Pade/squaring tuning. Controls
+are piecewise constant on the grid, so per-step propagation by the exact
+exponential leaves control-switching granularity as the only discretization
+error.
 """
 
 from __future__ import annotations
@@ -112,18 +113,38 @@ class Trajectory:
         return Trajectory(grid=self.grid, x=self.x, p=p)
 
 
-def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) for a symmetric zero-row-sum matrix, via eigendecomposition.
+class Spectrum:
+    """Eigendecomposition A = vecs diag(vals) vecs' of one symmetric system
+    matrix: the one source of exp(A t), the exact interval quadratic form, and
+    the per-mode sums of the noise attack's co-state map."""
 
-    Rejects t < 0: the result is only guaranteed doubly stochastic for t >= 0.
-    """
-    if t < 0:
-        raise DynamicsError(f"matrix exponential requires t >= 0, got {t}")
-    A = np.asarray(A, dtype=float)
-    if not np.allclose(A, A.T, atol=1e-12):
-        raise DynamicsError("system matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(A)
-    return (vecs * np.exp(vals * t)) @ vecs.T
+    def __init__(self, A: np.ndarray):
+        A = np.asarray(A, dtype=float)
+        # exact equality first: on small matrices allclose costs more than eigh
+        if not ((A == A.T).all() or np.allclose(A, A.T, atol=1e-12)):
+            raise DynamicsError("system matrix must be symmetric")
+        self.vals, self.vecs = np.linalg.eigh(A)
+
+    def exp(self, t: float) -> np.ndarray:
+        """exp(A t); rejects t < 0, where doubly stochastic is not guaranteed."""
+        if t < 0:
+            raise DynamicsError(f"matrix exponential requires t >= 0, got {t}")
+        return (self.vecs * np.exp(self.vals * t)) @ self.vecs.T
+
+    def interval_form(self, h: float) -> np.ndarray:
+        """W with y' W y = int_0^h |exp(A tau) y - M y|^2 dtau, M = 11'/n."""
+        vals, vecs = self.vals, self.vecs
+        # int_0^h e^{2 lam tau} dtau per mode, minus the consensus projector part
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mode_int = np.where(np.abs(vals) > 1e-12,
+                                (np.exp(2.0 * vals * h) - 1.0) / (2.0 * vals),
+                                h)
+        return (vecs * mode_int) @ vecs.T - h * (1.0 / vals.shape[0])
+
+
+def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) for a symmetric zero-row-sum matrix (t >= 0)."""
+    return Spectrum(A).exp(t)
 
 
 class PropagatorCache:
@@ -133,16 +154,11 @@ class PropagatorCache:
         self.topology = topology
         self.h = h
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._matrices: dict[tuple[int, ...], np.ndarray] = {}
-
-    def system_matrix(self, control: LinkControl) -> np.ndarray:
-        if control.bits not in self._matrices:
-            self._matrices[control.bits] = build_system_matrix(self.topology, control)
-        return self._matrices[control.bits]
 
     def step(self, control: LinkControl) -> np.ndarray:
         if control.bits not in self._cache:
-            self._cache[control.bits] = matrix_exponential(self.system_matrix(control), self.h)
+            self._cache[control.bits] = matrix_exponential(
+                build_system_matrix(self.topology, control), self.h)
         return self._cache[control.bits]
 
 

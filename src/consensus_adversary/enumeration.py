@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import Spectrum
 from .link_attack import greedy_control
 from .topology import LinkControl, NetworkTopology, build_system_matrix
 
@@ -30,20 +31,12 @@ class EnumerationResult:
 def _interval_operators(topology: NetworkTopology, control_sets, h: float):
     """Per control: the interval propagator exp(A h) and the quadratic form W
     with y' W y = int_0^h |P(tau) y - M y|^2 dtau (constant kernel k == 1)."""
-    n = topology.n
-    M = np.full((n, n), 1.0 / n)
     props, quads = [], []
     for broken in control_sets:
         control = LinkControl.breaking(topology, list(broken), len(broken) or 0)
-        A = build_system_matrix(topology, control)
-        vals, vecs = np.linalg.eigh(A)
-        props.append((vecs * np.exp(vals * h)) @ vecs.T)
-        # int_0^h e^{2 lam tau} dtau per mode, minus the consensus projector part
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mode_int = np.where(np.abs(vals) > 1e-12,
-                                (np.exp(2.0 * vals * h) - 1.0) / (2.0 * vals),
-                                h)
-        quads.append((vecs * mode_int) @ vecs.T - h * M)
+        spectrum = Spectrum(build_system_matrix(topology, control))
+        props.append(spectrum.exp(h))
+        quads.append(spectrum.interval_form(h))
     return props, quads
 
 

@@ -9,14 +9,13 @@ schedule through the switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Kernel, PropagatorCache, TimeGrid, Trajectory,
+from .dynamics import (Kernel, PropagatorCache, Trajectory,
                        average_and_disagreement, objective, propagate)
-from .topology import (LinkControl, NetworkTopology, connected_components,
-                       pair_to_slot)
+from .topology import LinkControl, NetworkTopology, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 
@@ -50,7 +49,6 @@ class Attack1Outcome:
     classification: str                  # winning | losing | ongoing
     broken_history: tuple[tuple[tuple[int, int], ...], ...]
     topology: NetworkTopology
-    kernel: Kernel
 
     @property
     def stationary(self) -> bool:
@@ -64,8 +62,6 @@ class SweepResult:
     J: float
     converged: bool
     iterations: int
-    topology: NetworkTopology
-    kernel: Kernel
 
 
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
@@ -126,7 +122,6 @@ def simulate_attack1(config) -> Attack1Outcome:
         classification=classify(topology, schedule[-1], x[-1], config.x0),
         broken_history=history,
         topology=topology,
-        kernel=kernel,
     )
 
 
@@ -228,8 +223,6 @@ def forward_backward_sweep(config, max_iter: int = 100,
         J=objective(traj, kernel),
         converged=converged,
         iterations=iterations,
-        topology=topology,
-        kernel=kernel,
     )
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory, objective
+from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
+                       objective)
+from .topology import LinkControl, build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
 
@@ -53,7 +55,6 @@ class Attack2Outcome:
     iterations: int
     residuals: tuple[float, ...]
     lam: np.ndarray              # Lagrange multiplier trace
-    kernel: Kernel
 
     @property
     def energy_budget(self) -> float:
@@ -83,14 +84,7 @@ def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
                             k_check=k_check, k_hat=k_hat, p_max=float(p_max))
 
 
-def _eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A = np.asarray(A, dtype=float)
-    if not np.allclose(A, A.T, atol=1e-12):
-        raise DynamicsError("system matrix must be symmetric")
-    return np.linalg.eigh(A)
-
-
-def g_term(A: np.ndarray, x0: np.ndarray, kernel: Kernel, nu: float,
+def g_term(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel, nu: float,
            grid: TimeGrid) -> np.ndarray:
     """Inhomogeneous part of the co-state equation on the grid:
     g(t) = 2 nu int_t^T P(tau-t) k(tau) (P(tau) x0 - xbar) dtau.
@@ -98,7 +92,7 @@ def g_term(A: np.ndarray, x0: np.ndarray, kernel: Kernel, nu: float,
     Evaluated per eigenmode, which makes the trapezoid quadrature of the
     stated integrand O(steps) per output sample.
     """
-    vals, vecs = _eig(A)
+    vals, vecs = spectrum.vals, spectrum.vecs
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
     t = grid.times()
@@ -135,23 +129,23 @@ class CostateMap:
     """The co-state integral map on the grid, with the quadratic kernel
     precomputed per eigenmode (O(steps^2) storage, cheap per application)."""
 
-    def __init__(self, A: np.ndarray, x0: np.ndarray, kernel: Kernel,
+    def __init__(self, spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
                  grid: TimeGrid, setup: ContractionSetup):
         if grid.steps > 2000:
             raise DynamicsError("co-state map grids are capped at 2000 steps")
         self.grid = grid
         self.setup = setup
-        self.vals, self.vecs = _eig(A)
-        self.g = g_term(A, x0, kernel, setup.nu, grid)
+        self.vecs = spectrum.vecs
+        self.g = g_term(spectrum, x0, kernel, setup.nu, grid)
         t = grid.times()
         k = kernel.sample(t)
-        n = self.vals.shape[0]
+        n = spectrum.vals.shape[0]
         m = grid.steps + 1
         # Q_d[a, j] = int_{max(t_a, s_j)}^{T} k(tau) e^{d (2 tau - t_a - s_j)} dtau
         self.Q = np.empty((n, m, m))
         idx = np.maximum(np.arange(m)[:, None], np.arange(m)[None, :])
         for d in range(n):
-            lam = self.vals[d]
+            lam = spectrum.vals[d]
             tail = _reverse_cumtrapz(k * np.exp(2.0 * lam * t), grid.h)
             decay = np.exp(-lam * t)
             self.Q[d] = decay[:, None] * decay[None, :] * tail[idx]
@@ -189,7 +183,7 @@ def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:
     return fmap.g + coeff * tail[:, None]
 
 
-def costate_fixed_point(A: np.ndarray, x0: np.ndarray, kernel: Kernel,
+def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
                         grid: TimeGrid, setup: ContractionSetup,
                         tol: float = 1e-8, max_iter: int = 200,
                         p0: np.ndarray | None = None) -> FixedPointResult:
@@ -199,7 +193,7 @@ def costate_fixed_point(A: np.ndarray, x0: np.ndarray, kernel: Kernel,
     Non-convergence should be impossible for q < 1 and signals a quadrature
     resolution problem; the result is then flagged rather than raised.
     """
-    fmap = CostateMap(A, x0, kernel, grid, setup)
+    fmap = CostateMap(spectrum, x0, kernel, grid, setup)
     p = default_seed(fmap, kernel) if p0 is None else np.array(p0, dtype=float)
     residuals = []
     converged = False
@@ -235,12 +229,11 @@ def lagrange_multiplier(u: np.ndarray, p: np.ndarray, p_max: float) -> np.ndarra
     return -np.sum(u * p, axis=1) / (2.0 * p_max)
 
 
-def propagate_forced(A: np.ndarray, x0: np.ndarray, u: np.ndarray,
+def propagate_forced(spectrum: Spectrum, x0: np.ndarray, u: np.ndarray,
                      grid: TimeGrid) -> Trajectory:
     """x' = A x + u(t) with the exact homogeneous propagator per step and a
     trapezoid approximation of the forcing convolution."""
-    vals, vecs = _eig(A)
-    E = (vecs * np.exp(vals * grid.h)) @ vecs.T
+    E = spectrum.exp(grid.h)
     x = np.empty((grid.steps + 1, len(x0)))
     x[0] = np.asarray(x0, dtype=float)
     for k in range(grid.steps):
@@ -251,14 +244,13 @@ def propagate_forced(A: np.ndarray, x0: np.ndarray, u: np.ndarray,
 def simulate_attack2(config) -> Attack2Outcome:
     """Full noise-attack pipeline: contraction setup, co-state fixed point,
     control synthesis, and forward propagation."""
-    from .topology import build_system_matrix, LinkControl
     topology, grid, kernel = config.topology, config.grid, config.kernel
     spec = config.attack
-    A = build_system_matrix(topology, LinkControl.none(topology.n))
+    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology.n)))
     setup = contraction_setup(kernel, grid, spec.p_max, safety=spec.safety, nu=spec.nu)
-    fixed = costate_fixed_point(A, config.x0, kernel, grid, setup)
+    fixed = costate_fixed_point(spectrum, config.x0, kernel, grid, setup)
     u = optimal_noise(fixed.p, spec.p_max)
-    traj = propagate_forced(A, config.x0, u, grid)
+    traj = propagate_forced(spectrum, config.x0, u, grid)
     J = objective(traj, kernel)
     return Attack2Outcome(
         trajectory=traj.with_costate(fixed.p),
@@ -270,7 +262,6 @@ def simulate_attack2(config) -> Attack2Outcome:
         iterations=fixed.iterations,
         residuals=fixed.residuals,
         lam=lagrange_multiplier(u, fixed.p, spec.p_max),
-        kernel=kernel,
     )
 
 
@@ -282,11 +273,10 @@ def baseline_constant_control(config) -> dict:
     Simpson quadrature is used here: the exact-equality checks against
     P_max T^3 / 3 sit below trapezoid's O(h^2) error at the default grid.
     """
-    from .topology import build_system_matrix, LinkControl
     topology, grid, kernel = config.topology, config.grid, config.kernel
     p_max = config.attack.p_max
-    A = build_system_matrix(topology, LinkControl.none(topology.n))
-    vals, vecs = _eig(A)
+    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology.n)))
+    vals, vecs = spectrum.vals, spectrum.vecs
     x0 = np.asarray(config.x0, dtype=float)
     n = topology.n
     t = grid.times()
@@ -299,7 +289,7 @@ def baseline_constant_control(config) -> dict:
     closed = simpson(k * (quad_term + p_max * t ** 2), x=t)
     # simulation route
     u = np.tile(np.sqrt(p_max / n) * np.ones(n), (grid.steps + 1, 1))
-    traj = propagate_forced(A, x0, u, grid)
+    traj = propagate_forced(spectrum, x0, u, grid)
     xbar = np.mean(x0)
     dev = traj.x - xbar
     simulated = simpson(k * np.sum(dev * dev, axis=1), x=t)

@@ -9,13 +9,14 @@ summary with sorted keys.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Kernel, TimeGrid, Trajectory
+from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
@@ -46,7 +47,17 @@ class ScenarioConfig:
     steps: int
     kernel: Kernel
     attack: LinkAttackSpec | NoiseAttackSpec | None
-    seed: int = 0
+
+    def __post_init__(self):
+        # nu_max depends on the grid, so check nu against every grid a config
+        # gets, including a --steps override
+        if isinstance(self.attack, NoiseAttackSpec) and self.attack.nu is not None:
+            from .noise_attack import contraction_setup
+            try:
+                contraction_setup(self.kernel, self.grid, self.attack.p_max,
+                                  nu=self.attack.nu)
+            except DynamicsError as exc:
+                raise ScenarioError(f"attack.noise.nu: {exc}") from exc
 
     @property
     def grid(self) -> TimeGrid:
@@ -62,15 +73,23 @@ class ScenarioConfig:
     def with_steps(self, steps: int) -> "ScenarioConfig":
         return replace(self, steps=int(steps))
 
-    def with_attack(self, attack) -> "ScenarioConfig":
-        return replace(self, attack=attack)
+
+def _number(value, field: str) -> float:
+    """A finite JSON number; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ScenarioError(f"{field}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer; booleans and fractional numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{field}: must be an integer, got {value!r}")
+    return value
 
 
 def _parse_topology(doc, where: str) -> NetworkTopology:
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError(f"{where}: field 'n' must be an integer")
+    n = _integer(doc.get("n"), f"{where}: field 'n'")
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise ScenarioError(f"{where}: field 'edges' must be an array of [i, j, weight]")
@@ -83,61 +102,63 @@ def _parse_topology(doc, where: str) -> NetworkTopology:
             raise ScenarioError(f"{where}: edges[{idx}] node ids must be integers (1-based)")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ScenarioError(f"{where}: edges[{idx}] node id outside 1..{n}")
-        parsed.append((i - 1, j - 1, float(w)))
+        parsed.append((i - 1, j - 1, _number(w, f"{where}: edges[{idx}] weight")))
     try:
         return NetworkTopology(n=n, edges=tuple(parsed))
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _parse_kernel(doc) -> Kernel:
+def _parse_kernel(doc, T: float) -> Kernel:
     if doc is None:
         return Kernel.constant(1.0)
-    if "constant" in doc:
-        return Kernel.constant(float(doc["constant"]))
-    if "table" in doc:
-        return Kernel.from_table(doc["table"])
-    raise ScenarioError("kernel: expected {'constant': value} or {'table': [[t, k], ...]}")
-
-
-def _parse_attack(doc, topology: NetworkTopology, kernel: Kernel,
-                  T: float, steps: int):
-    if doc is None or "none" in doc:
-        return None
-    if "link" in doc:
-        spec = doc["link"]
+    if isinstance(doc, dict) and "constant" in doc:
         try:
-            ell = int(spec["ell"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError("attack.link.ell: must be an integer")
+            return Kernel.constant(_number(doc["constant"], "kernel.constant"))
+        except DynamicsError as exc:
+            raise ScenarioError(f"kernel.constant: {exc}") from exc
+    table = doc.get("table") if isinstance(doc, dict) else None
+    if not (isinstance(table, list) and all(isinstance(p, list) and len(p) == 2 for p in table)):
+        raise ScenarioError("kernel: expected {'constant': value} or {'table': [[t, k], ...]}")
+    try:
+        kernel = Kernel.from_table([(_number(t, f"kernel.table[{idx}]"),
+                                     _number(k, f"kernel.table[{idx}]"))
+                                    for idx, (t, k) in enumerate(table)])
+    except DynamicsError as exc:
+        raise ScenarioError(f"kernel.table: {exc}") from exc
+    first, last = kernel.table[0][0], kernel.table[-1][0]
+    if first > 0 or last < T:
+        raise ScenarioError(f"kernel.table: samples cover [{first}, {last}], not [0, {T}]")
+    return kernel
+
+
+def _parse_attack(doc, topology: NetworkTopology):
+    if doc is None or (isinstance(doc, dict) and "none" in doc):
+        return None
+    spec = doc.get("link", doc.get("noise")) if isinstance(doc, dict) else None
+    if not isinstance(spec, dict):
+        raise ScenarioError("attack: expected one of {'none'}, {'link': ...}, {'noise': ...}")
+    if "link" in doc:
+        ell = _integer(spec.get("ell"), "attack.link.ell")
         if not 0 <= ell <= topology.m:
             raise ScenarioError(
                 f"attack.link.ell: budget {ell} outside 0..{topology.m} (edge count)")
         return LinkAttackSpec(ell=ell)
-    if "noise" in doc:
-        spec = doc["noise"]
-        try:
-            p_max = float(spec["p_max"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError("attack.noise.p_max: must be a number")
-        if not p_max > 0:
-            raise ScenarioError(f"attack.noise.p_max: must be positive, got {p_max}")
-        nu = spec.get("nu")
-        safety = float(spec.get("safety", 0.9))
-        if nu is not None:
-            from .noise_attack import contraction_setup
-            from .dynamics import DynamicsError
-            try:
-                contraction_setup(kernel, TimeGrid(T=T, steps=steps), p_max, nu=float(nu))
-            except DynamicsError as exc:
-                raise ScenarioError(f"attack.noise.nu: {exc}") from exc
-        return NoiseAttackSpec(p_max=p_max, safety=safety,
-                               nu=None if nu is None else float(nu))
-    raise ScenarioError("attack: expected one of {'none'}, {'link': ...}, {'noise': ...}")
+    p_max = _number(spec.get("p_max"), "attack.noise.p_max")
+    if not p_max > 0:
+        raise ScenarioError(f"attack.noise.p_max: must be positive, got {p_max}")
+    safety = _number(spec.get("safety", 0.9), "attack.noise.safety")
+    if not 0 < safety < 1:
+        raise ScenarioError(f"attack.noise.safety: must be in (0, 1), got {safety}")
+    nu = spec.get("nu")
+    return NoiseAttackSpec(p_max=p_max, safety=safety,
+                           nu=None if nu is None else _number(nu, "attack.noise.nu"))
 
 
 def parse_scenario(doc: dict, base_dir: Path | None = None,
                    where: str = "scenario") -> ScenarioConfig:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where}: must be a JSON object")
     topo_doc = doc.get("topology")
     if isinstance(topo_doc, str):
         path = (base_dir or Path(".")) / topo_doc
@@ -150,17 +171,14 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
     x0 = doc.get("x0")
     if not isinstance(x0, list) or len(x0) != topology.n:
         raise ScenarioError(f"x0: must be an array of length n={topology.n}")
-    try:
-        T = float(doc["T"])
-    except (KeyError, TypeError, ValueError):
-        raise ScenarioError("T: horizon must be a number")
+    x0 = [_number(v, f"x0[{idx}]") for idx, v in enumerate(x0)]
+    T = _number(doc.get("T"), "T")
     if not T > 0:
         raise ScenarioError(f"T: horizon must be positive, got {T}")
-    steps = int(doc.get("steps", DEFAULT_STEPS))
+    steps = _integer(doc.get("steps", DEFAULT_STEPS), "steps")
     if steps < 1:
         raise ScenarioError(f"steps: must be positive, got {steps}")
-    kernel = _parse_kernel(doc.get("kernel"))
-    attack = _parse_attack(doc.get("attack"), topology, kernel, T, steps)
+    kernel = _parse_kernel(doc.get("kernel"), T)
     return ScenarioConfig(
         name=str(doc.get("name", "unnamed")),
         topology=topology,
@@ -168,8 +186,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
         T=T,
         steps=steps,
         kernel=kernel,
-        attack=attack,
-        seed=int(doc.get("seed", 0)),
+        attack=_parse_attack(doc.get("attack"), topology),
     )
 
 
@@ -210,7 +227,6 @@ def scenario_to_doc(config: ScenarioConfig) -> dict:
         "steps": config.steps,
         "kernel": kernel_doc,
         "attack": attack_doc,
-        "seed": config.seed,
     }
 
 

@@ -7,8 +7,7 @@ speaks 0-based node ids.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,10 +85,6 @@ class NetworkTopology:
     @property
     def num_slots(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def edge_slots(self) -> np.ndarray:
-        """Control-vector slot of each edge, in edge order."""
-        return np.array([pair_to_slot(i, j, self.n) for (i, j, _) in self.edges], dtype=int)
 
     def weight_matrix(self) -> np.ndarray:
         """Symmetric matrix of weights a_ij (zero off the edge set)."""
@@ -197,21 +192,3 @@ def connected_components(topology: NetworkTopology, control: LinkControl) -> lis
     ]
     return components_of_edges(topology.n, surviving)
 
-
-def min_cut_size(topology: NetworkTopology) -> int:
-    """Minimum number of edges whose removal disconnects the graph.
-
-    Exhaustive subset enumeration: adequate at desk scale and only needed for
-    the winning/losing classification with small budgets.
-    """
-    if topology.n < 2:
-        raise TopologyError("min cut requires at least 2 nodes")
-    pairs = [(i, j) for (i, j, _) in topology.edges]
-    if len(components_of_edges(topology.n, pairs)) > 1:
-        return 0
-    for k in range(1, topology.m + 1):
-        for cut in itertools.combinations(range(topology.m), k):
-            kept = [p for idx, p in enumerate(pairs) if idx not in cut]
-            if len(components_of_edges(topology.n, kept)) > 1:
-                return k
-    return topology.m  # unreachable for n >= 2 with edges

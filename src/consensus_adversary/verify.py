@@ -14,23 +14,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enumeration, link_attack, noise_attack
-from .dynamics import matrix_exponential
+from .dynamics import Spectrum, matrix_exponential, objective, propagate
 from .scenario import DEFAULT_STEPS, paper_k4_scenario
 from .topology import LinkControl, build_system_matrix
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict, report line, and the values it measured (so other
+    gates can judge the same measurement at their own tolerances)."""
+
     name: str
     passed: bool
     detail: str
+    values: dict
 
 
 def _grid_tol(base: float, steps: int) -> float:
     return base * (DEFAULT_STEPS / steps) ** 2 if steps < DEFAULT_STEPS else base
 
 
-def check_thm1_greedy_dominance(steps: int, fast: bool = False) -> CheckResult:
+def check_thm1_greedy_dominance(fast: bool = False) -> CheckResult:
     kwargs = dict(weight_seeds=(0,), x0_seeds=(0,)) if fast else {}
     report = enumeration.greedy_dominance_sweep(**kwargs)
     return CheckResult(
@@ -38,26 +42,26 @@ def check_thm1_greedy_dominance(steps: int, fast: bool = False) -> CheckResult:
         passed=report["passed"],
         detail=(f"{report['runs']} runs, worst relative excess "
                 f"{report['worst_relative_excess']:.2e} (tol {report['tolerance']:.0e})"),
+        values=report,
     )
 
 
-def check_thm2_mp_consistency(steps: int, sign_flip: bool = False) -> CheckResult:
-    config = paper_k4_scenario("link", steps=steps)
+def check_thm2_mp_consistency(config, sign_flip: bool = False) -> CheckResult:
     report = link_attack.verify_greedy_mp_consistency(config, sign_flip=sign_flip)
     passed = (report["schedule_agreement"] == 1.0
               and report["sweep_converged"]
-              and report["relative_j_gap"] < _grid_tol(1e-4, steps))
+              and report["relative_j_gap"] < _grid_tol(1e-4, config.steps))
     return CheckResult(
         name="thm2-mp-consistency",
         passed=passed,
         detail=(f"schedule agreement {report['schedule_agreement']:.0%}, "
                 f"J gap {report['relative_j_gap']:.2e}, "
                 f"sweep iterations {report['sweep_iterations']}"),
+        values=report,
     )
 
 
-def check_lemma1_scale_invariance(steps: int) -> CheckResult:
-    config = paper_k4_scenario("link", steps=steps)
+def check_lemma1_scale_invariance(config) -> CheckResult:
     failures = []
     for c in (-3.0, 0.5, 10.0):
         report = link_attack.verify_scale_invariance(config, c)
@@ -68,106 +72,107 @@ def check_lemma1_scale_invariance(steps: int) -> CheckResult:
         passed=not failures,
         detail="schedules identical for c in {-3, 0.5, 10}" if not failures
         else f"mismatch at c={failures}",
+        values={"failures": failures},
     )
 
 
-def check_lemma2_baseline_bound(steps: int) -> CheckResult:
-    config = paper_k4_scenario("noise", steps=steps)
+def check_lemma2_baseline_bound(config) -> CheckResult:
     base = noise_attack.baseline_constant_control(config)
-    routes_agree = (abs(base["j2_closed_form"] - base["j2_simulated"])
-                    / base["j2_closed_form"] < _grid_tol(1e-6, steps))
+    gap = abs(base["j2_closed_form"] - base["j2_simulated"]) / base["j2_closed_form"]
+    routes_agree = gap < _grid_tol(1e-6, config.steps)
     bound_holds = base["j2_closed_form"] >= base["bound"] - 1e-9
     return CheckResult(
         name="lemma2-baseline-bound",
         passed=routes_agree and bound_holds,
         detail=(f"J2 = {base['j2_closed_form']:.6f} >= bound {base['bound']:.6f}, "
-                f"routes agree to {abs(base['j2_closed_form'] - base['j2_simulated']) / base['j2_closed_form']:.1e}"),
+                f"routes agree to {gap:.1e}"),
+        values=base,
     )
 
 
-def check_contraction(steps: int) -> CheckResult:
-    config = paper_k4_scenario("noise", steps=steps)
+def check_contraction(config) -> CheckResult:
     outcome = noise_attack.simulate_attack2(config)
     res = np.array(outcome.residuals)
-    ratios = res[1:] / res[:-1] if len(res) > 1 else np.array([])
-    ratio_ok = bool(np.all(ratios <= outcome.setup.q + 0.05)) if ratios.size else True
+    ratios, q = res[1:] / res[:-1], outcome.setup.q
     # fixed-point residual of one extra map application
-    A = build_system_matrix(config.topology, LinkControl.none(config.topology.n))
-    fmap = noise_attack.CostateMap(A, config.x0, config.kernel, config.grid, outcome.setup)
+    spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology.n)))
+    fmap = noise_attack.CostateMap(spectrum, config.x0, config.kernel, config.grid, outcome.setup)
     p = outcome.trajectory.p
     drift = float(np.max(np.abs(fmap.apply(p) - p))) / float(np.max(np.abs(p)))
     return CheckResult(
         name="contraction-fixed-point",
-        passed=ratio_ok and drift < 1e-7,
+        passed=bool(np.all(ratios <= q + 0.05)) and drift < 1e-7,
         detail=(f"{outcome.iterations} iterations, max residual ratio "
                 f"{float(np.max(ratios)) if ratios.size else 0.0:.3f} "
-                f"(cap {outcome.setup.q + 0.05:.2f}), fixed-point drift {drift:.1e}"),
+                f"(cap {q + 0.05:.2f}), fixed-point drift {drift:.1e}"),
+        values={"iterations": outcome.iterations, "ratios": ratios, "drift": drift},
     )
 
 
-def check_conservation(steps: int) -> CheckResult:
-    config = paper_k4_scenario("link", steps=steps)
+def check_conservation(config) -> CheckResult:
     outcome = link_attack.simulate_attack1(config)
-    t = config.grid.times()
     sums = outcome.trajectory.x.sum(axis=1)
-    s0 = sums[0]
-    conserve_ok = bool(np.all(np.abs(sums - s0) < 1e-8 * abs(s0) * (1.0 + t)))
-    stochastic_ok = True
-    for control in {c.bits: c for c in outcome.schedule}.values():
-        E = matrix_exponential(build_system_matrix(config.topology, control), config.grid.h)
-        if (np.max(np.abs(E.sum(axis=0) - 1)) > 1e-10
-                or np.max(np.abs(E.sum(axis=1) - 1)) > 1e-10
-                or np.min(E) < -1e-12):
-            stochastic_ok = False
+    drift, total = np.abs(sums - sums[0]), float(sums[0])
+    # the propagator of every distinct control the attack used
+    E = np.array([matrix_exponential(build_system_matrix(config.topology, c), config.grid.h)
+                  for c in {c.bits: c for c in outcome.schedule}.values()])
+    values = {"drift": drift, "total": total,
+              "col_sum_error": float(np.max(np.abs(E.sum(axis=1) - 1))),
+              "row_sum_error": float(np.max(np.abs(E.sum(axis=2) - 1)))}
+    conserve_ok = bool(np.all(drift < 1e-8 * abs(total) * (1.0 + config.grid.times())))
+    stochastic_ok = (max(values["col_sum_error"], values["row_sum_error"]) <= 1e-10
+                     and float(np.min(E)) >= -1e-12)
     return CheckResult(
         name="conservation-stochasticity",
         passed=conserve_ok and stochastic_ok,
-        detail=f"max average drift {float(np.max(np.abs(sums - s0))):.2e}",
+        detail=f"max average drift {float(np.max(drift)):.2e}",
+        values=values,
     )
 
 
-def check_attack2_optimality(steps: int) -> CheckResult:
-    config = paper_k4_scenario("noise", steps=steps)
+def check_attack2_optimality(config) -> CheckResult:
     outcome = noise_attack.simulate_attack2(config)
     u, p = outcome.control, outcome.trajectory.p
-    power = np.sum(u * u, axis=1)
     norms = np.linalg.norm(p, axis=1)
     nonsingular = norms > noise_attack.SINGULAR_FRACTION * norms.max()
-    full_power = bool(np.all(np.abs(power[nonsingular] - outcome.p_max) < 1e-12))
-    cosine = np.sum(u * p, axis=1)[nonsingular] / (
-        np.sqrt(outcome.p_max) * norms[nonsingular])
-    aligned = bool(np.all(np.abs(cosine - 1.0) < 1e-10))
-    lam_ok = bool(np.all(outcome.lam <= 1e-12))
-    base = noise_attack.baseline_constant_control(config)
-    from .dynamics import propagate, objective
-    no_attack = objective(
-        propagate(config.x0, [LinkControl.none(4)] * steps, config.topology, config.grid),
-        config.kernel)
-    dominant = outcome.J >= max(no_attack, base["j2_closed_form"]) - 1e-6
+    cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(outcome.p_max) * norms[nonsingular])
+    n = config.topology.n
+    j0 = objective(propagate(config.x0, [LinkControl.none(n)] * config.steps,
+                             config.topology, config.grid), config.kernel)
+    j2 = noise_attack.baseline_constant_control(config)["j2_closed_form"]
+    values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - outcome.p_max),
+              "cosine_error": np.abs(cosine - 1.0), "lam": outcome.lam,
+              "J": outcome.J, "j0": j0, "j2": j2}
+    passed = (bool(np.all(values["power_error"] < 1e-12))
+              and bool(np.all(values["cosine_error"] < 1e-10))
+              and bool(np.all(outcome.lam <= 1e-12)) and outcome.J >= max(j0, j2) - 1e-6)
     return CheckResult(
         name="attack2-optimality",
-        passed=full_power and aligned and lam_ok and dominant,
-        detail=(f"J* = {outcome.J:.4f} >= max(J0 = {no_attack:.4f}, "
-                f"J2 = {base['j2_closed_form']:.4f})"),
+        passed=passed,
+        detail=f"J* = {outcome.J:.4f} >= max(J0 = {j0:.4f}, J2 = {j2:.4f})",
+        values=values,
     )
 
 
 def run_verify(steps: int = DEFAULT_STEPS, inject_fault: str | None = None,
                fast: bool = False, printer=print) -> bool:
-    """Run every named property; print one pass/fail line each.
+    """Run every named property on the reference K4 scenario; print one
+    pass/fail line each.
 
     inject_fault='flip-switching-sign' flips the switching-function sign in
     the consistency check (test hook proving the suite catches regressions).
     """
     sign_flip = inject_fault == "flip-switching-sign"
+    link = paper_k4_scenario("link", steps=steps)
+    noise = paper_k4_scenario("noise", steps=steps)
     checks = [
-        check_thm1_greedy_dominance(steps, fast=fast),
-        check_thm2_mp_consistency(steps, sign_flip=sign_flip),
-        check_lemma1_scale_invariance(steps),
-        check_lemma2_baseline_bound(steps),
-        check_contraction(steps),
-        check_conservation(steps),
-        check_attack2_optimality(steps),
+        check_thm1_greedy_dominance(fast=fast),
+        check_thm2_mp_consistency(link, sign_flip=sign_flip),
+        check_lemma1_scale_invariance(link),
+        check_lemma2_baseline_bound(noise),
+        check_contraction(noise),
+        check_conservation(link),
+        check_attack2_optimality(noise),
     ]
     all_passed = True
     for c in checks:

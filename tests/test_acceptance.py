@@ -17,14 +17,13 @@ from consensus_adversary.enumeration import greedy_dominance_sweep
 from consensus_adversary.link_attack import (edge_power, forward_backward_sweep,
                                              simulate_attack1,
                                              verify_scale_invariance)
-from consensus_adversary.noise_attack import (CostateMap,
-                                              baseline_constant_control,
-                                              contraction_setup,
-                                              simulate_attack2)
+from consensus_adversary.noise_attack import baseline_constant_control
 from consensus_adversary.scenario import (NoiseAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
                                           build_system_matrix)
+from consensus_adversary.verify import (check_attack2_optimality,
+                                        check_conservation, check_contraction)
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 
@@ -107,18 +106,12 @@ def test_criterion_05_scale_invariance():
 
 def test_criterion_06_conservation_stochasticity():
     config = paper_k4_scenario("link")
-    outcome = simulate_attack1(config)
+    measured = check_conservation(config).values
     t = config.grid.times()
-    sums = outcome.trajectory.x.sum(axis=1)
-    drift = np.abs(sums - sums[0])
-    conserve = bool(np.all(drift < 1e-8 * abs(sums[0]) * (1.0 + t)))
-    stochastic = True
-    for control in {c.bits: c for c in outcome.schedule}.values():
-        E = matrix_exponential(build_system_matrix(config.topology, control),
-                               config.grid.h)
-        if (np.max(np.abs(E.sum(axis=0) - 1.0)) > 1e-10
-                or np.max(np.abs(E.sum(axis=1) - 1.0)) > 1e-10):
-            stochastic = False
+    drift = measured["drift"]
+    conserve = bool(np.all(drift < 1e-8 * abs(measured["total"]) * (1.0 + t)))
+    stochastic = (measured["col_sum_error"] <= 1e-10
+                  and measured["row_sum_error"] <= 1e-10)
     report(6, "conservation & stochasticity", conserve and stochastic,
            f"max average drift {float(np.max(drift)):.2e}, "
            f"doubly stochastic within 1e-10: {stochastic}")
@@ -136,17 +129,11 @@ def test_criterion_07_baseline_bound():
 
 
 def test_criterion_08_contraction():
-    config = paper_k4_scenario("noise")
-    outcome = simulate_attack2(config)
-    res = np.array(outcome.residuals)
-    ratios = res[1:] / res[:-1]
+    measured = check_contraction(paper_k4_scenario("noise")).values
+    ratios, drift = measured["ratios"], measured["drift"]
     ratio_ok = bool(np.all(ratios <= 0.95))
-    A = build_system_matrix(config.topology, LinkControl.none(4))
-    fmap = CostateMap(A, config.x0, config.kernel, config.grid, outcome.setup)
-    p = outcome.trajectory.p
-    drift = float(np.max(np.abs(fmap.apply(p) - p))) / float(np.max(np.abs(p)))
     report(8, "contraction convergence", ratio_ok and drift < 1e-7,
-           f"{outcome.iterations} iterations, max residual ratio "
+           f"{measured['iterations']} iterations, max residual ratio "
            f"{float(np.max(ratios)):.4f} <= 0.95, fixed-point drift {drift:.1e}")
 
 
@@ -154,23 +141,14 @@ def test_criterion_09_attack2_optimality():
     details = []
     ok = True
     for config in (paper_k4_scenario("noise"), two_node_noise_config()):
-        outcome = simulate_attack2(config)
-        u, p = outcome.control, outcome.trajectory.p
-        norms = np.linalg.norm(p, axis=1)
-        nonsingular = norms > 1e-10 * norms.max()
-        power_ok = bool(np.all(
-            np.abs(np.sum(u * u, axis=1)[nonsingular] - 1.0) < 1e-12))
-        cosine = np.sum(u * p, axis=1)[nonsingular] / norms[nonsingular]
-        aligned = bool(np.all(np.abs(cosine - 1.0) < 1e-10))
-        lam_ok = bool(np.all(outcome.lam <= 1e-12))
-        base = baseline_constant_control(config)
-        n = config.topology.n
-        j0 = objective(propagate(config.x0, [LinkControl.none(n)] * config.steps,
-                                 config.topology, config.grid), config.kernel)
-        dominant = outcome.J >= max(j0, base["j2_closed_form"]) - 1e-6
+        measured = check_attack2_optimality(config).values
+        power_ok = bool(np.all(measured["power_error"] < 1e-12))
+        aligned = bool(np.all(measured["cosine_error"] < 1e-10))
+        lam_ok = bool(np.all(measured["lam"] <= 1e-12))
+        J, j0, j2 = measured["J"], measured["j0"], measured["j2"]
+        dominant = J >= max(j0, j2) - 1e-6
         ok = ok and power_ok and aligned and lam_ok and dominant
-        details.append(f"{config.name}: J*={outcome.J:.4f} >= "
-                       f"max({j0:.4f}, {base['j2_closed_form']:.4f})")
+        details.append(f"{config.name}: J*={J:.4f} >= max({j0:.4f}, {j2:.4f})")
     report(9, "attack-II optimality", ok, "; ".join(details))
 
 

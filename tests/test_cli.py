@@ -5,7 +5,8 @@ import json
 import pytest
 
 from consensus_adversary.cli import ENV_OUT, main
-from consensus_adversary.scenario import paper_k4_scenario, save_scenario
+from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
+                                          save_scenario, scenario_to_doc)
 
 
 @pytest.fixture
@@ -47,6 +48,45 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    # (path into the scenario document, malformed value, field named in stderr)
+    MALFORMED = [
+        (("kernel",), {"constant": -1.0}, "kernel.constant"),
+        (("kernel",), {"table": [[0.5, 1.0], [2.0, 1.0]]}, "kernel.table"),
+        (("steps",), "abc", "steps"),
+        (("steps",), 2.7, "steps"),
+        (("x0", 1), "two", "x0[1]"),
+        (("x0", 0), float("nan"), "x0[0]"),
+        (("topology", "edges", 0, 2), "heavy", "edges[0] weight"),
+        (("attack",), {"link": {"ell": True}}, "attack.link.ell"),
+        (("attack",), {"noise": {"p_max": 1.0, "safety": 1.5}}, "attack.noise.safety"),
+    ]
+
+    @pytest.mark.parametrize("path,value,field", MALFORMED,
+                             ids=[case[2] for case in MALFORMED])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, path, value, field):
+        doc = scenario_to_doc(paper_k4_scenario("link", steps=50))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["attack1", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_nu_checked_against_overridden_steps(self, tmp_path, capsys):
+        # nu_max is 0.04545 on the 4-step grid of the file, 0.04520 on 400 steps
+        doc = scenario_to_doc(paper_k4_scenario("noise", steps=4))
+        doc["kernel"] = {"table": [[0, 1], [1, 5], [2, 1]]}
+        doc["attack"]["noise"]["nu"] = 0.0453
+        scenario = tmp_path / "nu.json"
+        scenario.write_text(json.dumps(doc))
+        load_scenario(scenario)
+        assert main(["attack2", "--scenario", str(scenario), "--steps", "400",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "attack.noise.nu" in capsys.readouterr().err
 
 
 class TestSubcommands:

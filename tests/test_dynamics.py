@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.linalg import expm
 
-from consensus_adversary.dynamics import (DynamicsError, Kernel, TimeGrid,
-                                          Trajectory, average_and_disagreement,
+from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum,
+                                          TimeGrid, Trajectory,
+                                          average_and_disagreement,
                                           matrix_exponential, objective,
                                           propagate)
-from consensus_adversary.topology import LinkControl, NetworkTopology
+from consensus_adversary.topology import (LinkControl, NetworkTopology,
+                                          build_system_matrix)
 
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
@@ -57,6 +63,18 @@ class TestKernel:
         assert k_hat == pytest.approx(2.0, rel=1e-5)
 
 
+@st.composite
+def connected_systems(draw):
+    """System matrix of a random connected graph (a random spanning tree plus
+    random extra edges), with weights scaled by 50 when stiff."""
+    n = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    edges = tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in sorted(pairs))
+    return build_system_matrix(NetworkTopology(n=n, edges=edges), LinkControl.none(n))
+
+
 class TestMatrixExponential:
     def test_two_node_closed_form(self):
         # exp(At) = [[(1+e^{-2t})/2, (1-e^{-2t})/2], ...] for the unit edge
@@ -72,7 +90,6 @@ class TestMatrixExponential:
         w = rng.uniform(0.2, 2.0, 6)
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         topo = NetworkTopology(n=4, edges=tuple((i, j, ww) for (i, j), ww in zip(pairs, w)))
-        from consensus_adversary.topology import build_system_matrix
         A = build_system_matrix(topo, LinkControl.none(4))
         lhs = matrix_exponential(A, 0.7)
         rhs = matrix_exponential(A, 0.3) @ matrix_exponential(A, 0.4)
@@ -91,6 +108,29 @@ class TestMatrixExponential:
     def test_asymmetric_rejected(self):
         with pytest.raises(DynamicsError):
             matrix_exponential(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(A=connected_systems(), h=st.floats(0.01, 1.0))
+    def test_exponential_matches_expm_and_is_doubly_stochastic(self, A, h):
+        E = Spectrum(A).exp(h)
+        assert np.max(np.abs(E - expm(A * h))) < 1e-10
+        assert np.max(np.abs(E.sum(axis=0) - 1.0)) < 1e-10
+        assert np.max(np.abs(E.sum(axis=1) - 1.0)) < 1e-10
+        assert np.min(E) > -1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(A=connected_systems(), h=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_interval_form_matches_quadrature(self, A, h, seed):
+        # y' W y = int_0^h |P(tau) y - M y|^2 dtau, by adaptive quadrature of expm
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, A.shape[0])
+
+        def integrand(tau):
+            dev = expm(A * tau) @ y - np.mean(y)
+            return float(dev @ dev)
+
+        exact, _ = quad(integrand, 0.0, h, epsabs=1e-14, epsrel=1e-11, limit=200)
+        form = y @ Spectrum(A).interval_form(h) @ y
+        assert abs(form - exact) <= 1e-9 * exact + 1e-13
 
 
 class TestPropagation:

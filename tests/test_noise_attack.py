@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from consensus_adversary.dynamics import DynamicsError, Kernel, TimeGrid
+from consensus_adversary.dynamics import DynamicsError, Kernel, Spectrum, TimeGrid
 from consensus_adversary.noise_attack import (CostateMap,
                                               baseline_constant_control,
                                               contraction_setup,
@@ -27,7 +27,7 @@ def noise_config(topology, x0, p_max=1.0, T=2.0, steps=400, safety=0.9):
 
 
 def two_node_system():
-    return build_system_matrix(TWO_NODE, LinkControl.none(2))
+    return Spectrum(build_system_matrix(TWO_NODE, LinkControl.none(2)))
 
 
 class TestContractionSetup:
@@ -75,17 +75,17 @@ class TestGTerm:
         # preserves that, so g(t) . 1 = 0 at every sample
         grid = TimeGrid(T=2.0, steps=100)
         config = paper_k4_scenario("noise", steps=100)
-        A = build_system_matrix(config.topology, LinkControl.none(4))
-        g = g_term(A, config.x0, config.kernel, 0.1, grid)
+        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(4)))
+        g = g_term(spectrum, config.x0, config.kernel, 0.1, grid)
         assert np.max(np.abs(g.sum(axis=1))) < 1e-12
 
 
 class TestFixedPoint:
     def test_reference_run_contracts(self):
         config = paper_k4_scenario("noise")
-        A = build_system_matrix(config.topology, LinkControl.none(4))
+        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(4)))
         setup = contraction_setup(config.kernel, config.grid, 1.0)
-        fixed = costate_fixed_point(A, config.x0, config.kernel, config.grid, setup)
+        fixed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
         assert fixed.converged
         assert np.all(fixed.p[-1] == 0.0) or np.max(np.abs(fixed.p[-1])) < 1e-10
         res = np.array(fixed.residuals)
@@ -95,12 +95,12 @@ class TestFixedPoint:
         # starting from g alone stays orthogonal to the all-ones vector and
         # misses the average-pumping fixed point; the default seed does not
         config = noise_config(TWO_NODE, [0.0, 2.0])
-        A = two_node_system()
+        spectrum = two_node_system()
         setup = contraction_setup(config.kernel, config.grid, 1.0)
-        fmap = CostateMap(A, config.x0, config.kernel, config.grid, setup)
-        from_g = costate_fixed_point(A, config.x0, config.kernel, config.grid,
+        fmap = CostateMap(spectrum, config.x0, config.kernel, config.grid, setup)
+        from_g = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid,
                                      setup, p0=fmap.g.copy())
-        from_seed = costate_fixed_point(A, config.x0, config.kernel, config.grid, setup)
+        from_seed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
         # the g-start fixed point has zero mean at every sample
         assert np.max(np.abs(from_g.p.sum(axis=1))) < 1e-10
         assert np.max(np.abs(from_seed.p.sum(axis=1))) > 1e-3
@@ -109,11 +109,11 @@ class TestFixedPoint:
         # with x0 on the consensus line g == 0 and the mean seed itself is a
         # fixed point: the control pushes along the all-ones direction
         config = noise_config(TWO_NODE, [1.0, 1.0], steps=100)
-        A = two_node_system()
+        spectrum = two_node_system()
         setup = contraction_setup(config.kernel, config.grid, 1.0)
-        fixed = costate_fixed_point(A, config.x0, config.kernel, config.grid, setup)
+        fixed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
         assert fixed.converged and fixed.iterations == 1
-        fmap = CostateMap(A, config.x0, config.kernel, config.grid, setup)
+        fmap = CostateMap(spectrum, config.x0, config.kernel, config.grid, setup)
         seed = default_seed(fmap, config.kernel)
         assert np.max(np.abs(fixed.p - seed)) < 1e-12
 
@@ -149,7 +149,7 @@ class TestPropagateForced:
         # A = 0, u constant: x(t) = x0 + u t; trapezoid is exact here
         grid = TimeGrid(T=1.0, steps=10)
         u = np.tile([0.5, -0.25], (11, 1))
-        traj = propagate_forced(np.zeros((2, 2)), np.array([1.0, 2.0]), u, grid)
+        traj = propagate_forced(Spectrum(np.zeros((2, 2))), np.array([1.0, 2.0]), u, grid)
         t = grid.times()
         assert np.max(np.abs(traj.x[:, 0] - (1.0 + 0.5 * t))) < 1e-14
         assert np.max(np.abs(traj.x[:, 1] - (2.0 - 0.25 * t))) < 1e-14
@@ -166,6 +166,21 @@ class TestBaseline:
         base = baseline_constant_control(paper_k4_scenario("noise"))
         assert base["j2_closed_form"] >= 8.0 / 3.0
         assert base["j2_closed_form"] == pytest.approx(base["j2_simulated"], rel=1e-6)
+
+
+class TestSpectrumReuse:
+    @pytest.mark.parametrize("run", [simulate_attack2, baseline_constant_control])
+    def test_one_eigendecomposition_per_run(self, monkeypatch, run):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(A):
+            calls.append(A)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        run(paper_k4_scenario("noise", steps=50))
+        assert len(calls) == 1
 
 
 class TestSimulateAttack2:

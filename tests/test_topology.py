@@ -6,8 +6,8 @@ import pytest
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
                                           TopologyError, all_pairs,
                                           build_system_matrix,
-                                          connected_components, min_cut_size,
-                                          pair_to_slot, slot_to_pair)
+                                          connected_components, pair_to_slot,
+                                          slot_to_pair)
 
 
 def k4(weights=None):
@@ -130,16 +130,3 @@ class TestCutsAndComponents:
         star = NetworkTopology(n=4, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
         control = LinkControl.breaking(star, [(0, 3)], 1)
         assert (3,) in connected_components(star, control)
-
-    @pytest.mark.parametrize("topo,expected", [
-        (NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))), 1),          # path
-        (NetworkTopology(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0),
-                                     (0, 3, 1.0))), 2),                        # cycle
-        (NetworkTopology(n=4, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0))), 1),  # star
-        (NetworkTopology(n=4, edges=((0, 1, 1.0), (2, 3, 1.0))), 0),           # split
-    ])
-    def test_min_cut_oracles(self, topo, expected):
-        assert min_cut_size(topo) == expected
-
-    def test_min_cut_complete_graph(self):
-        assert min_cut_size(k4()) == 3
