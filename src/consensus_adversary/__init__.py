@@ -18,7 +18,6 @@ from .scenario import (LinkAttackSpec, NoiseAttackSpec, ScenarioConfig,
                        ScenarioError, load_scenario, paper_k4_scenario,
                        paper_k4_topology, save_scenario, write_report)
 from .topology import (LinkControl, NetworkTopology, TopologyError,
-                       build_system_matrix, connected_components,
-                       pair_to_slot, slot_to_pair)
+                       build_system_matrix, connected_components)
 
 __version__ = "0.1.0"

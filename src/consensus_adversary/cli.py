@@ -54,7 +54,7 @@ def run_simulate(args) -> int:
         raise ScenarioError("simulate requires a scenario with attack = none")
     if not config.connected:
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
-    traj = propagate(config.x0, [LinkControl.none(config.topology.n)] * config.steps,
+    traj = propagate(config.x0, [LinkControl.none(config.topology)] * config.steps,
                      config.topology, config.grid)
     outcome = PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))
     files = write_report(outcome, _out_dir(args, config.name))
@@ -102,7 +102,7 @@ def run_reproduce_paper(args) -> int:
     checks = []
 
     none_cfg = paper_k4_scenario("none", steps=steps)
-    traj = propagate(none_cfg.x0, [LinkControl.none(4)] * steps,
+    traj = propagate(none_cfg.x0, [LinkControl.none(none_cfg.topology)] * steps,
                      none_cfg.topology, none_cfg.grid)
     j_none = objective(traj, none_cfg.kernel)
     write_report(PlainOutcome(trajectory=traj, J=j_none), out / "no_attack")

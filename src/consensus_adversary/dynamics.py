@@ -149,7 +149,7 @@ def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
 
 
 class PropagatorCache:
-    """Caches exp(A h) per control bit pattern for closed-loop simulations."""
+    """Caches exp(A h) per break mask for closed-loop simulations."""
 
     def __init__(self, topology: NetworkTopology, h: float):
         self.topology = topology

@@ -23,17 +23,16 @@ from .topology import LinkControl, NetworkTopology, build_system_matrix
 class EnumerationResult:
     j_greedy: float
     j_best: float
-    best_schedule: tuple[tuple[int, ...], ...]   # per-interval broken slot tuples
-    greedy_schedule: tuple[tuple[int, ...], ...]
+    best_schedule: tuple[tuple[tuple[int, int], ...], ...]   # per-interval broken (i, j) pairs
+    greedy_schedule: tuple[tuple[tuple[int, int], ...], ...]
     num_schedules: int
 
 
-def _interval_operators(topology: NetworkTopology, control_sets, h: float):
+def _interval_operators(topology: NetworkTopology, controls, h: float):
     """Per control: the interval propagator exp(A h) and the quadratic form W
     with y' W y = int_0^h |P(tau) y - M y|^2 dtau (constant kernel k == 1)."""
     props, quads = [], []
-    for broken in control_sets:
-        control = LinkControl.breaking(topology, list(broken), len(broken) or 0)
+    for control in controls:
         spectrum = Spectrum(build_system_matrix(topology, control))
         props.append(spectrum.exp(h))
         quads.append(spectrum.interval_form(h))
@@ -42,10 +41,9 @@ def _interval_operators(topology: NetworkTopology, control_sets, h: float):
 
 def admissible_break_sets(topology: NetworkTopology, ell: int):
     """All edge subsets of size <= ell (the bang-bang control alphabet)."""
-    pairs = [(i, j) for (i, j, _) in topology.edges]
     sets = []
     for k in range(min(ell, topology.m) + 1):
-        sets.extend(itertools.combinations(pairs, k))
+        sets.extend(itertools.combinations(topology.pairs, k))
     return sets
 
 
@@ -60,7 +58,8 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     x0 = np.asarray(x0, dtype=float)
     h = T / intervals
     control_sets = admissible_break_sets(topology, ell)
-    props, quads = _interval_operators(topology, control_sets, h)
+    controls = [LinkControl.breaking(topology, broken, len(broken)) for broken in control_sets]
+    props, quads = _interval_operators(topology, controls, h)
     nc = len(control_sets)
     num = nc ** intervals
     X = np.tile(x0, (num, 1))
@@ -85,12 +84,10 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     y = x0.copy()
     j_greedy = 0.0
     greedy_schedule = []
-    set_index = {frozenset(s): i for i, s in enumerate(control_sets)}
+    mask_index = {control.bits: c for c, control in enumerate(controls)}
     for _ in range(intervals):
-        control = greedy_control(y, topology, min(ell, topology.m))
-        broken = frozenset(control.broken_edges(topology.n))
-        c = set_index[broken]
-        greedy_schedule.append(tuple(sorted(broken)))
+        c = mask_index[greedy_control(y, topology, min(ell, topology.m)).bits]
+        greedy_schedule.append(tuple(sorted(control_sets[c])))
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     return EnumerationResult(

@@ -26,7 +26,7 @@ CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction
 
 @dataclass(frozen=True)
 class EdgePowerReport:
-    """Per-edge dissipated power and the descending ranking (ties by slot)."""
+    """Per-edge dissipated power and the descending ranking (ties by edge index)."""
 
     edges: tuple[tuple[int, int], ...]   # edge order of the topology
     w: np.ndarray                        # power per edge, same order
@@ -71,14 +71,14 @@ class SweepResult:
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
     """Dissipated power a_ij (x_j - x_i)^2 per edge, ranked descending."""
     x = np.asarray(x, dtype=float)
-    edges = tuple((i, j) for (i, j, _) in topology.edges)
-    w = np.array([a * (x[j] - x[i]) ** 2 for (i, j, a) in topology.edges])
-    ranking = tuple(sorted(range(len(edges)), key=lambda e: (-w[e], e)))
-    return EdgePowerReport(edges=edges, w=w, ranking=ranking)
+    i, j, a = topology.arrays
+    w = a * (x[j] - x[i]) ** 2
+    ranking = tuple(np.argsort(-w, kind="stable").tolist())
+    return EdgePowerReport(edges=topology.pairs, w=w, ranking=ranking)
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> LinkControl:
-    """Break the ell highest-power edges (ties by slot order).
+    """Break the ell highest-power edges (ties by edge index).
 
     Zero-power edges are still selected to fill the budget; breaking one
     removes no dissipated power at that instant, so the ranking is indifferent
@@ -86,9 +86,7 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> LinkCo
     """
     if ell > topology.m:
         raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
-    report = edge_power(x, topology)
-    chosen = [report.edges[e] for e in report.ranking[:ell]]
-    return LinkControl.breaking(topology, chosen, ell)
+    return LinkControl.from_indices(topology, edge_power(x, topology).ranking[:ell], ell)
 
 
 def classify(topology: NetworkTopology, final_control: LinkControl,
@@ -119,7 +117,7 @@ def simulate_attack1(config) -> Attack1Outcome:
         schedule.append(control)
         x[k + 1] = cache.step(control) @ x[k]
     traj = Trajectory(grid=grid, x=x)
-    history = tuple(tuple(c.broken_edges(topology.n)) for c in schedule)
+    history = tuple(tuple(c.broken_edges(topology)) for c in schedule)
     return Attack1Outcome(
         trajectory=traj,
         schedule=tuple(schedule),
@@ -165,20 +163,21 @@ def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    edges = tuple((i, j) for (i, j, _) in topology.edges)
-    f = np.array([a * (p[j] - p[i]) * (x[i] - x[j]) for (i, j, a) in topology.edges])
+    i, j, a = topology.arrays
+    f = a * (p[j] - p[i]) * (x[i] - x[j])
     if sign_flip:
         f = -f
-    order = tuple(sorted(range(len(edges)), key=lambda e: (f[e], e)))
+    order = np.argsort(f, kind="stable")   # ascending, ties by edge index
     if topology.m > ell:
         f_cut = f[order[ell]]       # (ell+1)-th smallest under the tie-broken order
     else:
         f_cut = np.inf
-    i_tilde = tuple(edges[e] for e in order if f[e] < 0 and f[e] <= f_cut)
-    i_t = i_tilde[:ell]
-    control = LinkControl.breaking(topology, list(i_t), ell)
-    return SwitchingReport(edges=edges, f=f, order=order,
-                           i_tilde=i_tilde, i_t=i_t, control=control)
+    ranked = f[order]
+    tilde = order[(ranked < 0) & (ranked <= f_cut)]
+    i_tilde = tuple(zip(i[tilde].tolist(), j[tilde].tolist()))
+    return SwitchingReport(edges=topology.pairs, f=f, order=tuple(order.tolist()),
+                           i_tilde=i_tilde, i_t=i_tilde[:ell],
+                           control=LinkControl.from_indices(topology, tilde[:ell], ell))
 
 
 def forward_backward_sweep(config, max_iter: int = 100,
@@ -193,7 +192,7 @@ def forward_backward_sweep(config, max_iter: int = 100,
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
-    schedule = tuple(LinkControl.none(topology.n, ell) for _ in range(grid.steps))
+    schedule = (LinkControl.none(topology, ell),) * grid.steps
     seen: dict[tuple, int] = {}
     best = None  # (J, schedule)
     converged = False
@@ -245,16 +244,12 @@ def verify_greedy_mp_consistency(config, sign_flip: bool = False) -> dict:
     set_agree = 0
     order_agree = 0
     for k in range(steps):
-        g_set = set(greedy.schedule[k].broken_edges(config.topology.n))
-        s_set = set(sweep.schedule[k].broken_edges(config.topology.n))
-        if g_set == s_set:
+        if greedy.schedule[k].bits == sweep.schedule[k].bits:
             set_agree += 1
         w_rep = edge_power(sweep.trajectory.x[k], config.topology)
         f_rep = switching_functions(sweep.trajectory.x[k], sweep.trajectory.p[k],
                                     config.topology, ell, sign_flip=sign_flip)
-        top_w = {w_rep.edges[e] for e in w_rep.ranking[:ell]}
-        top_f = {f_rep.edges[e] for e in f_rep.order[:ell]}
-        if top_w == top_f:
+        if set(w_rep.ranking[:ell]) == set(f_rep.order[:ell]):
             order_agree += 1
     rel_gap = abs(greedy.J - sweep.J) / max(greedy.J, 1e-300)
     return {

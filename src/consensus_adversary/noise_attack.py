@@ -246,7 +246,7 @@ def simulate_attack2(config) -> Attack2Outcome:
     control synthesis, and forward propagation."""
     topology, grid, kernel = config.topology, config.grid, config.kernel
     spec = config.attack
-    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology.n)))
+    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
     setup = contraction_setup(kernel, grid, spec.p_max, safety=spec.safety, nu=spec.nu)
     fixed = costate_fixed_point(spectrum, config.x0, kernel, grid, setup)
     u = optimal_noise(fixed.p, spec.p_max)
@@ -275,7 +275,7 @@ def baseline_constant_control(config) -> dict:
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     p_max = config.attack.p_max
-    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology.n)))
+    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
     vals, vecs = spectrum.vals, spectrum.vecs
     x0 = np.asarray(config.x0, dtype=float)
     n = topology.n

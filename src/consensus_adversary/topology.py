@@ -1,4 +1,4 @@
-"""Weighted undirected network topologies, edge indexing, and system matrices.
+"""Weighted undirected network topologies, link controls, and system matrices.
 
 Nodes are 1-based in all user-facing structures (files, reports) and 0-based
 internally; conversion happens at the I/O layer, so everything in this module
@@ -8,6 +8,7 @@ speaks 0-based node ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,41 +17,14 @@ class TopologyError(ValueError):
     """Raised for malformed topologies or controls that do not fit them."""
 
 
-def pair_to_slot(i: int, j: int, n: int) -> int:
-    """Slot of unordered pair (i, j), i < j, in the canonical control layout.
-
-    The layout enumerates (0,1), (0,2), ..., (0,n-1), (1,2), ... so that a
-    control vector of length n(n-1)/2 addresses every potential edge.
-    """
-    if not (0 <= i < j < n):
-        raise TopologyError(f"invalid pair ({i}, {j}) for n={n}")
-    # pairs with first index < i, plus offset within row i
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def slot_to_pair(slot: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_to_slot."""
-    if not 0 <= slot < n * (n - 1) // 2:
-        raise TopologyError(f"slot {slot} out of range for n={n}")
-    i = 0
-    while slot >= n - i - 1:
-        slot -= n - i - 1
-        i += 1
-    return i, i + 1 + slot
-
-
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    """All unordered pairs in slot order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     """Undirected weighted graph on nodes 0..n-1.
 
-    edges are (i, j, weight) with i < j and weight > 0. Connectivity is a
-    computed property, not an assumption; disconnected inputs are legal and
-    flagged downstream.
+    edges are (i, j, weight) with i < j and weight > 0, kept sorted; a link
+    control is a break mask in this edge order. Connectivity is a computed
+    property, not an assumption; disconnected inputs are legal and flagged
+    downstream.
     """
 
     n: int
@@ -82,35 +56,37 @@ class NetworkTopology:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def num_slots(self) -> int:
-        return self.n * (self.n - 1) // 2
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Endpoints (i, j) of each edge, in edge order."""
+        return tuple((i, j) for (i, j, _) in self.edges)
 
-    def weight_matrix(self) -> np.ndarray:
-        """Symmetric matrix of weights a_ij (zero off the edge set)."""
-        a = np.zeros((self.n, self.n))
-        for (i, j, w) in self.edges:
-            a[i, j] = a[j, i] = w
-        return a
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only endpoint arrays i, j and weight array w, in edge order."""
+        e = np.array(self.edges, dtype=float).reshape(-1, 3)
+        i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
+        for a in (i, j, w):
+            a.flags.writeable = False
+        return i, j, w
 
     def is_connected(self) -> bool:
-        return len(components_of_edges(self.n, [(i, j) for (i, j, _) in self.edges])) == 1
+        return len(components_of_edges(self.n, self.pairs)) == 1
 
 
 @dataclass(frozen=True)
 class LinkControl:
-    """Binary break vector over the canonical slot layout, with budget ell.
+    """Break mask over the edges of a topology, in edge order, with budget ell.
 
-    bits[slot] == 1 means the corresponding link is broken. Bits may only be
-    set on slots that are actual edges, and at most ell of them.
+    bits[e] == 1 means topology.edges[e] is broken; at most ell bits are set.
     """
 
     bits: tuple[int, ...]
     ell: int
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, self.bits))
+        if not set(bits) <= {0, 1}:
             raise TopologyError("control bits must be 0 or 1")
         if self.ell < 0:
             raise TopologyError(f"budget must be nonnegative, got {self.ell}")
@@ -119,23 +95,29 @@ class LinkControl:
         object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def none(cls, n: int, ell: int = 0) -> "LinkControl":
-        return cls(bits=(0,) * (n * (n - 1) // 2), ell=ell)
+    def none(cls, topology: NetworkTopology, ell: int = 0) -> "LinkControl":
+        return cls(bits=(0,) * topology.m, ell=ell)
+
+    @classmethod
+    def from_indices(cls, topology: NetworkTopology, indices, ell: int) -> "LinkControl":
+        """Control breaking the edges with the given indices into topology.edges."""
+        mask = np.zeros(topology.m, dtype=int)
+        mask[np.asarray(indices, dtype=int)] = 1
+        return cls(bits=tuple(mask.tolist()), ell=ell)
 
     @classmethod
     def breaking(cls, topology: NetworkTopology, broken: "set[tuple[int, int]] | list", ell: int) -> "LinkControl":
-        bits = [0] * topology.num_slots
-        edge_set = {(i, j) for (i, j, _) in topology.edges}
+        indices = []
         for (i, j) in broken:
-            if i > j:
-                i, j = j, i
-            if (i, j) not in edge_set:
+            i, j = min(i, j), max(i, j)
+            if (i, j) not in topology.pairs:
                 raise TopologyError(f"cannot break non-edge ({i}, {j})")
-            bits[pair_to_slot(i, j, topology.n)] = 1
-        return cls(bits=tuple(bits), ell=ell)
+            indices.append(topology.pairs.index((i, j)))
+        return cls.from_indices(topology, indices, ell)
 
-    def broken_edges(self, n: int) -> list[tuple[int, int]]:
-        return [slot_to_pair(s, n) for s, b in enumerate(self.bits) if b]
+    def broken_edges(self, topology: NetworkTopology) -> list[tuple[int, int]]:
+        """Broken (i, j) pairs, in edge order."""
+        return [topology.pairs[e] for e in np.flatnonzero(self.bits)]
 
 
 def build_system_matrix(topology: NetworkTopology, control: LinkControl) -> np.ndarray:
@@ -144,18 +126,13 @@ def build_system_matrix(topology: NetworkTopology, control: LinkControl) -> np.n
     Breaking edge (i, j) zeroes A_ij and A_ji and adjusts both diagonals, so
     the result is always symmetric with zero row sums.
     """
-    if len(control.bits) != topology.num_slots:
+    if len(control.bits) != topology.m:
         raise TopologyError(
-            f"control length {len(control.bits)} != {topology.num_slots} slots for n={topology.n}")
-    edge_slot = {pair_to_slot(i, j, topology.n): (i, j, w) for (i, j, w) in topology.edges}
-    for slot, b in enumerate(control.bits):
-        if b and slot not in edge_slot:
-            i, j = slot_to_pair(slot, topology.n)
-            raise TopologyError(f"control bit set on non-edge ({i}, {j})")
+            f"control length {len(control.bits)} != {topology.m} edges")
+    i, j, w = topology.arrays
+    keep = np.logical_not(control.bits)
     a = np.zeros((topology.n, topology.n))
-    for slot, (i, j, w) in edge_slot.items():
-        if not control.bits[slot]:
-            a[i, j] = a[j, i] = w
+    a[i[keep], j[keep]] = a[j[keep], i[keep]] = w[keep]
     np.fill_diagonal(a, -a.sum(axis=1))
     return a
 
@@ -186,9 +163,6 @@ def components_of_edges(n: int, edges) -> list[tuple[int, ...]]:
 
 def connected_components(topology: NetworkTopology, control: LinkControl) -> list[tuple[int, ...]]:
     """Components of the surviving graph after removing broken links."""
-    surviving = [
-        (i, j) for (i, j, _) in topology.edges
-        if not control.bits[pair_to_slot(i, j, topology.n)]
-    ]
-    return components_of_edges(topology.n, surviving)
-
+    i, j, _ = topology.arrays
+    keep = np.logical_not(control.bits)
+    return components_of_edges(topology.n, zip(i[keep].tolist(), j[keep].tolist()))

@@ -95,7 +95,7 @@ def check_contraction(config) -> CheckResult:
     res = np.array(outcome.residuals)
     ratios, q = res[1:] / res[:-1], outcome.setup.q
     # fixed-point residual of one extra map application
-    spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology.n)))
+    spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology)))
     fmap = noise_attack.CostateMap(spectrum, config.x0, config.kernel, config.grid, outcome.setup)
     p = outcome.trajectory.p
     drift = float(np.max(np.abs(fmap.apply(p) - p))) / float(np.max(np.abs(p)))
@@ -136,8 +136,7 @@ def check_attack2_optimality(config) -> CheckResult:
     norms = np.linalg.norm(p, axis=1)
     nonsingular = norms > noise_attack.SINGULAR_FRACTION * norms.max()
     cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(outcome.p_max) * norms[nonsingular])
-    n = config.topology.n
-    j0 = objective(propagate(config.x0, [LinkControl.none(n)] * config.steps,
+    j0 = objective(propagate(config.x0, [LinkControl.none(config.topology)] * config.steps,
                              config.topology, config.grid), config.kernel)
     j2 = noise_attack.baseline_constant_control(config)["j2_closed_form"]
     values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - outcome.p_max),

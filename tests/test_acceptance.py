@@ -73,7 +73,7 @@ def test_criterion_03_greedy_equals_mp():
     config = paper_k4_scenario("link")
     sweep = forward_backward_sweep(config)
     greedy = simulate_attack1(config)
-    broken = {tuple(c.broken_edges(4)) for c in sweep.schedule}
+    broken = {tuple(c.broken_edges(config.topology)) for c in sweep.schedule}
     gap = abs(sweep.J - greedy.J) / greedy.J
     ok = (sweep.converged and sweep.iterations <= 100
           and broken == {((0, 2), (0, 3))} and gap < 1e-4)
@@ -158,7 +158,7 @@ def test_criterion_10_analytic_regressions():
     # integrand is 2 exp(-4t), and its trapezoid sum on N steps of width h is
     # a geometric series, (1 - e^-8) h coth(2h) = exact * (1 + 4h^2/3 + ...).
     grid = TimeGrid(T=2.0, steps=400)
-    traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(2)] * 400,
+    traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 400,
                      TWO_NODE, grid)
     J = objective(traj, Kernel.constant(1.0))
     exact = (1.0 - np.exp(-8.0)) / 2.0
@@ -166,7 +166,7 @@ def test_criterion_10_analytic_regressions():
     j_err = abs(J - j_trap) / j_trap
     exact_err = abs(J - exact) / exact
     j_ok = j_err < 1e-12
-    A = build_system_matrix(TWO_NODE, LinkControl.none(2))
+    A = build_system_matrix(TWO_NODE, LinkControl.none(TWO_NODE))
     exp_err = 0.0
     for t in (0.25, 1.0, 2.0):
         d = np.exp(-2.0 * t)

@@ -72,7 +72,8 @@ def connected_systems(draw):
     pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
     scale = 50.0 if draw(st.booleans()) else 1.0
     edges = tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in sorted(pairs))
-    return build_system_matrix(NetworkTopology(n=n, edges=edges), LinkControl.none(n))
+    topology = NetworkTopology(n=n, edges=edges)
+    return build_system_matrix(topology, LinkControl.none(topology))
 
 
 class TestMatrixExponential:
@@ -90,7 +91,7 @@ class TestMatrixExponential:
         w = rng.uniform(0.2, 2.0, 6)
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         topo = NetworkTopology(n=4, edges=tuple((i, j, ww) for (i, j), ww in zip(pairs, w)))
-        A = build_system_matrix(topo, LinkControl.none(4))
+        A = build_system_matrix(topo, LinkControl.none(topo))
         lhs = matrix_exponential(A, 0.7)
         rhs = matrix_exponential(A, 0.3) @ matrix_exponential(A, 0.4)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -136,13 +137,13 @@ class TestMatrixExponential:
 class TestPropagation:
     def test_average_conserved(self):
         grid = TimeGrid(T=2.0, steps=50)
-        schedule = [LinkControl.none(2)] * 50
+        schedule = [LinkControl.none(TWO_NODE)] * 50
         traj = propagate(np.array([0.0, 2.0]), schedule, TWO_NODE, grid)
         assert np.allclose(traj.x.sum(axis=1), 2.0, atol=1e-12)
 
     def test_two_node_decay(self):
         grid = TimeGrid(T=2.0, steps=100)
-        traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(2)] * 100, TWO_NODE, grid)
+        traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 100, TWO_NODE, grid)
         t = grid.times()
         expected = 1.0 - np.exp(-2.0 * t)  # x1(t) for x0 = [0, 2]
         assert np.max(np.abs(traj.x[:, 0] - expected)) < 1e-12
@@ -150,12 +151,12 @@ class TestPropagation:
     def test_schedule_length_checked(self):
         grid = TimeGrid(T=1.0, steps=10)
         with pytest.raises(DynamicsError):
-            propagate(np.array([0.0, 2.0]), [LinkControl.none(2)] * 9, TWO_NODE, grid)
+            propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 9, TWO_NODE, grid)
 
     def test_x0_shape_checked(self):
         grid = TimeGrid(T=1.0, steps=10)
         with pytest.raises(DynamicsError):
-            propagate(np.array([0.0, 2.0, 1.0]), [LinkControl.none(2)] * 10, TWO_NODE, grid)
+            propagate(np.array([0.0, 2.0, 1.0]), [LinkControl.none(TWO_NODE)] * 10, TWO_NODE, grid)
 
     def test_trajectory_shape_checked(self):
         with pytest.raises(DynamicsError):
@@ -171,14 +172,14 @@ class TestObjective:
     def test_two_node_analytic_value(self):
         # J = (1 - e^{-4T})/2 exactly; trapezoid carries an O(h^2) error
         grid = TimeGrid(T=2.0, steps=400)
-        traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(2)] * 400, TWO_NODE, grid)
+        traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 400, TWO_NODE, grid)
         J = objective(traj, Kernel.constant(1.0))
         exact = (1.0 - np.exp(-8.0)) / 2.0
         assert J == pytest.approx(exact, rel=1e-4)
 
     def test_consensus_start_zero(self):
         grid = TimeGrid(T=1.0, steps=20)
-        traj = propagate(np.array([3.0, 3.0]), [LinkControl.none(2)] * 20, TWO_NODE, grid)
+        traj = propagate(np.array([3.0, 3.0]), [LinkControl.none(TWO_NODE)] * 20, TWO_NODE, grid)
         # the propagator rows sum to 1 only to machine precision, so the
         # deviation picks up ~1e-16 noise and J ~ its square
         assert objective(traj, Kernel.constant(1.0)) < 1e-25

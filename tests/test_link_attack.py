@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensus_adversary.dynamics import Kernel, TimeGrid
 from consensus_adversary.link_attack import (costate_backward, edge_power,
@@ -33,7 +35,7 @@ class TestEdgePower:
         assert by_edge[(0, 3)] == pytest.approx(13.8978, abs=5e-4)
 
     def test_ranking_descending_with_slot_ties(self):
-        # equal-weight path from a symmetric state: both edges tie, lower slot first
+        # equal-weight path from a symmetric state: both edges tie, lower edge index first
         report = edge_power(np.array([0.0, 1.0, 2.0]), PATH3)
         assert report.w[0] == report.w[1]
         assert report.ranking == (0, 1)
@@ -52,12 +54,12 @@ class TestGreedyControl:
     def test_breaks_exactly_ell(self):
         config = paper_k4_scenario("link")
         control = greedy_control(config.x0, config.topology, 2)
-        assert control.broken_edges(4) == [(0, 2), (0, 3)]
+        assert control.broken_edges(config.topology) == [(0, 2), (0, 3)]
 
     def test_zero_power_fill(self):
-        # consensus state: all powers zero, budget still filled by slot order
+        # consensus state: all powers zero, budget still filled by edge order
         control = greedy_control(np.array([1.0, 1.0, 1.0]), PATH3, 1)
-        assert control.broken_edges(3) == [(0, 1)]
+        assert control.broken_edges(PATH3) == [(0, 1)]
 
 
 class TestSimulateAttack1:
@@ -71,7 +73,7 @@ class TestSimulateAttack1:
         from consensus_adversary.dynamics import objective, propagate
         config = paper_k4_scenario("link")
         attacked = simulate_attack1(config)
-        free = propagate(config.x0, [LinkControl.none(4)] * config.steps,
+        free = propagate(config.x0, [LinkControl.none(config.topology)] * config.steps,
                          config.topology, config.grid)
         assert attacked.J > objective(free, config.kernel)
 
@@ -102,7 +104,7 @@ class TestCostateBackward:
         from consensus_adversary.dynamics import propagate
         T, steps = 2.0, 2000
         grid = TimeGrid(T=T, steps=steps)
-        schedule = [LinkControl.none(2)] * steps
+        schedule = [LinkControl.none(TWO_NODE)] * steps
         traj = propagate(np.array([0.0, 2.0]), schedule, TWO_NODE, grid)
         p = costate_backward(traj, schedule, TWO_NODE, Kernel.constant(1.0))
         t = grid.times()
@@ -120,13 +122,13 @@ class TestSwitchingFunctions:
         # f_01 = 1*(p1-p0)(x0-x1) = 2*(-2) = -4; f_12 = (0-1)(2-1) = -1
         assert report.f == pytest.approx([-4.0, -1.0])
         assert report.i_t == ((0, 1),)
-        assert report.control.broken_edges(3) == [(0, 1)]
+        assert report.control.broken_edges(PATH3) == [(0, 1)]
 
     def test_zero_f_not_broken(self):
         report = switching_functions(np.array([1.0, 1.0, 1.0]),
                                      np.array([0.0, 0.0, 0.0]), PATH3, ell=2)
         assert report.i_t == ()
-        assert report.control.broken_edges(3) == []
+        assert report.control.broken_edges(PATH3) == []
 
     def test_positive_f_kept(self):
         x = np.array([0.0, 2.0])
@@ -142,6 +144,76 @@ class TestSwitchingFunctions:
         assert flipped.i_t == ()
 
 
+@st.composite
+def attack_inputs(draw):
+    """A random connected graph (a random spanning tree plus random extra
+    edges, weights scaled by 50 when stiff), a state x, a co-state p and a
+    budget up to two above the edge count. Integer weights and states make
+    exact ties in the powers and switching functions common."""
+    n = draw(st.integers(2, 7))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    integer = draw(st.booleans())
+    value = st.integers(-3, 3).map(float) if integer else st.floats(-2.0, 2.0)
+    weight = st.integers(1, 3).map(float) if integer else st.floats(0.2, 2.0)
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    topology = NetworkTopology(
+        n=n, edges=tuple((i, j, scale * draw(weight)) for (i, j) in sorted(pairs)))
+    x = np.array([draw(value) for _ in range(n)])
+    p = np.array([draw(value) for _ in range(n)])
+    return topology, x, p, draw(st.integers(0, topology.m + 2))
+
+
+def reference_powers(x, topology):
+    """Per-edge powers. The scalar `** 2` is libm's pow, which can differ from
+    the correctly rounded d * d of the array square by one ulp."""
+    return [a * (x[j] - x[i]) ** 2 for (i, j, a) in topology.edges]
+
+
+def reference_ranking(w):
+    """Edge indices by power, highest first, ties by edge index."""
+    return sorted(range(len(w)), key=lambda e: (-w[e], e))
+
+
+def reference_switching(x, p, topology, ell):
+    """Per-edge switching functions, their ascending order (ties by edge
+    index) and the candidate set I~ whose first ell edges the control breaks."""
+    f = [a * (p[j] - p[i]) * (x[i] - x[j]) for (i, j, a) in topology.edges]
+    order = sorted(range(len(f)), key=lambda e: (f[e], e))
+    f_cut = f[order[ell]] if len(f) > ell else np.inf
+    return f, order, [e for e in order if f[e] < 0 and f[e] <= f_cut]
+
+
+class TestAgainstPerEdgeReference:
+    @settings(max_examples=200, deadline=None)
+    @given(case=attack_inputs())
+    def test_power_ranking_and_greedy_set(self, case):
+        topology, x, _, ell = case
+        report = edge_power(x, topology)
+        np.testing.assert_allclose(report.w, reference_powers(x, topology),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        ranking = reference_ranking(report.w)
+        assert report.ranking == tuple(ranking)
+        if ell > topology.m:
+            with pytest.raises(ValueError):
+                greedy_control(x, topology, ell)
+            ell = topology.m
+        control = greedy_control(x, topology, ell)
+        assert control.broken_edges(topology) == sorted(topology.pairs[e] for e in ranking[:ell])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=attack_inputs())
+    def test_switching_functions(self, case):
+        topology, x, p, ell = case
+        f, order, tilde = reference_switching(x, p, topology, ell)
+        report = switching_functions(x, p, topology, ell)
+        assert report.f.tolist() == f
+        assert report.order == tuple(order)
+        assert report.i_tilde == tuple(topology.pairs[e] for e in tilde)
+        assert report.i_t == report.i_tilde[:ell]
+        assert report.control.broken_edges(topology) == sorted(report.i_t)
+
+
 class TestForwardBackwardSweep:
     def test_reference_run_matches_greedy(self):
         config = paper_k4_scenario("link")
@@ -149,7 +221,7 @@ class TestForwardBackwardSweep:
         greedy = simulate_attack1(config)
         assert sweep.converged
         assert sweep.iterations <= 100
-        broken = {tuple(c.broken_edges(4)) for c in sweep.schedule}
+        broken = {tuple(c.broken_edges(config.topology)) for c in sweep.schedule}
         assert broken == {((0, 2), (0, 3))}
         assert abs(sweep.J - greedy.J) / greedy.J < 1e-4
 
@@ -167,7 +239,7 @@ class TestForwardBackwardSweep:
         T = 2.0
         config = link_config(TWO_NODE, [0.0, 2.0], ell=1, T=T, steps=100)
         sweep = forward_backward_sweep(config)
-        assert all(c.broken_edges(2) == [(0, 1)] for c in sweep.schedule)
+        assert all(c.broken_edges(TWO_NODE) == [(0, 1)] for c in sweep.schedule)
         assert sweep.J == pytest.approx(2.0 * T, abs=1e-12)
 
 

@@ -27,7 +27,7 @@ def noise_config(topology, x0, p_max=1.0, T=2.0, steps=400, safety=0.9):
 
 
 def two_node_system():
-    return Spectrum(build_system_matrix(TWO_NODE, LinkControl.none(2)))
+    return Spectrum(build_system_matrix(TWO_NODE, LinkControl.none(TWO_NODE)))
 
 
 class TestContractionSetup:
@@ -75,7 +75,7 @@ class TestGTerm:
         # preserves that, so g(t) . 1 = 0 at every sample
         grid = TimeGrid(T=2.0, steps=100)
         config = paper_k4_scenario("noise", steps=100)
-        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(4)))
+        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology)))
         g = g_term(spectrum, config.x0, config.kernel, 0.1, grid)
         assert np.max(np.abs(g.sum(axis=1))) < 1e-12
 
@@ -83,7 +83,7 @@ class TestGTerm:
 class TestFixedPoint:
     def test_reference_run_contracts(self):
         config = paper_k4_scenario("noise")
-        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(4)))
+        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology)))
         setup = contraction_setup(config.kernel, config.grid, 1.0)
         fixed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
         assert fixed.converged
@@ -141,7 +141,7 @@ class TestPropagateForced:
         grid = TimeGrid(T=2.0, steps=100)
         u = np.zeros((101, 2))
         forced = propagate_forced(two_node_system(), np.array([0.0, 2.0]), u, grid)
-        free = propagate(np.array([0.0, 2.0]), [LinkControl.none(2)] * 100,
+        free = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 100,
                          TWO_NODE, grid)
         assert np.max(np.abs(forced.x - free.x)) < 1e-12
 

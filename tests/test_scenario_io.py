@@ -115,7 +115,7 @@ class TestFixtures:
 class TestReports:
     def test_plain_outcome_files(self, tmp_path):
         config = paper_k4_scenario("none", steps=20)
-        traj = propagate(config.x0, [LinkControl.none(4)] * 20,
+        traj = propagate(config.x0, [LinkControl.none(config.topology)] * 20,
                          config.topology, config.grid)
         outcome = PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))
         files = write_report(outcome, tmp_path / "out")

@@ -1,13 +1,11 @@
-"""Unit tests for edge indexing, topology validation, and system matrices."""
+"""Unit tests for topology validation, break masks, and system matrices."""
 
 import numpy as np
 import pytest
 
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
-                                          TopologyError, all_pairs,
-                                          build_system_matrix,
-                                          connected_components, pair_to_slot,
-                                          slot_to_pair)
+                                          TopologyError, build_system_matrix,
+                                          connected_components)
 
 
 def k4(weights=None):
@@ -17,31 +15,11 @@ def k4(weights=None):
     return NetworkTopology(n=4, edges=tuple((i, j, w) for (i, j), w in zip(pairs, weights)))
 
 
-class TestSlotLayout:
-    def test_roundtrip_all_pairs(self):
-        for n in (2, 3, 5, 8):
-            for slot, (i, j) in enumerate(all_pairs(n)):
-                assert pair_to_slot(i, j, n) == slot
-                assert slot_to_pair(slot, n) == (i, j)
-
-    def test_layout_is_lexicographic(self):
-        assert all_pairs(4) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
-    def test_invalid_pair_rejected(self):
-        with pytest.raises(TopologyError):
-            pair_to_slot(2, 1, 4)
-        with pytest.raises(TopologyError):
-            pair_to_slot(0, 4, 4)
-        with pytest.raises(TopologyError):
-            slot_to_pair(6, 4)
-
-
 class TestNetworkTopology:
     def test_edges_normalized_and_sorted(self):
         topo = NetworkTopology(n=3, edges=((2, 0, 1.5), (1, 0, 0.5)))
         assert topo.edges == ((0, 1, 0.5), (0, 2, 1.5))
         assert topo.m == 2
-        assert topo.num_slots == 3
 
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError, match="self-loop"):
@@ -60,11 +38,13 @@ class TestNetworkTopology:
             NetworkTopology(n=3, edges=((0, 3, 1.0),))
 
     def test_weight_matrix_symmetric(self):
+        # the uncontrolled system matrix carries the weights off the diagonal
         topo = k4([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        a = topo.weight_matrix()
+        A = build_system_matrix(topo, LinkControl.none(topo))
+        a = A - np.diag(np.diag(A))
         assert np.array_equal(a, a.T)
         assert a[0, 2] == 1.0
-        assert np.all(np.diag(a) == 0)
+        assert np.array_equal(np.diag(A), -a.sum(axis=1))
 
     def test_connectivity(self):
         assert k4().is_connected()
@@ -89,13 +69,14 @@ class TestLinkControl:
     def test_breaking_orders_pair(self):
         topo = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
         control = LinkControl.breaking(topo, [(2, 1)], 1)
-        assert control.broken_edges(3) == [(1, 2)]
+        assert control.bits == (0, 1)
+        assert control.broken_edges(topo) == [(1, 2)]
 
 
 class TestSystemMatrix:
     def test_zero_row_sums_and_symmetry(self):
         topo = k4([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        A = build_system_matrix(topo, LinkControl.none(4))
+        A = build_system_matrix(topo, LinkControl.none(topo))
         assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
         assert np.array_equal(A, A.T)
         assert A[0, 1] == 0.5
@@ -111,13 +92,7 @@ class TestSystemMatrix:
     def test_control_length_mismatch(self):
         topo = k4()
         with pytest.raises(TopologyError, match="control length"):
-            build_system_matrix(topo, LinkControl.none(3))
-
-    def test_bit_on_non_edge(self):
-        topo = NetworkTopology(n=3, edges=((0, 1, 1.0),))
-        bad = LinkControl(bits=(0, 1, 0), ell=1)  # slot (0,2) is not an edge
-        with pytest.raises(TopologyError, match="non-edge"):
-            build_system_matrix(topo, bad)
+            build_system_matrix(topo, LinkControl.none(NetworkTopology(n=3, edges=((0, 1, 1.0),))))
 
 
 class TestCutsAndComponents:
