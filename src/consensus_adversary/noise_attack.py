@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg.lapack import dtbtrs
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
                        objective)
@@ -54,6 +55,7 @@ class Attack2Outcome:
     setup: ContractionSetup
     iterations: int
     residuals: tuple[float, ...]
+    converged: bool              # the co-state fixed point met its tolerance
     lam: np.ndarray              # Lagrange multiplier trace
 
     @property
@@ -84,37 +86,52 @@ def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
                             k_check=k_check, k_hat=k_hat, p_max=float(p_max))
 
 
+class _ModeRecurrence:
+    """x[a] = r_d x[a-1] + f[a] down the samples of every mode d at once.
+
+    The modes are stacked end to end into one unit-lower-bidiagonal system
+    (sub-diagonal -r_d, cut between modes), so a run is one banded
+    triangular solve; its transpose runs the recurrence backwards.
+    """
+
+    def __init__(self, rate: np.ndarray, samples: int):
+        self.rate = rate
+        self.samples = samples
+        sub = np.repeat(-rate, samples)
+        sub[samples - 1::samples] = 0.0
+        self.band = np.asfortranarray(np.stack([np.ones_like(sub), sub]))
+
+    def run(self, f: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """Solution for a forcing f of shape (samples, n); reverse=True gives
+        x[a] = r_d x[a+1] + f[a] with x[samples] = 0."""
+        x, _ = dtbtrs(self.band, f.T.reshape(-1, 1), uplo="L",
+                      trans="T" if reverse else "N", diag="U")
+        return x.reshape(-1, self.samples).T
+
+    def tail(self, k: np.ndarray, h: float) -> np.ndarray:
+        """Trapezoid tails R[a] = int_{t_a}^T k(tau) r^{(tau-t_a)/h} dtau:
+        R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}), R[last] = 0."""
+        f = np.zeros((self.samples, self.rate.shape[0]))
+        f[:-1] = 0.5 * h * (k[:-1, None] + self.rate * k[1:, None])
+        return self.run(f, reverse=True)
+
+
 def g_term(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel, nu: float,
            grid: TimeGrid) -> np.ndarray:
     """Inhomogeneous part of the co-state equation on the grid:
     g(t) = 2 nu int_t^T P(tau-t) k(tau) (P(tau) x0 - xbar) dtau.
 
-    Evaluated per eigenmode, which makes the trapezoid quadrature of the
-    stated integrand O(steps) per output sample.
+    P(tau) fixes xbar, so the integrand is P(tau-t) k(tau) P(tau) (x0 - xbar)
+    and per eigenmode g_d(t) = 2 nu e^{lam t} R_d(t) e_d, with e the modes of
+    x0 - xbar and R_d the trapezoid tail of k(tau) e^{2 lam (tau-t)}: O(n steps)
+    in all, and both factors are at most 1, so stiff modes cannot overflow.
     """
     vals, vecs = spectrum.vals, spectrum.vecs
     x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
     t = grid.times()
-    k = kernel.sample(t)
-    c = vecs.T @ x0                               # modes of x0
-    mbar = vecs.T @ np.full(n, np.mean(x0))       # modes of xbar
-    # per mode d: g_d(t) = 2 nu e^{-d t} int_t^T k (e^{2 d tau} c_d - e^{d tau} m_d) dtau
-    g_modes = np.empty((grid.steps + 1, n))
-    for d in range(n):
-        lam = vals[d]
-        integrand = k * (np.exp(2.0 * lam * t) * c[d] - np.exp(lam * t) * mbar[d])
-        tail = _reverse_cumtrapz(integrand, grid.h)
-        g_modes[:, d] = 2.0 * nu * np.exp(-lam * t) * tail
-    return g_modes @ vecs.T
-
-
-def _reverse_cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
-    """tail[i] = int_{t_i}^{T} y dt by composite trapezoid."""
-    seg = 0.5 * h * (y[:-1] + y[1:])
-    tail = np.zeros_like(y)
-    tail[:-1] = np.cumsum(seg[::-1])[::-1]
-    return tail
+    R = _ModeRecurrence(np.exp(2.0 * vals * grid.h), t.shape[0]).tail(kernel.sample(t), grid.h)
+    e = vecs.T @ (x0 - np.mean(x0))                # modes of the deviation
+    return (2.0 * nu * np.exp(np.outer(t, vals)) * R * e) @ vecs.T
 
 
 def _normalized(p: np.ndarray, floor: float) -> np.ndarray:
@@ -126,29 +143,25 @@ def _normalized(p: np.ndarray, floor: float) -> np.ndarray:
 
 
 class CostateMap:
-    """The co-state integral map on the grid, with the quadratic kernel
-    precomputed per eigenmode (O(steps^2) storage, cheap per application)."""
+    """The co-state integral map on the grid.
+
+    Per eigenmode d with rate lam the trapezoid kernel is semiseparable,
+    Q_d[a, j] = e^{lam |t_a - s_j|} R_d[max(a, j)] with R_d the tail of
+    k(tau) e^{2 lam (tau - t_a)}, so the map stores R_d and r_d = e^{lam h}
+    (O(n steps)) and one application is two first-order recurrences per
+    mode with factors at most 1: no step cap, and finite on stiff graphs.
+    """
 
     def __init__(self, spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
                  grid: TimeGrid, setup: ContractionSetup):
-        if grid.steps > 2000:
-            raise DynamicsError("co-state map grids are capped at 2000 steps")
         self.grid = grid
         self.setup = setup
         self.vecs = spectrum.vecs
         self.g = g_term(spectrum, x0, kernel, setup.nu, grid)
-        t = grid.times()
-        k = kernel.sample(t)
-        n = spectrum.vals.shape[0]
         m = grid.steps + 1
-        # Q_d[a, j] = int_{max(t_a, s_j)}^{T} k(tau) e^{d (2 tau - t_a - s_j)} dtau
-        self.Q = np.empty((n, m, m))
-        idx = np.maximum(np.arange(m)[:, None], np.arange(m)[None, :])
-        for d in range(n):
-            lam = spectrum.vals[d]
-            tail = _reverse_cumtrapz(k * np.exp(2.0 * lam * t), grid.h)
-            decay = np.exp(-lam * t)
-            self.Q[d] = decay[:, None] * decay[None, :] * tail[idx]
+        k = kernel.sample(grid.times())
+        self.R = _ModeRecurrence(np.exp(2.0 * spectrum.vals * grid.h), m).tail(k, grid.h)
+        self.decay = _ModeRecurrence(np.exp(spectrum.vals * grid.h), m)
         # trapezoid weights for the s integral over [0, T]
         w = np.full(m, grid.h)
         w[0] = w[-1] = 0.5 * grid.h
@@ -158,9 +171,12 @@ class CostateMap:
         """One application of the map to a co-state trace (steps+1, n)."""
         floor = SINGULAR_FRACTION * max(float(np.max(np.linalg.norm(p, axis=1))), 0.0)
         pbar = _normalized(p, floor)
-        modes = pbar @ self.vecs                        # (m, n) mode coefficients
-        weighted = modes * self.weights[:, None]
-        integral = np.einsum("daj,jd->ad", self.Q, weighted)
+        y = (pbar @ self.vecs) * self.weights[:, None]  # weighted mode coefficients
+        # sum_j Q[a, j] y[j] = R[a] L[a] + U[a]: L sums j <= a, U sums j > a
+        lower = self.decay.run(y)
+        upper = np.zeros_like(y)
+        upper[:-1] = self.decay.rate * self.decay.run(self.R * y, reverse=True)[1:]
+        integral = self.R * lower + upper
         coeff = 2.0 * self.setup.nu * np.sqrt(self.setup.p_max)
         return self.g + coeff * (integral @ self.vecs.T)
 
@@ -177,10 +193,11 @@ def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:
     """
     grid, setup = fmap.grid, fmap.setup
     t = grid.times()
-    tail = _reverse_cumtrapz(kernel.sample(t) * t, grid.h)
+    # the trapezoid tail of k(tau) tau, a recurrence at rate 1
+    tail = _ModeRecurrence(np.ones(1), t.shape[0]).tail(kernel.sample(t) * t, grid.h)
     n = fmap.g.shape[1]
     coeff = 2.0 * setup.nu * np.sqrt(setup.p_max / n)
-    return fmap.g + coeff * tail[:, None]
+    return fmap.g + coeff * tail
 
 
 def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
@@ -261,6 +278,7 @@ def simulate_attack2(config) -> Attack2Outcome:
         setup=setup,
         iterations=fixed.iterations,
         residuals=fixed.residuals,
+        converged=fixed.converged,
         lam=lagrange_multiplier(u, fixed.p, spec.p_max),
     )
 

@@ -330,7 +330,8 @@ def write_report(outcome, directory) -> list[Path]:
     """Persist an attack or simulation outcome into a directory.
 
     Always writes trajectory.csv and summary.json; link attacks add
-    broken_edges.csv, noise attacks add control.csv.
+    broken_edges.csv, noise attacks add control.csv. A non-finite summary
+    value, J say, raises DynamicsError naming it instead of writing NaN.
     """
     directory = Path(directory)
     try:
@@ -370,6 +371,7 @@ def write_report(outcome, directory) -> list[Path]:
             "p_max": outcome.p_max,
             "iterations": outcome.iterations,
             "residuals": list(outcome.residuals),
+            "converged": outcome.converged,
             "lambda_max": float(np.max(outcome.lam)),
         })
     elif isinstance(outcome, SweepResult):
@@ -381,9 +383,16 @@ def write_report(outcome, directory) -> list[Path]:
     else:
         summary.update({"attack": "none"})
 
+    try:
+        text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        bad = [key for key, value in sorted(summary.items())
+               if any(isinstance(v, float) and not math.isfinite(v)
+                      for v in (value if isinstance(value, list) else [value]))]
+        raise DynamicsError(f"non-finite {', '.join(bad)} in the summary of {directory}") from None
     summary_path = directory / "summary.json"
     try:
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary_path.write_text(text)
     except OSError as exc:
         raise ScenarioError(f"cannot write {summary_path}: {exc}") from exc
     written.append(summary_path)

@@ -1,9 +1,11 @@
 """Command-line interface tests: exit codes, outputs, and diagnostics."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from consensus_adversary import noise_attack
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
@@ -111,7 +113,21 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["attack"] == "noise"
+        assert summary["converged"] is True
         assert (out / "control.csv").exists()
+
+    def test_non_finite_J_exits_1(self, scenarios, tmp_path, monkeypatch, capsys):
+        # a NaN objective must not reach summary.json as NaN with exit 0
+        real = noise_attack.simulate_attack2
+        monkeypatch.setattr(noise_attack, "simulate_attack2",
+                            lambda config: replace(real(config), J=float("nan"),
+                                                   converged=False))
+        out = tmp_path / "nan"
+        assert main(["attack2", "--scenario", str(scenarios["noise"]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "runtime failure:" in err and "non-finite J" in err
+        assert not (out / "summary.json").exists()
 
     def test_steps_override_applies(self, scenarios, tmp_path):
         out = tmp_path / "short"

@@ -1,7 +1,12 @@
 """Unit tests for the power-capped noise adversary."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from consensus_adversary.dynamics import DynamicsError, Kernel, Spectrum, TimeGrid
 from consensus_adversary.noise_attack import (CostateMap,
@@ -198,7 +203,120 @@ class TestSimulateAttack2:
         base = baseline_constant_control(config)
         assert outcome.J >= base["j2_simulated"] - 1e-6
 
-    def test_grid_cap_enforced(self):
-        config = noise_config(TWO_NODE, [0.0, 2.0], steps=2001)
-        with pytest.raises(DynamicsError, match="capped"):
-            simulate_attack2(config)
+    def test_refinement_beyond_former_cap(self):
+        # no step cap: K4 at 2000, 4000 and 8000 steps converges, and the
+        # trapezoid's O(h^2) error shrinks the J differences 4x per halving of h
+        J = []
+        for steps in (2000, 4000, 8000):
+            outcome = simulate_attack2(paper_k4_scenario("noise", steps=steps))
+            assert outcome.converged
+            J.append(outcome.J)
+        assert 3.5 <= (J[0] - J[1]) / (J[1] - J[2]) <= 4.5
+
+
+def stiff_k4_config(steps):
+    k4 = paper_k4_scenario("noise", steps=steps)
+    topology = NetworkTopology(n=4, edges=tuple((i, j, 50.0 * w) for (i, j, w) in k4.topology.edges))
+    return replace(k4, topology=topology)
+
+
+class TestStiffGraph:
+    """K4 with weights x50: |lambda| T reaches ~500, which overflowed the
+    exp(-lambda t) products of a dense co-state kernel."""
+
+    def test_finite_converged_and_above_baselines(self):
+        config = stiff_k4_config(400)
+        outcome = simulate_attack2(config)
+        assert np.isfinite(outcome.J) and outcome.converged
+        # no-attack J by expm stepping and trapezoid, independent of Spectrum
+        grid = config.grid
+        E = expm(build_system_matrix(config.topology, LinkControl.none(config.topology)) * grid.h)
+        e = np.empty((grid.steps + 1, 4))
+        e[0] = config.x0 - np.mean(config.x0)
+        for k in range(grid.steps):
+            e[k + 1] = E @ e[k]
+        j0 = np.trapezoid(np.sum(e * e, axis=1), grid.times())
+        j2 = baseline_constant_control(config)["j2_closed_form"]
+        assert outcome.J >= max(j0, j2) - 1e-6
+
+    def test_second_order_refinement(self):
+        # 400 -> 1600 -> 6400 steps: a factor 4 in h, so differences shrink ~16x
+        J = [simulate_attack2(stiff_k4_config(steps)).J for steps in (400, 1600, 6400)]
+        assert 12.0 <= (J[0] - J[1]) / (J[1] - J[2]) <= 20.0
+
+
+@st.composite
+def map_inputs(draw):
+    """A random connected graph (a random spanning tree plus random extra
+    edges, weights scaled by 50 when stiff), a constant or table kernel, a
+    grid of 2 to 300 steps and a random co-state trace."""
+    n = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    stiff = draw(st.booleans())
+    scale = 50.0 if stiff else 1.0
+    topology = NetworkTopology(
+        n=n, edges=tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in sorted(pairs)))
+    grid = TimeGrid(T=draw(st.floats(0.5, 3.0)), steps=draw(st.integers(2, 300)))
+    if draw(st.booleans()):
+        kernel = Kernel.constant(draw(st.floats(0.1, 5.0)))
+    else:
+        knots = np.linspace(0.0, grid.T, draw(st.integers(2, 6)))
+        kernel = Kernel.from_table([(t, draw(st.floats(0.1, 5.0))) for t in knots])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-2.0, 2.0, n)
+    p = rng.standard_normal((grid.steps + 1, n))
+    return topology, kernel, grid, x0, p, stiff
+
+
+def dense_kernel(vals, t, k, stiff):
+    """Q[d, a, j] = int_{max(t_a, t_j)}^T k(tau) e^{lam_d (2 tau - t_a - t_j)} dtau
+    by trapezoid, and the tails R[d, a] of k(tau) e^{2 lam_d (tau - t_a)}.
+
+    Non-stiff: the dense formula decay[:, None] * decay[None, :] * tail[max(a, j)].
+    Stiff, where e^{-lam t} overflows: the log-safe form
+    e^{lam |t_a - t_j|} R[max(a, j)] with R summed directly per row."""
+    m = t.shape[0]
+    idx = np.maximum(np.arange(m)[:, None], np.arange(m)[None, :])
+    Q = np.empty((vals.shape[0], m, m))
+    R = np.empty((vals.shape[0], m))
+    for d, lam in enumerate(vals):
+        if stiff:
+            R[d] = [np.trapezoid(k[a:] * np.exp(2.0 * lam * (t[a:] - t[a])), t[a:])
+                    for a in range(m)]
+            Q[d] = np.exp(lam * np.abs(t[:, None] - t[None, :])) * R[d][idx]
+        else:
+            y = k * np.exp(2.0 * lam * t)
+            tail = np.zeros(m)
+            tail[:-1] = np.cumsum((0.5 * (t[1:] - t[:-1]) * (y[:-1] + y[1:]))[::-1])[::-1]
+            decay = np.exp(-lam * t)
+            R[d] = decay * decay * tail
+            Q[d] = decay[:, None] * decay[None, :] * tail[idx]
+    return Q, R
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=40, deadline=None)
+    @given(inputs=map_inputs())
+    def test_map_and_g_match_dense_kernel(self, inputs):
+        topology, kernel, grid, x0, p, stiff = inputs
+        spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
+        vals, vecs = spectrum.vals, spectrum.vecs
+        setup = contraction_setup(kernel, grid, 1.0)
+        t = grid.times()
+        k = kernel.sample(t)
+        Q, R = dense_kernel(vals, t, k, stiff)
+        # g_d(t_a) = 2 nu int_{t_a}^T k e^{lam (2 tau - t_a)} e_d = 2 nu e^{lam t_a} R_d[a] e_d
+        e = vecs.T @ (x0 - np.mean(x0))
+        g_ref = 2.0 * setup.nu * (np.exp(np.outer(t, vals)) * R.T * e) @ vecs.T
+        g = g_term(spectrum, x0, kernel, setup.nu, grid)
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+        # map: g + 2 nu sqrt(P) sum_j w_j Q[a, j] pbar_j, trapezoid weights w
+        fmap = CostateMap(spectrum, x0, kernel, grid, setup)
+        norms = np.linalg.norm(p, axis=1)
+        w = np.full(t.shape[0], grid.h)
+        w[0] = w[-1] = 0.5 * grid.h
+        modes = (p / norms[:, None]) @ vecs * w[:, None]
+        integral = np.einsum("daj,jd->ad", Q, modes)
+        ref = g_ref + 2.0 * setup.nu * np.sqrt(setup.p_max) * integral @ vecs.T
+        assert np.max(np.abs(fmap.apply(p) - ref)) <= 1e-12 * np.max(np.abs(ref))
