@@ -29,14 +29,15 @@ class EnumerationResult:
 
 
 def _interval_operators(topology: NetworkTopology, controls, h: float):
-    """Per control: the interval propagator exp(A h) and the quadratic form W
-    with y' W y = int_0^h |P(tau) y - M y|^2 dtau (constant kernel k == 1)."""
+    """Stacks (nc, n, n), one slice per control: the interval propagator
+    exp(A h) and the quadratic form W with
+    y' W y = int_0^h |P(tau) y - M y|^2 dtau (constant kernel k == 1)."""
     props, quads = [], []
     for control in controls:
         spectrum = Spectrum(build_system_matrix(topology, control))
         props.append(spectrum.exp(h))
         quads.append(spectrum.interval_form(h))
-    return props, quads
+    return np.stack(props), np.stack(quads)
 
 
 def admissible_break_sets(topology: NetworkTopology, ell: int):
@@ -51,34 +52,32 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
                     ell: int, intervals: int = 4) -> EnumerationResult:
     """Best objective over all admissible schedules vs. the greedy schedule.
 
-    The enumeration is batched: all schedules are propagated interval by
-    interval with per-control grouping, accumulating exact per-interval
-    objective contributions.
+    The schedules form a prefix tree, one level per interval, over the nc
+    admissible break sets. Level s holds the nc^s prefix states and their
+    partial objectives; the next level is one stacked propagator product and
+    one stacked quadratic form over all (control, prefix) pairs, and the last
+    level needs only the quadratic forms. The work is sum_s nc^s row products
+    for s = 1..intervals, with one decomposition per control. Schedule index
+    i gives step s's control as digit s of i in base nc (weight nc^s), and
+    ties resolve to the first maximiser in that index order.
     """
     x0 = np.asarray(x0, dtype=float)
+    n = x0.shape[0]
     h = T / intervals
     control_sets = admissible_break_sets(topology, ell)
     controls = [LinkControl.breaking(topology, broken, len(broken)) for broken in control_sets]
     props, quads = _interval_operators(topology, controls, h)
     nc = len(control_sets)
-    num = nc ** intervals
-    X = np.tile(x0, (num, 1))
-    J = np.zeros(num)
-    digits = np.empty((num, intervals), dtype=int)
-    idx = np.arange(num)
+    X = x0[None, :]      # (nc^s, n) prefix states
+    J = np.zeros(1)      # (nc^s,) partial objectives
     for step in range(intervals):
-        digits[:, step] = (idx // nc ** step) % nc
-    for step in range(intervals):
-        for c in range(nc):
-            mask = digits[:, step] == c
-            if not np.any(mask):
-                continue
-            Y = X[mask]
-            J[mask] += np.einsum("si,ij,sj->s", Y, quads[c], Y)
-            X[mask] = Y @ props[c].T
+        # prefix r extended by control c lands at index c * nc^step + r
+        J = (J + np.einsum("si,cij,sj->cs", X, quads, X)).reshape(-1)
+        if step + 1 < intervals:
+            X = np.matmul(X, props.transpose(0, 2, 1)).reshape(-1, n)
     best_idx = int(np.argmax(J))
     best_schedule = tuple(
-        tuple(sorted(control_sets[digits[best_idx, s]])) for s in range(intervals))
+        tuple(sorted(control_sets[best_idx // nc ** s % nc])) for s in range(intervals))
 
     # greedy on the same switch grid with the same evaluators
     y = x0.copy()
@@ -95,7 +94,7 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
         j_best=float(J[best_idx]),
         best_schedule=best_schedule,
         greedy_schedule=tuple(greedy_schedule),
-        num_schedules=num,
+        num_schedules=len(J),
     )
 
 

@@ -58,11 +58,6 @@ class Attack2Outcome:
     converged: bool              # the co-state fixed point met its tolerance
     lam: np.ndarray              # Lagrange multiplier trace
 
-    @property
-    def energy_budget(self) -> float:
-        # the adversary is assumed able to run at full power for the horizon
-        return self.p_max * self.trajectory.grid.T
-
 
 def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
                       safety: float = 0.9, nu: float | None = None) -> ContractionSetup:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -331,28 +332,19 @@ def write_report(outcome, directory) -> list[Path]:
 
     Always writes trajectory.csv and summary.json; link attacks add
     broken_edges.csv, noise attacks add control.csv. A non-finite summary
-    value, J say, raises DynamicsError naming it instead of writing NaN.
+    value, J say, raises DynamicsError naming it before any file is written.
     """
     directory = Path(directory)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ScenarioError(f"cannot create output directory {directory}: {exc}") from exc
-    written = []
     traj = outcome.trajectory
     t = traj.grid.times()
     summary = {"J": outcome.J, "steps": traj.grid.steps, "T": traj.grid.T}
-
-    traj_path = directory / "trajectory.csv"
-    write_trajectory_csv(traj, traj_path)
-    written.append(traj_path)
+    csv_writers = {"trajectory.csv": partial(write_trajectory_csv, traj)}
 
     from .link_attack import Attack1Outcome, SweepResult
     from .noise_attack import Attack2Outcome
     if isinstance(outcome, Attack1Outcome):
-        path = directory / "broken_edges.csv"
-        write_broken_edges_csv(t, outcome.broken_history, path)
-        written.append(path)
+        csv_writers["broken_edges.csv"] = partial(write_broken_edges_csv, t,
+                                                  outcome.broken_history)
         summary.update({
             "attack": "link",
             "classification": outcome.classification,
@@ -360,9 +352,7 @@ def write_report(outcome, directory) -> list[Path]:
             "connected_topology": outcome.topology.is_connected(),
         })
     elif isinstance(outcome, Attack2Outcome):
-        path = directory / "control.csv"
-        write_control_csv(t, outcome.control, path)
-        written.append(path)
+        csv_writers["control.csv"] = partial(write_control_csv, t, outcome.control)
         summary.update({
             "attack": "noise",
             "J_scaled": outcome.J_scaled,
@@ -390,6 +380,15 @@ def write_report(outcome, directory) -> list[Path]:
                if any(isinstance(v, float) and not math.isfinite(v)
                       for v in (value if isinstance(value, list) else [value]))]
         raise DynamicsError(f"non-finite {', '.join(bad)} in the summary of {directory}") from None
+
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {directory}: {exc}") from exc
+    written = []
+    for name, write_csv in csv_writers.items():
+        written.append(directory / name)
+        write_csv(written[-1])
     summary_path = directory / "summary.json"
     try:
         summary_path.write_text(text)

@@ -117,7 +117,7 @@ class TestSubcommands:
         assert (out / "control.csv").exists()
 
     def test_non_finite_J_exits_1(self, scenarios, tmp_path, monkeypatch, capsys):
-        # a NaN objective must not reach summary.json as NaN with exit 0
+        # a NaN objective exits 1 and leaves no output file, CSVs included
         real = noise_attack.simulate_attack2
         monkeypatch.setattr(noise_attack, "simulate_attack2",
                             lambda config: replace(real(config), J=float("nan"),
@@ -128,6 +128,7 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "runtime failure:" in err and "non-finite J" in err
         assert not (out / "summary.json").exists()
+        assert not list(out.glob("*.csv"))
 
     def test_steps_override_applies(self, scenarios, tmp_path):
         out = tmp_path / "short"

@@ -1,14 +1,20 @@
 """Unit tests for the brute-force schedule enumeration oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from consensus_adversary.dynamics import Spectrum
 from consensus_adversary.enumeration import (admissible_break_sets,
                                              connected_graph_catalog,
                                              exhaustive_best,
                                              greedy_dominance_sweep)
+from consensus_adversary.link_attack import greedy_control
 from consensus_adversary.scenario import paper_k4_scenario
-from consensus_adversary.topology import NetworkTopology
+from consensus_adversary.topology import LinkControl, NetworkTopology, build_system_matrix
 
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
 
@@ -50,18 +56,107 @@ class TestExhaustiveBest:
         smaller = exhaustive_best(config.topology, config.x0, config.T, 1, intervals=4)
         assert full.j_greedy >= smaller.j_best - 1e-12
 
-    def test_known_counterexample_regression(self):
+    @pytest.mark.parametrize("intervals", [4, 8])
+    def test_known_counterexample_regression(self, intervals):
         # greedy is *not* optimal in general: on this weighted 4-path the
-        # myopic highest-power break loses to the rival cut by more than 2x.
+        # myopic highest-power break loses to the rival cut by more than 2x,
+        # on the coarse switch grid and on the twice finer one alike.
         # The value is pinned so the oracle itself stays regression-tested.
         edges = [(0, 1), (1, 2), (2, 3)]
         weights = np.random.default_rng(1002).uniform(0.2, 2.0, 3)
         topo = NetworkTopology(n=4, edges=tuple(
             (i, j, w) for (i, j), w in zip(edges, weights)))
         x0 = np.random.default_rng(2000).uniform(-1.0, 1.0, 4)
-        result = exhaustive_best(topo, x0, 2.0, 1, intervals=4)
+        result = exhaustive_best(topo, x0, 2.0, 1, intervals=intervals)
         assert result.j_greedy == pytest.approx(0.45428, abs=1e-4)
         assert result.j_best == pytest.approx(1.05242, abs=1e-4)
+
+    def test_one_decomposition_per_control(self, monkeypatch):
+        # K4 with ell = 2 has 22 controls; the levels reuse their operators
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(A):
+            calls.append(A)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        config = paper_k4_scenario("link")
+        exhaustive_best(config.topology, config.x0, config.T, 2, intervals=4)
+        assert len(calls) == 22
+
+
+@st.composite
+def oracle_inputs(draw):
+    """A random connected graph on 2 to 4 nodes (a random spanning tree plus
+    random extra edges, weights scaled by 50 when stiff), a state, a horizon,
+    a budget from 1 to one above the edge count and 1 to 3 intervals, at most
+    2 where 3 would give more than 2**14 schedules."""
+    n = draw(st.integers(2, 4))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    topology = NetworkTopology(
+        n=n, edges=tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in sorted(pairs)))
+    x0 = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, n)
+    ell = draw(st.integers(1, topology.m + 1))
+    nc = len(admissible_break_sets(topology, ell))
+    intervals = draw(st.integers(1, 3 if nc ** 3 <= 2**14 else 2))   # nc <= 64
+    return topology, x0, draw(st.floats(0.5, 3.0)), ell, intervals
+
+
+def reference_oracle(topology, x0, T, ell, intervals):
+    """Every schedule's J in index order (step s is digit s in base nc, so
+    step 0 varies fastest), one schedule at a time, and the greedy schedule
+    with its J, from per-control Spectrum operators."""
+    h = T / intervals
+    sets = admissible_break_sets(topology, ell)
+    spectra = [Spectrum(build_system_matrix(topology, LinkControl.breaking(topology, b, len(b))))
+               for b in sets]
+    props = [spectrum.exp(h) for spectrum in spectra]
+    quads = [spectrum.interval_form(h) for spectrum in spectra]
+    schedules, J = [], []
+    for digits in itertools.product(range(len(sets)), repeat=intervals):
+        schedule = digits[::-1]
+        y, j = x0, 0.0
+        for c in schedule:
+            j += float(y @ quads[c] @ y)
+            y = props[c] @ y
+        schedules.append(tuple(tuple(sorted(sets[c])) for c in schedule))
+        J.append(j)
+    y, j_greedy, greedy = x0, 0.0, []
+    for _ in range(intervals):
+        broken = tuple(sorted(greedy_control(y, topology, min(ell, topology.m))
+                              .broken_edges(topology)))
+        c = sets.index(broken)
+        greedy.append(broken)
+        j_greedy += float(y @ quads[c] @ y)
+        y = props[c] @ y
+    return schedules, np.array(J), tuple(greedy), j_greedy
+
+
+class TestAgainstPerScheduleReference:
+    @settings(max_examples=40, deadline=None)
+    @given(case=oracle_inputs())
+    # optimal schedules are mostly constant; this one breaks (2, 3) then
+    # (0, 3), 6.7 % above the runner-up, so the digit order is pinned too
+    @example(case=(NetworkTopology(n=4, edges=((0, 3, 1.0), (1, 2, 5.0), (1, 3, 2.0),
+                                               (2, 3, 2.0))),
+                   np.array([0.5, -0.25, -0.5, 1.0]), 2.0, 1, 2))
+    def test_matches_schedule_by_schedule_enumeration(self, case):
+        schedules, J, greedy, j_greedy = reference_oracle(*case)
+        result = exhaustive_best(*case)
+        assert result.num_schedules == len(schedules)
+        assert result.greedy_schedule == greedy
+        assert result.j_greedy == j_greedy
+        j_max = J.max()
+        assert abs(result.j_best - j_max) <= 1e-13 * j_max
+        first = int(np.argmax(J))
+        runner_up = np.delete(J, first).max(initial=-np.inf)
+        if j_max - runner_up > 1e-12 * j_max:
+            assert result.best_schedule == schedules[first]
+        else:
+            assert j_max - J[schedules.index(result.best_schedule)] <= 1e-12 * j_max
 
 
 class TestDominanceSweep:

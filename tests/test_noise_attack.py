@@ -194,7 +194,6 @@ class TestSimulateAttack2:
         base = baseline_constant_control(paper_k4_scenario("noise"))
         assert outcome.J > base["j2_closed_form"]
         assert outcome.J_scaled == pytest.approx(outcome.setup.nu * outcome.J)
-        assert outcome.energy_budget == pytest.approx(2.0)
         assert np.all(outcome.lam <= 1e-12)
 
     def test_two_node_beats_constant_baseline(self):
