@@ -17,7 +17,7 @@ from .noise_attack import (Attack2Outcome, ContractionSetup,
 from .scenario import (LinkAttackSpec, NoiseAttackSpec, ScenarioConfig,
                        ScenarioError, load_scenario, paper_k4_scenario,
                        paper_k4_topology, save_scenario, write_report)
-from .topology import (LinkControl, NetworkTopology, TopologyError,
+from .topology import (LinkControl, NetworkTopology, Schedule, TopologyError,
                        build_system_matrix, connected_components)
 
 __version__ = "0.1.0"

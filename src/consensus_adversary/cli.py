@@ -20,7 +20,7 @@ from . import link_attack, noise_attack, verify
 from .dynamics import objective, propagate
 from .scenario import (PlainOutcome, ScenarioError, load_scenario,
                        paper_k4_scenario, write_report)
-from .topology import LinkControl
+from .topology import Schedule
 
 ENV_OUT = "CONSENSUS_ADVERSARY_OUT"
 
@@ -35,8 +35,6 @@ def _load(args):
         raise ScenarioError("missing required --scenario <path>")
     config = load_scenario(args.scenario)
     if args.steps is not None:
-        if args.steps < 1:
-            raise ScenarioError(f"--steps must be positive, got {args.steps}")
         config = config.with_steps(args.steps)
     return config
 
@@ -54,7 +52,7 @@ def run_simulate(args) -> int:
         raise ScenarioError("simulate requires a scenario with attack = none")
     if not config.connected:
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
-    traj = propagate(config.x0, [LinkControl.none(config.topology)] * config.steps,
+    traj = propagate(config.x0, Schedule.none(config.topology, config.steps),
                      config.topology, config.grid)
     outcome = PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))
     files = write_report(outcome, _out_dir(args, config.name))
@@ -102,7 +100,7 @@ def run_reproduce_paper(args) -> int:
     checks = []
 
     none_cfg = paper_k4_scenario("none", steps=steps)
-    traj = propagate(none_cfg.x0, [LinkControl.none(none_cfg.topology)] * steps,
+    traj = propagate(none_cfg.x0, Schedule.none(none_cfg.topology, steps),
                      none_cfg.topology, none_cfg.grid)
     j_none = objective(traj, none_cfg.kernel)
     write_report(PlainOutcome(trajectory=traj, J=j_none), out / "no_attack")
@@ -116,12 +114,13 @@ def run_reproduce_paper(args) -> int:
     write_report(a2, out / "attack2")
 
     w = link_attack.edge_power(link_cfg.x0, link_cfg.topology)
-    w_by_edge = dict(zip(w.edges, w.w))
+    w_by_edge = dict(zip(link_cfg.topology.pairs, w.w))
     checks.append(("w13(0) = 2.2101 +- 5e-4", abs(w_by_edge[(0, 2)] - 2.2101) < 5e-4,
                    f"{w_by_edge[(0, 2)]:.5f}"))
     checks.append(("w14(0) = 13.8979 +- 5e-4", abs(w_by_edge[(0, 3)] - 13.8979) < 5e-4,
                    f"{w_by_edge[(0, 3)]:.5f}"))
-    stationary = a1.broken_history == (((0, 2), (0, 3)),) * steps
+    stationary = (a1.stationary
+                  and a1.schedule[0].broken_edges(link_cfg.topology) == [(0, 2), (0, 3)])
     checks.append(("stationary control breaking (1,3),(1,4)", stationary,
                    f"stationary={a1.stationary}"))
     checks.append(("J(attack-I) > J(no attack)", a1.J > j_none,
@@ -184,6 +183,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.steps is not None and args.steps < 1:
+            raise ScenarioError(f"--steps must be positive, got {args.steps}")
         return args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

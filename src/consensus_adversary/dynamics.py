@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import LinkControl, NetworkTopology, build_system_matrix
+from .topology import LinkControl, NetworkTopology, Schedule, build_system_matrix
 
 
 class DynamicsError(ValueError):
@@ -149,26 +149,28 @@ def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
 
 
 class PropagatorCache:
-    """Caches exp(A h) per break mask for closed-loop simulations."""
+    """Caches exp(A h) per break-mask row, keyed by the row's bytes."""
 
     def __init__(self, topology: NetworkTopology, h: float):
         self.topology = topology
         self.h = h
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._cache: dict[bytes, np.ndarray] = {}
 
-    def step(self, control: LinkControl) -> np.ndarray:
-        if control.bits not in self._cache:
-            self._cache[control.bits] = matrix_exponential(
+    def step(self, mask: np.ndarray) -> np.ndarray:
+        key = mask.tobytes()
+        if key not in self._cache:
+            control = LinkControl(bits=mask, ell=int(mask.sum()))
+            self._cache[key] = matrix_exponential(
                 build_system_matrix(self.topology, control), self.h)
-        return self._cache[control.bits]
+        return self._cache[key]
 
 
-def propagate(x0: np.ndarray, schedule: list[LinkControl],
+def propagate(x0: np.ndarray, schedule: Schedule,
               topology: NetworkTopology, grid: TimeGrid) -> Trajectory:
-    """Propagate x' = A(t) x with a piecewise-constant link-control schedule.
+    """Propagate x' = A(t) x with a piecewise-constant link schedule.
 
-    One control per grid step; each step applies the exact exponential of the
-    corresponding system matrix.
+    One mask row per grid step; each step applies the exact exponential of
+    the corresponding system matrix.
     """
     if len(schedule) != grid.steps:
         raise DynamicsError(
@@ -179,8 +181,8 @@ def propagate(x0: np.ndarray, schedule: list[LinkControl],
     cache = PropagatorCache(topology, grid.h)
     x = np.empty((grid.steps + 1, topology.n))
     x[0] = x0
-    for k, control in enumerate(schedule):
-        x[k + 1] = cache.step(control) @ x[k]
+    for k, mask in enumerate(schedule.masks):
+        x[k + 1] = cache.step(mask) @ x[k]
     return Trajectory(grid=grid, x=x)
 
 

@@ -2,13 +2,14 @@
 principle machinery (backward co-state, switching functions, forward-backward
 sweep), plus the consistency and scale-invariance verification operations.
 
-The greedy rule breaks the budgeted number of links with the highest
-dissipated power w_ij = a_ij (x_j - x_i)^2. The sweep ranks edges by the
-switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead. On the
-reference K4 both give the same schedule, but the greedy rule is myopic and not
-globally optimal: on the weighted 4-path counterexample pinned in
-`tests/test_enumeration.py` the sweep converges to a different cut with more
-than twice greedy's objective.
+A schedule is one (steps, m) break-mask `Schedule`. The greedy rule fills it
+row by row with the budgeted number of links of highest dissipated power
+w_ij = a_ij (x_j - x_i)^2. The sweep ranks edges by the switching functions
+f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole trajectory in one
+call. On the reference K4 both give the same schedule, but the greedy rule is
+myopic and not globally optimal: on the weighted 4-path counterexample pinned
+in `tests/test_enumeration.py` the sweep converges to a different cut with
+more than twice greedy's objective.
 """
 
 from __future__ import annotations
@@ -19,62 +20,56 @@ import numpy as np
 
 from .dynamics import (Kernel, PropagatorCache, Trajectory,
                        average_and_disagreement, objective, propagate)
-from .topology import LinkControl, NetworkTopology, connected_components
+from .topology import LinkControl, NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 
 
 @dataclass(frozen=True)
 class EdgePowerReport:
-    """Per-edge dissipated power and the descending ranking (ties by edge index)."""
+    """Per-edge power and its descending ranking (ties by edge index), per state."""
 
-    edges: tuple[tuple[int, int], ...]   # edge order of the topology
-    w: np.ndarray                        # power per edge, same order
-    ranking: tuple[int, ...]             # edge indices, highest power first
+    w: np.ndarray                        # power per edge
+    ranking: np.ndarray                  # edge indices, highest power first
 
 
 @dataclass(frozen=True)
 class SwitchingReport:
-    """Switching-function values and the induced bang-bang control."""
+    """Switching-function values and the induced bang-bang control, per state."""
 
-    edges: tuple[tuple[int, int], ...]
     f: np.ndarray
-    order: tuple[int, ...]               # edge indices, most negative f first
-    i_tilde: tuple[tuple[int, int], ...]
-    i_t: tuple[tuple[int, int], ...]
-    control: LinkControl
+    order: np.ndarray                    # edge indices, most negative f first
+    control: np.ndarray                  # uint8 break mask
 
 
 @dataclass(frozen=True)
 class Attack1Outcome:
     trajectory: Trajectory
-    schedule: tuple[LinkControl, ...]
+    schedule: Schedule
     J: float
     classification: str                  # winning | losing | ongoing
-    broken_history: tuple[tuple[tuple[int, int], ...], ...]
     topology: NetworkTopology
 
     @property
     def stationary(self) -> bool:
-        return len(set(self.broken_history)) == 1
+        return bool((self.schedule.masks == self.schedule.masks[0]).all())
 
 
 @dataclass(frozen=True)
 class SweepResult:
     trajectory: Trajectory               # includes co-state
-    schedule: tuple[LinkControl, ...]
+    schedule: Schedule
     J: float
     converged: bool
     iterations: int
 
 
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
-    """Dissipated power a_ij (x_j - x_i)^2 per edge, ranked descending."""
+    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :], ranked descending."""
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
-    w = a * (x[j] - x[i]) ** 2
-    ranking = tuple(np.argsort(-w, kind="stable").tolist())
-    return EdgePowerReport(edges=topology.pairs, w=w, ranking=ranking)
+    w = a * (x[..., j] - x[..., i]) ** 2
+    return EdgePowerReport(w=w, ranking=np.argsort(-w, axis=-1, kind="stable"))
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> LinkControl:
@@ -89,11 +84,11 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> LinkCo
     return LinkControl.from_indices(topology, edge_power(x, topology).ranking[:ell], ell)
 
 
-def classify(topology: NetworkTopology, final_control: LinkControl,
+def classify(topology: NetworkTopology, schedule: Schedule,
              x_final: np.ndarray, x0: np.ndarray) -> str:
-    """winning if the surviving graph is disconnected under the applied
-    control; losing if disagreement collapsed to consensus; else ongoing."""
-    if len(connected_components(topology, final_control)) > 1:
+    """winning if the surviving graph is disconnected under the last control;
+    losing if disagreement collapsed to consensus; else ongoing."""
+    if len(connected_components(topology, schedule[-1])) > 1:
         return "winning"
     _, e0 = average_and_disagreement(np.asarray(x0, dtype=float))
     _, e = average_and_disagreement(np.asarray(x_final, dtype=float))
@@ -111,24 +106,22 @@ def simulate_attack1(config) -> Attack1Outcome:
     cache = PropagatorCache(topology, grid.h)
     x = np.empty((grid.steps + 1, topology.n))
     x[0] = config.x0
-    schedule = []
+    masks = np.empty((grid.steps, topology.m), dtype=np.uint8)
     for k in range(grid.steps):
-        control = greedy_control(x[k], topology, ell)
-        schedule.append(control)
-        x[k + 1] = cache.step(control) @ x[k]
+        masks[k] = greedy_control(x[k], topology, ell).bits
+        x[k + 1] = cache.step(masks[k]) @ x[k]
     traj = Trajectory(grid=grid, x=x)
-    history = tuple(tuple(c.broken_edges(topology)) for c in schedule)
+    schedule = Schedule(topology, masks, ell)
     return Attack1Outcome(
         trajectory=traj,
-        schedule=tuple(schedule),
+        schedule=schedule,
         J=objective(traj, kernel),
-        classification=classify(topology, schedule[-1], x[-1], config.x0),
-        broken_history=history,
+        classification=classify(topology, schedule, x[-1], config.x0),
         topology=topology,
     )
 
 
-def costate_backward(traj: Trajectory, schedule, topology: NetworkTopology,
+def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopology,
                      kernel: Kernel) -> np.ndarray:
     """Backward co-state integration for p' = -2k(t)(x - xbar) - A(t) p, p(T)=0.
 
@@ -147,7 +140,7 @@ def costate_backward(traj: Trajectory, schedule, topology: NetworkTopology,
     # p(t_k) = E p(t_{k+1}) + 2*int_{t_k}^{t_{k+1}} exp(A (tau - t_k)) k e dtau,
     # trapezoid: endpoints contribute k_k e_k and E k_{k+1} e_{k+1}
     for k in range(grid.steps - 1, -1, -1):
-        E = cache.step(schedule[k])
+        E = cache.step(schedule.masks[k])
         forcing = grid.h * (kvals[k] * dev[k] + E @ (kvals[k + 1] * dev[k + 1]))
         p[k] = E @ p[k + 1] + forcing
     return p
@@ -157,27 +150,25 @@ def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
                         ell: int, sign_flip: bool = False) -> SwitchingReport:
     """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) and the induced
     control: break the ell most negative f's among those strictly below zero
-    (and below the (ell+1)-th smallest). f_ij = 0 edges resolve to 0.
+    (and below the (ell+1)-th smallest), per state x[..., :] and co-state
+    p[..., :]. f_ij = 0 edges resolve to 0.
 
     sign_flip is a fault-injection hook for the verification suite only.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     i, j, a = topology.arrays
-    f = a * (p[j] - p[i]) * (x[i] - x[j])
+    f = a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
     if sign_flip:
         f = -f
-    order = np.argsort(f, kind="stable")   # ascending, ties by edge index
-    if topology.m > ell:
-        f_cut = f[order[ell]]       # (ell+1)-th smallest under the tie-broken order
-    else:
-        f_cut = np.inf
-    ranked = f[order]
-    tilde = order[(ranked < 0) & (ranked <= f_cut)]
-    i_tilde = tuple(zip(i[tilde].tolist(), j[tilde].tolist()))
-    return SwitchingReport(edges=topology.pairs, f=f, order=tuple(order.tolist()),
-                           i_tilde=i_tilde, i_t=i_tilde[:ell],
-                           control=LinkControl.from_indices(topology, tilde[:ell], ell))
+    order = np.argsort(f, axis=-1, kind="stable")   # ascending, ties by edge index
+    ranked = np.take_along_axis(f, order, axis=-1)
+    f_cut = ranked[..., ell:ell + 1] if topology.m > ell else np.inf   # (ell+1)-th smallest
+    # the candidates form a prefix of the ascending order; break its first ell
+    breaks = (ranked < 0) & (ranked <= f_cut) & (np.arange(topology.m) < ell)
+    control = np.zeros(f.shape, dtype=np.uint8)
+    np.put_along_axis(control, order, breaks, axis=-1)
+    return SwitchingReport(f=f, order=order, control=control)
 
 
 def forward_backward_sweep(config, max_iter: int = 100,
@@ -187,39 +178,37 @@ def forward_backward_sweep(config, max_iter: int = 100,
     Each pass propagates the state forward under the current schedule,
     integrates the co-state backward, and recomputes the bang-bang control
     per step from the switching functions. Bang-bang controls cannot be
-    convex-combined, so there is no relaxation; a hash-based cycle detector
-    keeps the best-J schedule if the iteration cycles.
+    convex-combined, so there is no relaxation; a cycle detector keyed by the
+    mask bytes keeps the best-J schedule if the iteration cycles.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
-    schedule = (LinkControl.none(topology, ell),) * grid.steps
-    seen: dict[tuple, int] = {}
+    schedule = Schedule(topology, np.zeros((grid.steps, topology.m), dtype=np.uint8), ell)
+    seen: set[bytes] = set()
     best = None  # (J, schedule)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        traj = propagate(config.x0, list(schedule), topology, grid)
+        traj = propagate(config.x0, schedule, topology, grid)
         p = costate_backward(traj, schedule, topology, kernel)
         J = objective(traj, kernel)
         if best is None or J > best[0]:
             best = (J, schedule)
-        new_schedule = tuple(
-            switching_functions(traj.x[k], p[k], topology, ell, sign_flip=sign_flip).control
-            for k in range(grid.steps)
-        )
-        if new_schedule == schedule:
+        masks = switching_functions(traj.x[:-1], p[:-1], topology, ell,
+                                    sign_flip=sign_flip).control
+        if np.array_equal(masks, schedule.masks):
             converged = True
             break
-        key = tuple(c.bits for c in new_schedule)
+        key = masks.tobytes()
         if key in seen:
             # cycle: fall back to the best schedule visited
             schedule = best[1]
             break
-        seen[key] = iterations
-        schedule = new_schedule
+        seen.add(key)
+        schedule = Schedule(topology, masks, ell)
     else:
         schedule = best[1]
-    traj = propagate(config.x0, list(schedule), topology, grid)
+    traj = propagate(config.x0, schedule, topology, grid)
     p = costate_backward(traj, schedule, topology, kernel)
     return SweepResult(
         trajectory=traj.with_costate(p),
@@ -239,25 +228,18 @@ def verify_greedy_mp_consistency(config, sign_flip: bool = False) -> dict:
     """
     greedy = simulate_attack1(config)
     sweep = forward_backward_sweep(config, sign_flip=sign_flip)
-    steps = config.grid.steps
     ell = config.attack.ell
-    set_agree = 0
-    order_agree = 0
-    for k in range(steps):
-        if greedy.schedule[k].bits == sweep.schedule[k].bits:
-            set_agree += 1
-        w_rep = edge_power(sweep.trajectory.x[k], config.topology)
-        f_rep = switching_functions(sweep.trajectory.x[k], sweep.trajectory.p[k],
-                                    config.topology, ell, sign_flip=sign_flip)
-        if set(w_rep.ranking[:ell]) == set(f_rep.order[:ell]):
-            order_agree += 1
-    rel_gap = abs(greedy.J - sweep.J) / max(greedy.J, 1e-300)
+    x, p = sweep.trajectory.x[:-1], sweep.trajectory.p[:-1]
+    top_w = np.sort(edge_power(x, config.topology).ranking[:, :ell], axis=-1)
+    top_f = np.sort(switching_functions(x, p, config.topology, ell,
+                                        sign_flip=sign_flip).order[:, :ell], axis=-1)
     return {
-        "schedule_agreement": set_agree / steps,
-        "ordering_agreement": order_agree / steps,
+        "schedule_agreement": float(np.mean(
+            (greedy.schedule.masks == sweep.schedule.masks).all(axis=-1))),
+        "ordering_agreement": float(np.mean((top_w == top_f).all(axis=-1))),
         "j_greedy": greedy.J,
         "j_sweep": sweep.J,
-        "relative_j_gap": rel_gap,
+        "relative_j_gap": abs(greedy.J - sweep.J) / max(greedy.J, 1e-300),
         "sweep_converged": sweep.converged,
         "sweep_iterations": sweep.iterations,
     }
@@ -274,26 +256,17 @@ def verify_scale_invariance(config, c: float) -> dict:
         raise ValueError("scale factor c must be nonzero (consensus start is degenerate)")
     base = simulate_attack1(config)
     scaled = simulate_attack1(config.with_x0(np.asarray(config.x0) * c))
-    schedules_equal = base.broken_history == scaled.broken_history
-    # sign comparison of f along the greedy trajectories
-    ell = config.attack.ell
-    p_base = costate_backward(base.trajectory, base.schedule, config.topology, config.kernel)
-    p_scaled = costate_backward(scaled.trajectory, scaled.schedule, config.topology, config.kernel)
-    signs_match = True
-    for k in range(config.grid.steps + 1):
-        f1 = switching_functions(base.trajectory.x[k], p_base[k], config.topology, ell).f
-        f2 = switching_functions(scaled.trajectory.x[k], p_scaled[k], config.topology, ell).f
-        tol1 = 1e-9 * max(float(np.max(np.abs(f1))), 1e-300)
-        tol2 = 1e-9 * max(float(np.max(np.abs(f2))), 1e-300)
-        s1 = np.where(np.abs(f1) <= tol1, 0, np.sign(f1))
-        s2 = np.where(np.abs(f2) <= tol2, 0, np.sign(f2))
-        if not np.array_equal(s1, s2):
-            signs_match = False
-            break
+    # sign comparison of f along the greedy trajectories, per sample
+    signs = []
+    for run in (base, scaled):
+        p = costate_backward(run.trajectory, run.schedule, config.topology, config.kernel)
+        f = switching_functions(run.trajectory.x, p, config.topology, config.attack.ell).f
+        tol = 1e-9 * np.maximum(np.max(np.abs(f), axis=-1, keepdims=True), 1e-300)
+        signs.append(np.where(np.abs(f) <= tol, 0, np.sign(f)))
     return {
         "c": c,
-        "schedules_identical": schedules_equal,
-        "switching_signs_match": signs_match,
+        "schedules_identical": np.array_equal(base.schedule.masks, scaled.schedule.masks),
+        "switching_signs_match": np.array_equal(*signs),
         "j_base": base.J,
         "j_scaled": scaled.J,
     }

@@ -21,10 +21,6 @@ from .topology import LinkControl, build_system_matrix
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
 
 
-class ContractionError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class ContractionSetup:
     """Objective scaling and the induced contraction factor for the co-state map."""
@@ -311,5 +307,4 @@ def baseline_constant_control(config) -> dict:
         "j2_closed_form": float(closed),
         "j2_simulated": float(simulated),
         "bound": float(bound),
-        "trajectory": traj,
     }

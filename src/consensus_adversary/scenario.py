@@ -99,8 +99,8 @@ def _parse_topology(doc, where: str) -> NetworkTopology:
         if not (isinstance(e, list) and len(e) == 3):
             raise ScenarioError(f"{where}: edges[{idx}] must be [i, j, weight]")
         i, j, w = e
-        if not (isinstance(i, int) and isinstance(j, int)):
-            raise ScenarioError(f"{where}: edges[{idx}] node ids must be integers (1-based)")
+        i = _integer(i, f"{where}: edges[{idx}] node id")
+        j = _integer(j, f"{where}: edges[{idx}] node id")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ScenarioError(f"{where}: edges[{idx}] node id outside 1..{n}")
         parsed.append((i - 1, j - 1, _number(w, f"{where}: edges[{idx}] weight")))
@@ -319,11 +319,11 @@ def write_control_csv(t: np.ndarray, u: np.ndarray, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_broken_edges_csv(t: np.ndarray, broken_history, path: Path) -> None:
+def write_broken_edges_csv(outcome, path: Path) -> None:
+    t, pairs = outcome.trajectory.grid.times(), outcome.topology.pairs
     lines = ["t,edge_i,edge_j"]
-    for k, broken in enumerate(broken_history):
-        for (i, j) in broken:
-            lines.append(f"{_fmt(t[k])},{i + 1},{j + 1}")
+    for k, e in zip(*np.nonzero(outcome.schedule.masks)):
+        lines.append(f"{_fmt(t[k])},{pairs[e][0] + 1},{pairs[e][1] + 1}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -343,8 +343,7 @@ def write_report(outcome, directory) -> list[Path]:
     from .link_attack import Attack1Outcome, SweepResult
     from .noise_attack import Attack2Outcome
     if isinstance(outcome, Attack1Outcome):
-        csv_writers["broken_edges.csv"] = partial(write_broken_edges_csv, t,
-                                                  outcome.broken_history)
+        csv_writers["broken_edges.csv"] = partial(write_broken_edges_csv, outcome)
         summary.update({
             "attack": "link",
             "classification": outcome.classification,

@@ -1,4 +1,4 @@
-"""Weighted undirected network topologies, link controls, and system matrices.
+"""Weighted undirected network topologies, link controls, schedules, and system matrices.
 
 Nodes are 1-based in all user-facing structures (files, reports) and 0-based
 internally; conversion happens at the I/O layer, so everything in this module
@@ -95,8 +95,8 @@ class LinkControl:
         object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def none(cls, topology: NetworkTopology, ell: int = 0) -> "LinkControl":
-        return cls(bits=(0,) * topology.m, ell=ell)
+    def none(cls, topology: NetworkTopology) -> "LinkControl":
+        return cls(bits=(0,) * topology.m, ell=0)
 
     @classmethod
     def from_indices(cls, topology: NetworkTopology, indices, ell: int) -> "LinkControl":
@@ -118,6 +118,35 @@ class LinkControl:
     def broken_edges(self, topology: NetworkTopology) -> list[tuple[int, int]]:
         """Broken (i, j) pairs, in edge order."""
         return [topology.pairs[e] for e in np.flatnonzero(self.bits)]
+
+
+class Schedule:
+    """Link schedule with budget ell: a read-only (steps, m) uint8 break mask
+    over topology.edges, one row per grid step, validated once. Indexing or
+    iterating it yields one LinkControl per step."""
+
+    def __init__(self, topology: NetworkTopology, masks, ell: int):
+        masks = np.asarray(masks)
+        if masks.ndim != 2 or masks.shape[1] != topology.m:
+            raise TopologyError(f"schedule shape {masks.shape} is not (steps, {topology.m})")
+        if not ((masks == 0) | (masks == 1)).all():
+            raise TopologyError("control bits must be 0 or 1")
+        most = int(masks.sum(axis=1).max(initial=0))
+        if ell < 0 or most > ell:
+            raise TopologyError(f"schedule breaks up to {most} links per step, budget is {ell}")
+        self.masks = masks.astype(np.uint8)
+        self.masks.flags.writeable = False
+        self.ell = ell
+
+    @classmethod
+    def none(cls, topology: NetworkTopology, steps: int) -> "Schedule":
+        return cls(topology, np.zeros((steps, topology.m)), 0)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, k: int) -> LinkControl:
+        return LinkControl(bits=tuple(self.masks[k].tolist()), ell=self.ell)
 
 
 def build_system_matrix(topology: NetworkTopology, control: LinkControl) -> np.ndarray:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enumeration, link_attack, noise_attack
-from .dynamics import Spectrum, matrix_exponential, objective, propagate
+from .dynamics import PropagatorCache, Spectrum, objective, propagate
 from .scenario import DEFAULT_STEPS, paper_k4_scenario
-from .topology import LinkControl, build_system_matrix
+from .topology import LinkControl, Schedule, build_system_matrix
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def check_conservation(config) -> CheckResult:
     sums = outcome.trajectory.x.sum(axis=1)
     drift, total = np.abs(sums - sums[0]), float(sums[0])
     # the propagator of every distinct control the attack used
-    E = np.array([matrix_exponential(build_system_matrix(config.topology, c), config.grid.h)
-                  for c in {c.bits: c for c in outcome.schedule}.values()])
+    cache = PropagatorCache(config.topology, config.grid.h)
+    E = np.array([cache.step(mask) for mask in np.unique(outcome.schedule.masks, axis=0)])
     values = {"drift": drift, "total": total,
               "col_sum_error": float(np.max(np.abs(E.sum(axis=1) - 1))),
               "row_sum_error": float(np.max(np.abs(E.sum(axis=2) - 1)))}
@@ -136,7 +136,7 @@ def check_attack2_optimality(config) -> CheckResult:
     norms = np.linalg.norm(p, axis=1)
     nonsingular = norms > noise_attack.SINGULAR_FRACTION * norms.max()
     cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(outcome.p_max) * norms[nonsingular])
-    j0 = objective(propagate(config.x0, [LinkControl.none(config.topology)] * config.steps,
+    j0 = objective(propagate(config.x0, Schedule.none(config.topology, config.steps),
                              config.topology, config.grid), config.kernel)
     j2 = noise_attack.baseline_constant_control(config)["j2_closed_form"]
     values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - outcome.p_max),

@@ -47,6 +47,15 @@ class TestExitCodes:
         assert main(["simulate", "--scenario", str(scenarios["none"]),
                      "--steps", "0", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "attack1", "attack2", "verify",
+                                         "reproduce-paper"])
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_nonpositive_steps_is_usage_error(self, tmp_path, capsys, command, steps):
+        # checked before the scenario is read or anything is computed
+        assert main([command, "--steps", steps, "--out", str(tmp_path / "o")]) == 2
+        assert "--steps" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -60,6 +69,7 @@ class TestExitCodes:
         (("x0", 1), "two", "x0[1]"),
         (("x0", 0), float("nan"), "x0[0]"),
         (("topology", "edges", 0, 2), "heavy", "edges[0] weight"),
+        (("topology", "edges", 0, 0), True, "topology: edges[0] node id"),
         (("attack",), {"link": {"ell": True}}, "attack.link.ell"),
         (("attack",), {"noise": {"p_max": 1.0, "safety": 1.5}}, "attack.noise.safety"),
     ]

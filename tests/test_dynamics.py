@@ -13,7 +13,7 @@ from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum,
                                           matrix_exponential, objective,
                                           propagate)
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
-                                          build_system_matrix)
+                                          Schedule, build_system_matrix)
 
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
@@ -137,13 +137,13 @@ class TestMatrixExponential:
 class TestPropagation:
     def test_average_conserved(self):
         grid = TimeGrid(T=2.0, steps=50)
-        schedule = [LinkControl.none(TWO_NODE)] * 50
+        schedule = Schedule.none(TWO_NODE, 50)
         traj = propagate(np.array([0.0, 2.0]), schedule, TWO_NODE, grid)
         assert np.allclose(traj.x.sum(axis=1), 2.0, atol=1e-12)
 
     def test_two_node_decay(self):
         grid = TimeGrid(T=2.0, steps=100)
-        traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 100, TWO_NODE, grid)
+        traj = propagate(np.array([0.0, 2.0]), Schedule.none(TWO_NODE, 100), TWO_NODE, grid)
         t = grid.times()
         expected = 1.0 - np.exp(-2.0 * t)  # x1(t) for x0 = [0, 2]
         assert np.max(np.abs(traj.x[:, 0] - expected)) < 1e-12
@@ -151,12 +151,12 @@ class TestPropagation:
     def test_schedule_length_checked(self):
         grid = TimeGrid(T=1.0, steps=10)
         with pytest.raises(DynamicsError):
-            propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 9, TWO_NODE, grid)
+            propagate(np.array([0.0, 2.0]), Schedule.none(TWO_NODE, 9), TWO_NODE, grid)
 
     def test_x0_shape_checked(self):
         grid = TimeGrid(T=1.0, steps=10)
         with pytest.raises(DynamicsError):
-            propagate(np.array([0.0, 2.0, 1.0]), [LinkControl.none(TWO_NODE)] * 10, TWO_NODE, grid)
+            propagate(np.array([0.0, 2.0, 1.0]), Schedule.none(TWO_NODE, 10), TWO_NODE, grid)
 
     def test_trajectory_shape_checked(self):
         with pytest.raises(DynamicsError):
@@ -172,14 +172,14 @@ class TestObjective:
     def test_two_node_analytic_value(self):
         # J = (1 - e^{-4T})/2 exactly; trapezoid carries an O(h^2) error
         grid = TimeGrid(T=2.0, steps=400)
-        traj = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 400, TWO_NODE, grid)
+        traj = propagate(np.array([0.0, 2.0]), Schedule.none(TWO_NODE, 400), TWO_NODE, grid)
         J = objective(traj, Kernel.constant(1.0))
         exact = (1.0 - np.exp(-8.0)) / 2.0
         assert J == pytest.approx(exact, rel=1e-4)
 
     def test_consensus_start_zero(self):
         grid = TimeGrid(T=1.0, steps=20)
-        traj = propagate(np.array([3.0, 3.0]), [LinkControl.none(TWO_NODE)] * 20, TWO_NODE, grid)
+        traj = propagate(np.array([3.0, 3.0]), Schedule.none(TWO_NODE, 20), TWO_NODE, grid)
         # the propagator rows sum to 1 only to machine precision, so the
         # deviation picks up ~1e-16 noise and J ~ its square
         assert objective(traj, Kernel.constant(1.0)) < 1e-25

@@ -14,7 +14,7 @@ from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              verify_scale_invariance)
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
-from consensus_adversary.topology import LinkControl, NetworkTopology
+from consensus_adversary.topology import NetworkTopology, Schedule
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
@@ -30,7 +30,7 @@ class TestEdgePower:
     def test_reference_initial_powers(self):
         config = paper_k4_scenario("link")
         report = edge_power(config.x0, config.topology)
-        by_edge = dict(zip(report.edges, report.w))
+        by_edge = dict(zip(config.topology.pairs, report.w))
         assert by_edge[(0, 2)] == pytest.approx(2.2100, abs=5e-4)
         assert by_edge[(0, 3)] == pytest.approx(13.8978, abs=5e-4)
 
@@ -38,7 +38,7 @@ class TestEdgePower:
         # equal-weight path from a symmetric state: both edges tie, lower edge index first
         report = edge_power(np.array([0.0, 1.0, 2.0]), PATH3)
         assert report.w[0] == report.w[1]
-        assert report.ranking == (0, 1)
+        assert report.ranking.tolist() == [0, 1]
 
     def test_formula(self):
         topo = NetworkTopology(n=2, edges=((0, 1, 2.0),))
@@ -64,16 +64,17 @@ class TestGreedyControl:
 
 class TestSimulateAttack1:
     def test_reference_run_is_stationary(self):
-        outcome = simulate_attack1(paper_k4_scenario("link"))
+        config = paper_k4_scenario("link")
+        outcome = simulate_attack1(config)
         assert outcome.stationary
-        assert outcome.broken_history[0] == ((0, 2), (0, 3))
+        assert outcome.schedule[0].broken_edges(config.topology) == [(0, 2), (0, 3)]
         assert outcome.classification == "ongoing"
 
     def test_attack_delays_convergence(self):
         from consensus_adversary.dynamics import objective, propagate
         config = paper_k4_scenario("link")
         attacked = simulate_attack1(config)
-        free = propagate(config.x0, [LinkControl.none(config.topology)] * config.steps,
+        free = propagate(config.x0, Schedule.none(config.topology, config.steps),
                          config.topology, config.grid)
         assert attacked.J > objective(free, config.kernel)
 
@@ -104,7 +105,7 @@ class TestCostateBackward:
         from consensus_adversary.dynamics import propagate
         T, steps = 2.0, 2000
         grid = TimeGrid(T=T, steps=steps)
-        schedule = [LinkControl.none(TWO_NODE)] * steps
+        schedule = Schedule.none(TWO_NODE, steps)
         traj = propagate(np.array([0.0, 2.0]), schedule, TWO_NODE, grid)
         p = costate_backward(traj, schedule, TWO_NODE, Kernel.constant(1.0))
         t = grid.times()
@@ -121,35 +122,34 @@ class TestSwitchingFunctions:
         report = switching_functions(x, p, PATH3, ell=1)
         # f_01 = 1*(p1-p0)(x0-x1) = 2*(-2) = -4; f_12 = (0-1)(2-1) = -1
         assert report.f == pytest.approx([-4.0, -1.0])
-        assert report.i_t == ((0, 1),)
-        assert report.control.broken_edges(PATH3) == [(0, 1)]
+        assert report.control.tolist() == [1, 0]
 
     def test_zero_f_not_broken(self):
         report = switching_functions(np.array([1.0, 1.0, 1.0]),
                                      np.array([0.0, 0.0, 0.0]), PATH3, ell=2)
-        assert report.i_t == ()
-        assert report.control.broken_edges(PATH3) == []
+        assert report.control.tolist() == [0, 0]
 
     def test_positive_f_kept(self):
         x = np.array([0.0, 2.0])
         p = np.array([1.0, -1.0])  # f = (p1-p0)(x0-x1) = (-2)(-2) = 4 > 0
         report = switching_functions(x, p, TWO_NODE, ell=1)
         assert report.f[0] > 0
-        assert report.i_t == ()
+        assert report.control.tolist() == [0]
 
     def test_sign_flip_hook_inverts_choice(self):
         x = np.array([0.0, 2.0, 1.0])
         p = np.array([-1.0, 1.0, 0.0])
         flipped = switching_functions(x, p, PATH3, ell=1, sign_flip=True)
-        assert flipped.i_t == ()
+        assert flipped.control.tolist() == [0, 0]
 
 
 @st.composite
 def attack_inputs(draw):
     """A random connected graph (a random spanning tree plus random extra
-    edges, weights scaled by 50 when stiff), a state x, a co-state p and a
-    budget up to two above the edge count. Integer weights and states make
-    exact ties in the powers and switching functions common."""
+    edges, weights scaled by 50 when stiff), a stack of one to four states x
+    and co-states p, one per row, and a budget up to two above the edge count.
+    Integer weights and states make exact ties in the powers and switching
+    functions common."""
     n = draw(st.integers(2, 7))
     pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
     pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
@@ -159,8 +159,9 @@ def attack_inputs(draw):
     scale = 50.0 if draw(st.booleans()) else 1.0
     topology = NetworkTopology(
         n=n, edges=tuple((i, j, scale * draw(weight)) for (i, j) in sorted(pairs)))
-    x = np.array([draw(value) for _ in range(n)])
-    p = np.array([draw(value) for _ in range(n)])
+    rows = draw(st.integers(1, 4))
+    x = np.array([[draw(value) for _ in range(n)] for _ in range(rows)])
+    p = np.array([[draw(value) for _ in range(n)] for _ in range(rows)])
     return topology, x, p, draw(st.integers(0, topology.m + 2))
 
 
@@ -188,12 +189,17 @@ class TestAgainstPerEdgeReference:
     @settings(max_examples=200, deadline=None)
     @given(case=attack_inputs())
     def test_power_ranking_and_greedy_set(self, case):
-        topology, x, _, ell = case
-        report = edge_power(x, topology)
-        np.testing.assert_allclose(report.w, reference_powers(x, topology),
-                                   rtol=4 * np.finfo(float).eps, atol=0)
-        ranking = reference_ranking(report.w)
-        assert report.ranking == tuple(ranking)
+        # each state alone and the whole stack in one call
+        topology, xs, _, ell = case
+        stack = edge_power(xs, topology)
+        for x, w_row, ranking_row in zip(xs, stack.w, stack.ranking):
+            report = edge_power(x, topology)
+            for w, ranking in ((report.w, report.ranking), (w_row, ranking_row)):
+                np.testing.assert_allclose(w, reference_powers(x, topology),
+                                           rtol=4 * np.finfo(float).eps, atol=0)
+                assert ranking.tolist() == reference_ranking(w)
+        x = xs[0]
+        ranking = reference_ranking(edge_power(x, topology).w)
         if ell > topology.m:
             with pytest.raises(ValueError):
                 greedy_control(x, topology, ell)
@@ -204,14 +210,19 @@ class TestAgainstPerEdgeReference:
     @settings(max_examples=200, deadline=None)
     @given(case=attack_inputs())
     def test_switching_functions(self, case):
-        topology, x, p, ell = case
-        f, order, tilde = reference_switching(x, p, topology, ell)
-        report = switching_functions(x, p, topology, ell)
-        assert report.f.tolist() == f
-        assert report.order == tuple(order)
-        assert report.i_tilde == tuple(topology.pairs[e] for e in tilde)
-        assert report.i_t == report.i_tilde[:ell]
-        assert report.control.broken_edges(topology) == sorted(report.i_t)
+        # each (state, co-state) alone and the whole stack in one call
+        topology, xs, ps, ell = case
+        stack = switching_functions(xs, ps, topology, ell)
+        for row, (x, p) in enumerate(zip(xs, ps)):
+            f, order, tilde = reference_switching(x, p, topology, ell)
+            mask = [int(e in tilde[:ell]) for e in range(topology.m)]
+            single = switching_functions(x, p, topology, ell)
+            for f_got, order_got, control_got in (
+                    (single.f, single.order, single.control),
+                    (stack.f[row], stack.order[row], stack.control[row])):
+                assert f_got.tolist() == f
+                assert order_got.tolist() == order
+                assert control_got.tolist() == mask
 
 
 class TestForwardBackwardSweep:
@@ -241,6 +252,21 @@ class TestForwardBackwardSweep:
         sweep = forward_backward_sweep(config)
         assert all(c.broken_edges(TWO_NODE) == [(0, 1)] for c in sweep.schedule)
         assert sweep.J == pytest.approx(2.0 * T, abs=1e-12)
+
+    def test_weighted_path_pin(self):
+        # criterion 4's worst case (weight seed 2, x0 seed 0, ell = 1): the
+        # sweep leaves greedy's myopic cut (2, 3) for (1, 2) at every step
+        # and more than doubles greedy's objective
+        weights = np.random.default_rng(1002).uniform(0.2, 2.0, 3)
+        path = NetworkTopology(n=4, edges=tuple((i, i + 1, w) for i, w in enumerate(weights)))
+        config = link_config(path, np.random.default_rng(2000).uniform(-1.0, 1.0, 4), ell=1)
+        sweep = forward_backward_sweep(config)
+        assert sweep.converged and sweep.iterations == 2
+        assert sweep.J == pytest.approx(1.0524269373330504, rel=1e-12)
+        assert (sweep.schedule.masks == [0, 1, 0]).all()
+        greedy = simulate_attack1(config)
+        assert greedy.J == pytest.approx(0.45428969487967075, rel=1e-12)
+        assert (greedy.schedule.masks == [0, 0, 1]).all()
 
 
 class TestVerificationOps:

@@ -19,7 +19,7 @@ from consensus_adversary.noise_attack import (CostateMap,
 from consensus_adversary.scenario import (NoiseAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
-                                          build_system_matrix)
+                                          Schedule, build_system_matrix)
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 
@@ -146,7 +146,7 @@ class TestPropagateForced:
         grid = TimeGrid(T=2.0, steps=100)
         u = np.zeros((101, 2))
         forced = propagate_forced(two_node_system(), np.array([0.0, 2.0]), u, grid)
-        free = propagate(np.array([0.0, 2.0]), [LinkControl.none(TWO_NODE)] * 100,
+        free = propagate(np.array([0.0, 2.0]), Schedule.none(TWO_NODE, 100),
                          TWO_NODE, grid)
         assert np.max(np.abs(forced.x - free.x)) < 1e-12
 

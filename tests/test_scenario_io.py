@@ -14,7 +14,7 @@ from consensus_adversary.scenario import (LinkAttackSpec, NoiseAttackSpec,
                                           parse_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc,
                                           write_report)
-from consensus_adversary.topology import LinkControl
+from consensus_adversary.topology import Schedule
 
 
 def minimal_doc(**overrides):
@@ -115,7 +115,7 @@ class TestFixtures:
 class TestReports:
     def test_plain_outcome_files(self, tmp_path):
         config = paper_k4_scenario("none", steps=20)
-        traj = propagate(config.x0, [LinkControl.none(config.topology)] * 20,
+        traj = propagate(config.x0, Schedule.none(config.topology, 20),
                          config.topology, config.grid)
         outcome = PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))
         files = write_report(outcome, tmp_path / "out")

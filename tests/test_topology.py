@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
-                                          TopologyError, build_system_matrix,
+                                          Schedule, TopologyError,
+                                          build_system_matrix,
                                           connected_components)
 
 
@@ -71,6 +72,34 @@ class TestLinkControl:
         control = LinkControl.breaking(topo, [(2, 1)], 1)
         assert control.bits == (0, 1)
         assert control.broken_edges(topo) == [(1, 2)]
+
+
+class TestSchedule:
+    PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+
+    @pytest.mark.parametrize("masks,ell", [
+        ([0, 1], 1),                   # 1-D
+        ([[0, 1, 0]], 1),              # wrong width
+        ([[0, 2]], 2),                 # entry of 2
+        ([[0, 1], [1, 1]], 1),         # second row over budget
+    ], ids=["1-D", "width", "entry-2", "over-budget"])
+    def test_invalid_masks_rejected(self, masks, ell):
+        with pytest.raises(TopologyError):
+            Schedule(self.PATH3, masks, ell)
+
+    def test_rows_read_as_controls(self):
+        masks = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
+        schedule = Schedule(self.PATH3, masks, 1)
+        assert len(schedule) == 3
+        assert schedule[0] == LinkControl(bits=(0, 1), ell=1)
+        assert [c.broken_edges(self.PATH3) for c in schedule] == [[(1, 2)], [(0, 1)], []]
+        assert schedule.masks.dtype == np.uint8 and not schedule.masks.flags.writeable
+        masks[0, 1] = 0                 # the schedule holds its own copy
+        assert schedule.masks[0, 1] == 1
+
+    def test_none_breaks_nothing(self):
+        schedule = Schedule.none(self.PATH3, 4)
+        assert schedule.masks.shape == (4, 2) and not schedule.masks.any()
 
 
 class TestSystemMatrix:
