@@ -18,7 +18,7 @@ import numpy as np
 
 from . import link_attack, noise_attack, verify
 from .dynamics import objective, propagate
-from .scenario import (PlainOutcome, ScenarioError, load_scenario,
+from .scenario import (DEFAULT_STEPS, PlainOutcome, ScenarioError, load_scenario,
                        paper_k4_scenario, write_report)
 from .topology import Schedule
 
@@ -87,15 +87,14 @@ def run_attack2(args) -> int:
 
 
 def run_verify(args) -> int:
-    steps = args.steps if args.steps is not None else 400
+    steps = args.steps if args.steps is not None else DEFAULT_STEPS
     printer = (lambda *a, **k: None) if args.quiet else print
-    ok = verify.run_verify(steps=steps, inject_fault=args.inject_fault,
-                           fast=args.fast, printer=printer)
+    ok = verify.run_verify(steps=steps, fast=args.fast, printer=printer)
     return 0 if ok else 1
 
 
 def run_reproduce_paper(args) -> int:
-    steps = args.steps if args.steps is not None else 400
+    steps = args.steps if args.steps is not None else DEFAULT_STEPS
     out = _out_dir(args, "paper_k4")
     checks = []
 
@@ -168,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, False)
     p.add_argument("--fast", action="store_true",
                    help="reduced seed set for the enumeration oracle")
-    p.add_argument("--inject-fault", choices=["flip-switching-sign"],
-                   help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=run_verify)
 
     p = sub.add_parser("reproduce-paper",

@@ -2,9 +2,11 @@
 principle machinery (backward co-state, switching functions, forward-backward
 sweep), plus the consistency and scale-invariance verification operations.
 
-A schedule is one (steps, m) break-mask `Schedule`. The greedy rule fills it
-row by row with the budgeted number of links of highest dissipated power
-w_ij = a_ij (x_j - x_i)^2. The sweep ranks edges by the switching functions
+A control is one uint8 break-mask row over topology.edges, and a schedule
+is one (steps, m) break-mask `Schedule`. The greedy rule returns one row per
+state, breaking the budgeted number of links of highest dissipated power
+w_ij = a_ij (x_j - x_i)^2, and the attack writes it straight into the
+schedule. The sweep ranks edges by the switching functions
 f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole trajectory in one
 call. On the reference K4 both give the same schedule, but the greedy rule is
 myopic and not globally optimal: on the weighted 4-path counterexample pinned
@@ -20,9 +22,10 @@ import numpy as np
 
 from .dynamics import (Kernel, PropagatorCache, Trajectory,
                        average_and_disagreement, objective, propagate)
-from .topology import LinkControl, NetworkTopology, Schedule, connected_components
+from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
+SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,9 @@ def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
     return EdgePowerReport(w=w, ranking=np.argsort(-w, axis=-1, kind="stable"))
 
 
-def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> LinkControl:
-    """Break the ell highest-power edges (ties by edge index).
+def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
+    """uint8 break mask over topology.edges that breaks the ell highest-power
+    edges (ties by edge index).
 
     Zero-power edges are still selected to fill the budget; breaking one
     removes no dissipated power at that instant, so the ranking is indifferent
@@ -81,7 +85,9 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> LinkCo
     """
     if ell > topology.m:
         raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
-    return LinkControl.from_indices(topology, edge_power(x, topology).ranking[:ell], ell)
+    row = np.zeros(topology.m, dtype=np.uint8)
+    row[edge_power(x, topology).ranking[:ell]] = 1
+    return row
 
 
 def classify(topology: NetworkTopology, schedule: Schedule,
@@ -108,7 +114,7 @@ def simulate_attack1(config) -> Attack1Outcome:
     x[0] = config.x0
     masks = np.empty((grid.steps, topology.m), dtype=np.uint8)
     for k in range(grid.steps):
-        masks[k] = greedy_control(x[k], topology, ell).bits
+        masks[k] = greedy_control(x[k], topology, ell)
         x[k + 1] = cache.step(masks[k]) @ x[k]
     traj = Trajectory(grid=grid, x=x)
     schedule = Schedule(topology, masks, ell)
@@ -147,20 +153,16 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
 
 
 def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
-                        ell: int, sign_flip: bool = False) -> SwitchingReport:
+                        ell: int) -> SwitchingReport:
     """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) and the induced
     control: break the ell most negative f's among those strictly below zero
     (and below the (ell+1)-th smallest), per state x[..., :] and co-state
     p[..., :]. f_ij = 0 edges resolve to 0.
-
-    sign_flip is a fault-injection hook for the verification suite only.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     i, j, a = topology.arrays
     f = a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
-    if sign_flip:
-        f = -f
     order = np.argsort(f, axis=-1, kind="stable")   # ascending, ties by edge index
     ranked = np.take_along_axis(f, order, axis=-1)
     f_cut = ranked[..., ell:ell + 1] if topology.m > ell else np.inf   # (ell+1)-th smallest
@@ -171,15 +173,15 @@ def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
     return SwitchingReport(f=f, order=order, control=control)
 
 
-def forward_backward_sweep(config, max_iter: int = 100,
-                           sign_flip: bool = False) -> SweepResult:
+def forward_backward_sweep(config) -> SweepResult:
     """Best-response iteration on the maximum-principle conditions.
 
     Each pass propagates the state forward under the current schedule,
     integrates the co-state backward, and recomputes the bang-bang control
     per step from the switching functions. Bang-bang controls cannot be
     convex-combined, so there is no relaxation; a cycle detector keyed by the
-    mask bytes keeps the best-J schedule if the iteration cycles.
+    mask bytes keeps the best-J schedule if the iteration cycles. On
+    convergence the last pass's trajectory, co-state and J are the result.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
@@ -187,39 +189,36 @@ def forward_backward_sweep(config, max_iter: int = 100,
     seen: set[bytes] = set()
     best = None  # (J, schedule)
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SWEEP_MAX_ITER + 1):
         traj = propagate(config.x0, schedule, topology, grid)
         p = costate_backward(traj, schedule, topology, kernel)
         J = objective(traj, kernel)
         if best is None or J > best[0]:
             best = (J, schedule)
-        masks = switching_functions(traj.x[:-1], p[:-1], topology, ell,
-                                    sign_flip=sign_flip).control
+        masks = switching_functions(traj.x[:-1], p[:-1], topology, ell).control
         if np.array_equal(masks, schedule.masks):
             converged = True
             break
         key = masks.tobytes()
         if key in seen:
-            # cycle: fall back to the best schedule visited
-            schedule = best[1]
             break
         seen.add(key)
         schedule = Schedule(topology, masks, ell)
-    else:
-        schedule = best[1]
-    traj = propagate(config.x0, schedule, topology, grid)
-    p = costate_backward(traj, schedule, topology, kernel)
+    if not converged:
+        # cycle or pass limit: fall back to the best schedule visited
+        J, schedule = best
+        traj = propagate(config.x0, schedule, topology, grid)
+        p = costate_backward(traj, schedule, topology, kernel)
     return SweepResult(
         trajectory=traj.with_costate(p),
         schedule=schedule,
-        J=objective(traj, kernel),
+        J=J,
         converged=converged,
         iterations=iterations,
     )
 
 
-def verify_greedy_mp_consistency(config, sign_flip: bool = False) -> dict:
+def verify_greedy_mp_consistency(config) -> dict:
     """Compare the closed-loop greedy schedule against the sweep fixed point.
 
     Reports the fraction of grid steps where the broken sets coincide, the
@@ -227,12 +226,11 @@ def verify_greedy_mp_consistency(config, sign_flip: bool = False) -> dict:
     ranking agree on the top-ell set, and the relative J gap.
     """
     greedy = simulate_attack1(config)
-    sweep = forward_backward_sweep(config, sign_flip=sign_flip)
+    sweep = forward_backward_sweep(config)
     ell = config.attack.ell
     x, p = sweep.trajectory.x[:-1], sweep.trajectory.p[:-1]
     top_w = np.sort(edge_power(x, config.topology).ranking[:, :ell], axis=-1)
-    top_f = np.sort(switching_functions(x, p, config.topology, ell,
-                                        sign_flip=sign_flip).order[:, :ell], axis=-1)
+    top_f = np.sort(switching_functions(x, p, config.topology, ell).order[:, :ell], axis=-1)
     return {
         "schedule_agreement": float(np.mean(
             (greedy.schedule.masks == sweep.schedule.masks).all(axis=-1))),

@@ -19,6 +19,8 @@ from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
 from .topology import LinkControl, build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
+FIXED_POINT_TOL = 1e-8      # co-state iteration stops below this residual relative to the iterate
+FIXED_POINT_MAX_ITER = 200  # co-state map applications before the result is flagged unconverged
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,13 @@ def g_term(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel, nu: float,
     return (2.0 * nu * np.exp(np.outer(t, vals)) * R * e) @ vecs.T
 
 
-def _normalized(p: np.ndarray, floor: float) -> np.ndarray:
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """Rows of p scaled to unit norm; rows at or below SINGULAR_FRACTION of
+    the largest norm (singular arc) become zero."""
     norms = np.linalg.norm(p, axis=1)
     guard = np.maximum(norms, 1e-300)
     unit = p / guard[:, None]
-    unit[norms <= floor] = 0.0
+    unit[norms <= SINGULAR_FRACTION * float(np.max(norms))] = 0.0
     return unit
 
 
@@ -160,8 +164,7 @@ class CostateMap:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """One application of the map to a co-state trace (steps+1, n)."""
-        floor = SINGULAR_FRACTION * max(float(np.max(np.linalg.norm(p, axis=1))), 0.0)
-        pbar = _normalized(p, floor)
+        pbar = _normalized(p)
         y = (pbar @ self.vecs) * self.weights[:, None]  # weighted mode coefficients
         # sum_j Q[a, j] y[j] = R[a] L[a] + U[a]: L sums j <= a, U sums j > a
         lower = self.decay.run(y)
@@ -193,10 +196,10 @@ def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:
 
 def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
                         grid: TimeGrid, setup: ContractionSetup,
-                        tol: float = 1e-8, max_iter: int = 200,
                         p0: np.ndarray | None = None) -> FixedPointResult:
     """Iterate the co-state map from the default seed (or p0 if given) until
-    the sup-norm residual falls below tol relative to the iterate's norm.
+    the sup-norm residual falls below FIXED_POINT_TOL relative to the
+    iterate's norm, for at most FIXED_POINT_MAX_ITER applications.
 
     Non-convergence should be impossible for q < 1 and signals a quadrature
     resolution problem; the result is then flagged rather than raised.
@@ -205,14 +208,13 @@ def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
     p = default_seed(fmap, kernel) if p0 is None else np.array(p0, dtype=float)
     residuals = []
     converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         p_next = fmap.apply(p)
         res = float(np.max(np.abs(p_next - p)))
         residuals.append(res)
         scale = float(np.max(np.abs(p_next)))
         p = p_next
-        if res <= tol * max(scale, 1e-300) or scale == 0.0:
+        if res <= FIXED_POINT_TOL * max(scale, 1e-300) or scale == 0.0:
             converged = True
             break
     return FixedPointResult(p=p, iterations=iterations,
@@ -224,9 +226,7 @@ def optimal_noise(p: np.ndarray, p_max: float) -> np.ndarray:
 
     Grid points with negligible co-state norm (singular arc) get u = 0.
     """
-    p = np.asarray(p, dtype=float)
-    floor = SINGULAR_FRACTION * max(float(np.max(np.linalg.norm(p, axis=1))), 0.0)
-    return np.sqrt(p_max) * _normalized(p, floor)
+    return np.sqrt(p_max) * _normalized(np.asarray(p, dtype=float))
 
 
 def lagrange_multiplier(u: np.ndarray, p: np.ndarray, p_max: float) -> np.ndarray:

@@ -250,17 +250,16 @@ def paper_k4_topology() -> NetworkTopology:
         n=4, edges=tuple((i, j, w) for (i, j), w in PAPER_K4_WEIGHTS.items()))
 
 
-def paper_k4_scenario(attack: str = "link", steps: int = DEFAULT_STEPS,
-                      p_max: float = 1.0, safety: float = 0.9) -> ScenarioConfig:
+def paper_k4_scenario(attack: str = "link", steps: int = DEFAULT_STEPS) -> ScenarioConfig:
     """The reference K4 scenario: ell=2, T=2, x0=[1,2,3,4], constant kernel.
 
-    The noise variant's power budget and safety fraction are artifact
-    defaults, not reference values.
+    The noise variant's power budget p_max = 1 and safety fraction 0.9 are
+    artifact defaults, not reference values.
     """
     if attack == "link":
         spec = LinkAttackSpec(ell=2)
     elif attack == "noise":
-        spec = NoiseAttackSpec(p_max=p_max, safety=safety)
+        spec = NoiseAttackSpec(p_max=1.0)
     elif attack == "none":
         spec = None
     else:
@@ -292,39 +291,32 @@ class PlainOutcome:
     J: float
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """One header line, then one line per row of the stacked columns. %.17g
+    round-trips every double and prints integral values, node ids say,
+    without a decimal point."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    n = traj.n
-    header = ["t"] + [f"x{i + 1}" for i in range(n)]
+    header = ["t"] + [f"x{i + 1}" for i in range(traj.n)]
+    columns = [traj.grid.times(), traj.x]
     if traj.p is not None:
-        header += [f"p{i + 1}" for i in range(n)]
-    lines = [",".join(header)]
-    t = traj.grid.times()
-    for k in range(traj.grid.steps + 1):
-        row = [_fmt(t[k])] + [_fmt(v) for v in traj.x[k]]
-        if traj.p is not None:
-            row += [_fmt(v) for v in traj.p[k]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+        header += [f"p{i + 1}" for i in range(traj.n)]
+        columns.append(traj.p)
+    _write_csv(path, header, columns)
 
 
 def write_control_csv(t: np.ndarray, u: np.ndarray, path: Path) -> None:
-    n = u.shape[1]
-    lines = [",".join(["t"] + [f"u{i + 1}" for i in range(n)])]
-    for k in range(len(t)):
-        lines.append(",".join([_fmt(t[k])] + [_fmt(v) for v in u[k]]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, ["t"] + [f"u{i + 1}" for i in range(u.shape[1])], [t, u])
 
 
 def write_broken_edges_csv(outcome, path: Path) -> None:
-    t, pairs = outcome.trajectory.grid.times(), outcome.topology.pairs
-    lines = ["t,edge_i,edge_j"]
-    for k, e in zip(*np.nonzero(outcome.schedule.masks)):
-        lines.append(f"{_fmt(t[k])},{pairs[e][0] + 1},{pairs[e][1] + 1}")
-    path.write_text("\n".join(lines) + "\n")
+    i, j, _ = outcome.topology.arrays
+    k, e = np.nonzero(outcome.schedule.masks)
+    _write_csv(path, ["t", "edge_i", "edge_j"],
+               [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
 
 
 def write_report(outcome, directory) -> list[Path]:

@@ -74,46 +74,44 @@ class NetworkTopology:
         return len(components_of_edges(self.n, self.pairs)) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkControl:
     """Break mask over the edges of a topology, in edge order, with budget ell.
 
-    bits[e] == 1 means topology.edges[e] is broken; at most ell bits are set.
+    bits is a read-only uint8 row: bits[e] == 1 means topology.edges[e] is
+    broken, and at most ell bits are set. A read-only uint8 row is kept as
+    given, without a copy.
     """
 
-    bits: tuple[int, ...]
+    bits: np.ndarray
     ell: int
 
     def __post_init__(self):
-        bits = tuple(map(int, self.bits))
-        if not set(bits) <= {0, 1}:
-            raise TopologyError("control bits must be 0 or 1")
+        bits = np.asarray(self.bits)
+        if bits.ndim != 1 or not ((bits == 0) | (bits == 1)).all():
+            raise TopologyError("control bits must be one row of 0s and 1s")
         if self.ell < 0:
             raise TopologyError(f"budget must be nonnegative, got {self.ell}")
-        if sum(bits) > self.ell:
-            raise TopologyError(f"control breaks {sum(bits)} links, budget is {self.ell}")
+        if int(bits.sum()) > self.ell:
+            raise TopologyError(f"control breaks {int(bits.sum())} links, budget is {self.ell}")
+        if bits.dtype != np.uint8 or bits.flags.writeable:
+            bits = bits.astype(np.uint8)
+            bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def none(cls, topology: NetworkTopology) -> "LinkControl":
-        return cls(bits=(0,) * topology.m, ell=0)
-
-    @classmethod
-    def from_indices(cls, topology: NetworkTopology, indices, ell: int) -> "LinkControl":
-        """Control breaking the edges with the given indices into topology.edges."""
-        mask = np.zeros(topology.m, dtype=int)
-        mask[np.asarray(indices, dtype=int)] = 1
-        return cls(bits=tuple(mask.tolist()), ell=ell)
+        return cls(bits=np.zeros(topology.m, dtype=np.uint8), ell=0)
 
     @classmethod
     def breaking(cls, topology: NetworkTopology, broken: "set[tuple[int, int]] | list", ell: int) -> "LinkControl":
-        indices = []
+        bits = np.zeros(topology.m, dtype=np.uint8)
         for (i, j) in broken:
             i, j = min(i, j), max(i, j)
             if (i, j) not in topology.pairs:
                 raise TopologyError(f"cannot break non-edge ({i}, {j})")
-            indices.append(topology.pairs.index((i, j)))
-        return cls.from_indices(topology, indices, ell)
+            bits[topology.pairs.index((i, j))] = 1
+        return cls(bits=bits, ell=ell)
 
     def broken_edges(self, topology: NetworkTopology) -> list[tuple[int, int]]:
         """Broken (i, j) pairs, in edge order."""
@@ -123,7 +121,7 @@ class LinkControl:
 class Schedule:
     """Link schedule with budget ell: a read-only (steps, m) uint8 break mask
     over topology.edges, one row per grid step, validated once. Indexing or
-    iterating it yields one LinkControl per step."""
+    iterating it yields one LinkControl per step, a view of its row."""
 
     def __init__(self, topology: NetworkTopology, masks, ell: int):
         masks = np.asarray(masks)
@@ -146,7 +144,7 @@ class Schedule:
         return len(self.masks)
 
     def __getitem__(self, k: int) -> LinkControl:
-        return LinkControl(bits=tuple(self.masks[k].tolist()), ell=self.ell)
+        return LinkControl(bits=self.masks[k], ell=self.ell)
 
 
 def build_system_matrix(topology: NetworkTopology, control: LinkControl) -> np.ndarray:

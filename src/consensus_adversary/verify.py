@@ -46,8 +46,8 @@ def check_thm1_greedy_dominance(fast: bool = False) -> CheckResult:
     )
 
 
-def check_thm2_mp_consistency(config, sign_flip: bool = False) -> CheckResult:
-    report = link_attack.verify_greedy_mp_consistency(config, sign_flip=sign_flip)
+def check_thm2_mp_consistency(config) -> CheckResult:
+    report = link_attack.verify_greedy_mp_consistency(config)
     passed = (report["schedule_agreement"] == 1.0
               and report["sweep_converged"]
               and report["relative_j_gap"] < _grid_tol(1e-4, config.steps))
@@ -153,20 +153,14 @@ def check_attack2_optimality(config) -> CheckResult:
     )
 
 
-def run_verify(steps: int = DEFAULT_STEPS, inject_fault: str | None = None,
-               fast: bool = False, printer=print) -> bool:
+def run_verify(steps: int = DEFAULT_STEPS, fast: bool = False, printer=print) -> bool:
     """Run every named property on the reference K4 scenario; print one
-    pass/fail line each.
-
-    inject_fault='flip-switching-sign' flips the switching-function sign in
-    the consistency check (test hook proving the suite catches regressions).
-    """
-    sign_flip = inject_fault == "flip-switching-sign"
+    pass/fail line each."""
     link = paper_k4_scenario("link", steps=steps)
     noise = paper_k4_scenario("noise", steps=steps)
     checks = [
         check_thm1_greedy_dominance(fast=fast),
-        check_thm2_mp_consistency(link, sign_flip=sign_flip),
+        check_thm2_mp_consistency(link),
         check_lemma1_scale_invariance(link),
         check_lemma2_baseline_bound(noise),
         check_contraction(noise),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from consensus_adversary import noise_attack
+from consensus_adversary import link_attack, noise_attack
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
@@ -166,9 +166,12 @@ class TestVerify:
         assert "[PASS] thm2-mp-consistency" in out
         assert "[FAIL]" not in out
 
-    def test_fault_injection_is_caught(self, capsys):
-        assert main(["verify", "--fast", "--inject-fault",
-                     "flip-switching-sign"]) == 1
+    def test_fault_injection_is_caught(self, monkeypatch, capsys):
+        # negating the co-state flips the sign of every switching function
+        orig = link_attack.switching_functions
+        monkeypatch.setattr(link_attack, "switching_functions",
+                            lambda x, p, t, ell: orig(x, -p, t, ell))
+        assert main(["verify", "--fast"]) == 1
         assert "[FAIL] thm2-mp-consistency" in capsys.readouterr().out
 
 

@@ -126,8 +126,8 @@ def reference_oracle(topology, x0, T, ell, intervals):
         J.append(j)
     y, j_greedy, greedy = x0, 0.0, []
     for _ in range(intervals):
-        broken = tuple(sorted(greedy_control(y, topology, min(ell, topology.m))
-                              .broken_edges(topology)))
+        row = greedy_control(y, topology, min(ell, topology.m))
+        broken = tuple(sorted(topology.pairs[e] for e in np.flatnonzero(row)))
         c = sets.index(broken)
         greedy.append(broken)
         j_greedy += float(y @ quads[c] @ y)

@@ -62,6 +62,11 @@ class TestLinkControl:
         with pytest.raises(TopologyError):
             LinkControl(bits=(0, 2, 0), ell=2)
 
+    @pytest.mark.parametrize("bits", [(0, 0.5, 0), [[0, 1], [1, 0]]], ids=["entry-half", "2-D"])
+    def test_bits_must_be_one_row_of_0_and_1(self, bits):
+        with pytest.raises(TopologyError, match="one row"):
+            LinkControl(bits=bits, ell=2)
+
     def test_breaking_non_edge_rejected(self):
         topo = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
         with pytest.raises(TopologyError, match="non-edge"):
@@ -70,7 +75,8 @@ class TestLinkControl:
     def test_breaking_orders_pair(self):
         topo = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
         control = LinkControl.breaking(topo, [(2, 1)], 1)
-        assert control.bits == (0, 1)
+        assert control.bits.dtype == np.uint8 and control.bits.tolist() == [0, 1]
+        assert not control.bits.flags.writeable
         assert control.broken_edges(topo) == [(1, 2)]
 
 
@@ -91,8 +97,10 @@ class TestSchedule:
         masks = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
         schedule = Schedule(self.PATH3, masks, 1)
         assert len(schedule) == 3
-        assert schedule[0] == LinkControl(bits=(0, 1), ell=1)
+        assert schedule[0].bits.tolist() == [0, 1] and schedule[0].ell == 1
         assert [c.broken_edges(self.PATH3) for c in schedule] == [[(1, 2)], [(0, 1)], []]
+        row = schedule[1].bits                # a read-only view of the row, not a copy
+        assert np.shares_memory(row, schedule.masks) and not row.flags.writeable
         assert schedule.masks.dtype == np.uint8 and not schedule.masks.flags.writeable
         masks[0, 1] = 0                 # the schedule holds its own copy
         assert schedule.masks[0, 1] == 1
