@@ -116,13 +116,15 @@ class Trajectory:
 
 class Spectrum:
     """Eigendecomposition A = vecs diag(vals) vecs' of one symmetric system
-    matrix: the one source of exp(A t), the exact interval quadratic form, and
-    the per-mode sums of the noise attack's co-state map."""
+    matrix, or of each slice of a (k, n, n) stack in one call: the one source
+    of exp(A t), the exact interval quadratic form, and the per-mode sums of
+    the noise attack's co-state map. Results keep A's leading axes."""
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
+        At = A.swapaxes(-1, -2)
         # exact equality first: on small matrices allclose costs more than eigh
-        if not ((A == A.T).all() or np.allclose(A, A.T, atol=1e-12)):
+        if not ((A == At).all() or np.allclose(A, At, atol=1e-12)):
             raise DynamicsError("system matrix must be symmetric")
         self.vals, self.vecs = np.linalg.eigh(A)
 
@@ -130,7 +132,7 @@ class Spectrum:
         """exp(A t); rejects t < 0, where doubly stochastic is not guaranteed."""
         if t < 0:
             raise DynamicsError(f"matrix exponential requires t >= 0, got {t}")
-        return (self.vecs * np.exp(self.vals * t)) @ self.vecs.T
+        return (self.vecs * np.exp(self.vals * t)[..., None, :]) @ self.vecs.swapaxes(-1, -2)
 
     def interval_form(self, h: float) -> np.ndarray:
         """W with y' W y = int_0^h |exp(A tau) y - M y|^2 dtau, M = 11'/n."""
@@ -140,7 +142,7 @@ class Spectrum:
             mode_int = np.where(np.abs(vals) > 1e-12,
                                 (np.exp(2.0 * vals * h) - 1.0) / (2.0 * vals),
                                 h)
-        return (vecs * mode_int) @ vecs.T - h * (1.0 / vals.shape[0])
+        return (vecs * mode_int[..., None, :]) @ vecs.swapaxes(-1, -2) - h * (1.0 / vals.shape[-1])
 
 
 def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Spectrum
+from .dynamics import DynamicsError, Spectrum, TimeGrid
 from .link_attack import greedy_control
-from .topology import LinkControl, NetworkTopology, build_system_matrix
+from .topology import NetworkTopology, Schedule, build_system_matrix
 
 DOMINANCE_T = 2.0           # horizon of every catalog run
 DOMINANCE_INTERVALS = 4     # switch intervals of every catalog run
@@ -32,18 +32,6 @@ class EnumerationResult:
     num_schedules: int
 
 
-def _interval_operators(topology: NetworkTopology, controls, h: float):
-    """Stacks (nc, n, n), one slice per control: the interval propagator
-    exp(A h) and the quadratic form W with
-    y' W y = int_0^h |P(tau) y - M y|^2 dtau (constant kernel k == 1)."""
-    props, quads = [], []
-    for control in controls:
-        spectrum = Spectrum(build_system_matrix(topology, control))
-        props.append(spectrum.exp(h))
-        quads.append(spectrum.interval_form(h))
-    return np.stack(props), np.stack(quads)
-
-
 def admissible_break_sets(topology: NetworkTopology, ell: int):
     """All edge subsets of size <= ell (the bang-bang control alphabet)."""
     sets = []
@@ -56,41 +44,46 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
                     ell: int, intervals: int = 4) -> EnumerationResult:
     """Best objective over all admissible schedules vs. the greedy schedule.
 
-    The schedules form a prefix tree, one level per interval, over the nc
-    admissible break sets. Level s holds the nc^s prefix states and their
-    partial objectives; the next level is one stacked propagator product and
-    one stacked quadratic form over all (control, prefix) pairs, and the last
-    level needs only the quadratic forms. The work is sum_s nc^s row products
-    for s = 1..intervals, with one decomposition per control. Schedule index
-    i gives step s's control as digit s of i in base nc (weight nc^s), and
-    ties resolve to the first maximiser in that index order.
+    The nc admissible break sets are one (nc, m) mask array, decomposed in
+    one stacked call into each control's propagator exp(A_c h) and form W_c,
+    y' W_c y = int_0^h |exp(A_c tau) y - M y|^2 dtau (constant kernel k == 1).
+    The schedules form a prefix tree, one level per interval. Level s adds
+    x_r' W_c x_r = vec(W_c) . vec(x_r x_r') to the partial objectives of its
+    nc^s prefix states x_r, for every control c, as one GEMM of (nc, n^2) by
+    (n^2, nc^s); one stacked propagator product gives the next level's
+    states. Schedule index i gives step s's control as digit s of i in base
+    nc (weight nc^s), and ties resolve to the first maximiser in that order.
     """
+    h = TimeGrid(T, intervals).h
     x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    h = T / intervals
+    n = topology.n
+    if x0.shape != (n,):
+        raise DynamicsError(f"x0 has shape {x0.shape}, expected ({n},)")
     control_sets = admissible_break_sets(topology, ell)
-    controls = [LinkControl.breaking(topology, broken, len(broken)) for broken in control_sets]
-    props, quads = _interval_operators(topology, controls, h)
-    nc = len(control_sets)
+    alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
+    nc = len(alphabet)
+    spectrum = Spectrum(build_system_matrix(topology, alphabet))
+    props, quads = spectrum.exp(h), spectrum.interval_form(h)
+    forms = quads.reshape(nc, n * n)
     X = x0[None, :]      # (nc^s, n) prefix states
     J = np.zeros(1)      # (nc^s,) partial objectives
     for step in range(intervals):
         # prefix r extended by control c lands at index c * nc^step + r
-        J = (J + np.einsum("si,cij,sj->cs", X, quads, X)).reshape(-1)
+        level = forms @ (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n).T
+        J = np.add(level, J, out=level).reshape(-1)
         if step + 1 < intervals:
             X = np.matmul(X, props.transpose(0, 2, 1)).reshape(-1, n)
     best_idx = int(np.argmax(J))
-    best_schedule = tuple(
-        tuple(sorted(control_sets[best_idx // nc ** s % nc])) for s in range(intervals))
+    best_schedule = tuple(control_sets[best_idx // nc ** s % nc] for s in range(intervals))
 
     # greedy on the same switch grid with the same evaluators
     y = x0.copy()
     j_greedy = 0.0
     greedy_schedule = []
-    mask_index = {control.bits.tobytes(): c for c, control in enumerate(controls)}
+    mask_index = {row.tobytes(): c for c, row in enumerate(alphabet.masks)}
     for _ in range(intervals):
         c = mask_index[greedy_control(y, topology, min(ell, topology.m)).tobytes()]
-        greedy_schedule.append(tuple(sorted(control_sets[c])))
+        greedy_schedule.append(control_sets[c])
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     return EnumerationResult(

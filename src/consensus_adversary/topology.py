@@ -124,13 +124,15 @@ class Schedule:
     iterating it yields one LinkControl per step, a view of its row."""
 
     def __init__(self, topology: NetworkTopology, masks, ell: int):
+        if ell < 0:
+            raise TopologyError(f"budget must be nonnegative, got {ell}")
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != topology.m:
             raise TopologyError(f"schedule shape {masks.shape} is not (steps, {topology.m})")
         if not ((masks == 0) | (masks == 1)).all():
             raise TopologyError("control bits must be 0 or 1")
         most = int(masks.sum(axis=1).max(initial=0))
-        if ell < 0 or most > ell:
+        if most > ell:
             raise TopologyError(f"schedule breaks up to {most} links per step, budget is {ell}")
         self.masks = masks.astype(np.uint8)
         self.masks.flags.writeable = False
@@ -147,20 +149,22 @@ class Schedule:
         return LinkControl(bits=self.masks[k], ell=self.ell)
 
 
-def build_system_matrix(topology: NetworkTopology, control: LinkControl) -> np.ndarray:
+def build_system_matrix(topology: NetworkTopology, control: LinkControl | Schedule) -> np.ndarray:
     """Consensus system matrix: A_ij = a_ij (1 - u_ij) off-diagonal, zero row sums.
 
     Breaking edge (i, j) zeroes A_ij and A_ji and adjusts both diagonals, so
-    the result is always symmetric with zero row sums.
+    the result is always symmetric with zero row sums. Works along the last
+    axis of the mask: a LinkControl gives one (n, n) matrix, a Schedule of k
+    rows a (k, n, n) stack.
     """
-    if len(control.bits) != topology.m:
-        raise TopologyError(
-            f"control length {len(control.bits)} != {topology.m} edges")
+    bits = control.masks if isinstance(control, Schedule) else control.bits
+    if bits.shape[-1] != topology.m:
+        raise TopologyError(f"control length {bits.shape[-1]} != {topology.m} edges")
     i, j, w = topology.arrays
-    keep = np.logical_not(control.bits)
-    a = np.zeros((topology.n, topology.n))
-    a[i[keep], j[keep]] = a[j[keep], i[keep]] = w[keep]
-    np.fill_diagonal(a, -a.sum(axis=1))
+    d = np.arange(topology.n)
+    a = np.zeros(bits.shape[:-1] + (topology.n, topology.n))
+    a[..., i, j] = a[..., j, i] = np.where(bits, 0.0, w)
+    a[..., d, d] = -a.sum(axis=-1)
     return a
 
 

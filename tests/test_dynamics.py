@@ -107,8 +107,27 @@ class TestMatrixExponential:
             matrix_exponential(two_node_matrix(), -0.1)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(DynamicsError):
-            matrix_exponential(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])
+        # alone, and as one slice of a stack
+        for A in (asymmetric, np.stack([two_node_matrix(), asymmetric])):
+            with pytest.raises(DynamicsError, match="symmetric"):
+                matrix_exponential(A, 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 50.0], ids=["unit", "stiff"])
+    def test_stack_matches_per_matrix_bitwise(self, scale):
+        # slice 1 cuts node 0 off: a repeated zero eigenvalue, which takes
+        # interval_form's |lam| <= 1e-12 branch
+        w = np.random.default_rng(3).uniform(0.2, 2.0, 6)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        topo = NetworkTopology(n=4, edges=tuple((i, j, scale * a) for (i, j), a in zip(pairs, w)))
+        schedule = Schedule(topo, [[0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 1]], 3)
+        stack = Spectrum(build_system_matrix(topo, schedule))
+        assert np.sum(np.abs(stack.vals[1]) <= 1e-12) == 2
+        for k, control in enumerate(schedule):
+            one = Spectrum(build_system_matrix(topo, control))
+            for h in (0.0, 0.05, 0.5):
+                assert np.array_equal(stack.exp(h)[k], one.exp(h))
+                assert np.array_equal(stack.interval_form(h)[k], one.interval_form(h))
 
     @settings(max_examples=40, deadline=None)
     @given(A=connected_systems(), h=st.floats(0.01, 1.0))

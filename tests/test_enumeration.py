@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from consensus_adversary.dynamics import Spectrum
+from consensus_adversary.dynamics import DynamicsError, Spectrum
 from consensus_adversary.enumeration import (admissible_break_sets,
                                              connected_graph_catalog,
                                              exhaustive_best,
                                              greedy_dominance_sweep)
 from consensus_adversary.link_attack import greedy_control
 from consensus_adversary.scenario import paper_k4_scenario
-from consensus_adversary.topology import LinkControl, NetworkTopology, build_system_matrix
+from consensus_adversary.topology import (LinkControl, NetworkTopology, TopologyError,
+                                          build_system_matrix)
 
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
 
@@ -72,7 +73,8 @@ class TestExhaustiveBest:
         assert result.j_best == pytest.approx(1.05242, abs=1e-4)
 
     def test_one_decomposition_per_control(self, monkeypatch):
-        # K4 with ell = 2 has 22 controls; the levels reuse their operators
+        # K4 with ell = 2 has 22 controls, decomposed as one stack in one
+        # call; the levels reuse their operators
         calls = []
         eigh = np.linalg.eigh
 
@@ -83,7 +85,21 @@ class TestExhaustiveBest:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         config = paper_k4_scenario("link")
         exhaustive_best(config.topology, config.x0, config.T, 2, intervals=4)
-        assert len(calls) == 22
+        assert len(calls) == 1
+        assert sum(np.asarray(A)[..., 0, 0].size for A in calls) == 22
+
+    @pytest.mark.parametrize("change, error, match", [
+        ({"intervals": 0}, DynamicsError, "steps must be positive, got 0"),
+        ({"intervals": -1}, DynamicsError, "steps must be positive, got -1"),
+        ({"T": -1.0}, DynamicsError, "horizon must be positive, got -1.0"),
+        ({"T": 0.0}, DynamicsError, "horizon must be positive, got 0.0"),
+        ({"ell": -1}, TopologyError, "budget must be nonnegative, got -1"),
+        ({"x0": np.zeros(4)}, DynamicsError, r"x0 has shape \(4,\), expected \(3,\)"),
+    ], ids=["intervals-0", "intervals-neg", "T-neg", "T-0", "ell-neg", "x0-length"])
+    def test_malformed_arguments_rejected(self, change, error, match):
+        args = dict(topology=PATH3, x0=np.array([1.0, 0.0, -1.0]), T=2.0, ell=1, intervals=2)
+        with pytest.raises(error, match=match):
+            exhaustive_best(**(args | change))
 
 
 @st.composite

@@ -126,6 +126,14 @@ class TestSystemMatrix:
         assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
         assert A[0, 0] == -2.0  # three unit edges minus the broken one
 
+    def test_mask_stack_matches_per_row_calls(self):
+        topo = k4([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        schedule = Schedule(topo, [[0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 1, 0, 0, 1, 1]], 3)
+        A = build_system_matrix(topo, schedule)
+        assert A.shape == (3, 4, 4)
+        for k, control in enumerate(schedule):
+            assert np.array_equal(A[k], build_system_matrix(topo, control))
+
     def test_control_length_mismatch(self):
         topo = k4()
         with pytest.raises(TopologyError, match="control length"):
