@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .topology import LinkControl, NetworkTopology, Schedule, build_system_matrix
 
@@ -150,41 +151,93 @@ def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
     return Spectrum(A).exp(t)
 
 
+class _ModeRecurrence:
+    """x[a] = r_d x[a-1] + f[a] down the samples of every mode d at once.
+
+    The modes are stacked end to end into one unit-lower-bidiagonal system
+    (sub-diagonal -r_d, cut between modes), so a run is one banded
+    triangular solve; its transpose runs the recurrence backwards. The noise
+    attack's co-state map and the link attack's co-state, one run of equal
+    masks at a time, both solve their recurrences here.
+    """
+
+    def __init__(self, rate: np.ndarray, samples: int):
+        self.rate = rate
+        self.samples = samples
+        sub = np.repeat(-rate, samples)
+        sub[samples - 1::samples] = 0.0
+        self.band = np.asfortranarray(np.stack([np.ones_like(sub), sub]))
+
+    def run(self, f: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """Solution for a forcing f of shape (samples, n); reverse=True gives
+        x[a] = r_d x[a+1] + f[a] with x[samples] = 0, so the last row of f is
+        the end value x[samples - 1]."""
+        x, _ = dtbtrs(self.band, f.T.reshape(-1, 1), uplo="L",
+                      trans="T" if reverse else "N", diag="U")
+        return x.reshape(-1, self.samples).T
+
+    def tail(self, k: np.ndarray, h: float) -> np.ndarray:
+        """Trapezoid tails R[a] = int_{t_a}^T k(tau) r^{(tau-t_a)/h} dtau:
+        R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}), R[last] = 0."""
+        f = np.zeros((self.samples, self.rate.shape[0]))
+        f[:-1] = 0.5 * h * (k[:-1, None] + self.rate * k[1:, None])
+        return self.run(f, reverse=True)
+
+
 class PropagatorCache:
-    """Caches exp(A h) per break-mask row, keyed by the row's bytes."""
+    """One `Spectrum` per distinct break-mask row, keyed by the row's bytes.
+
+    Only the decomposition is stored: `step` rebuilds exp(A h) from it on
+    every call, so callers ask for it once per run of equal rows. One cache
+    shared by several propagations decomposes each distinct row once.
+    """
 
     def __init__(self, topology: NetworkTopology, h: float):
         self.topology = topology
         self.h = h
-        self._cache: dict[bytes, np.ndarray] = {}
+        self._spectra: dict[bytes, Spectrum] = {}
+
+    def spectrum(self, mask: np.ndarray) -> Spectrum:
+        key = mask.tobytes()
+        if key not in self._spectra:
+            control = LinkControl(bits=mask, ell=int(mask.sum()))
+            self._spectra[key] = Spectrum(build_system_matrix(self.topology, control))
+        return self._spectra[key]
 
     def step(self, mask: np.ndarray) -> np.ndarray:
-        key = mask.tobytes()
-        if key not in self._cache:
-            control = LinkControl(bits=mask, ell=int(mask.sum()))
-            self._cache[key] = matrix_exponential(
-                build_system_matrix(self.topology, control), self.h)
-        return self._cache[key]
+        """exp(A h) of the row's system matrix, not stored."""
+        return self.spectrum(mask).exp(self.h)
 
 
-def propagate(x0: np.ndarray, schedule: Schedule,
-              topology: NetworkTopology, grid: TimeGrid) -> Trajectory:
-    """Propagate x' = A(t) x with a piecewise-constant link schedule.
-
-    One mask row per grid step; each step applies the exact exponential of
-    the corresponding system matrix.
-    """
+def check_schedule_and_state(schedule: Schedule, grid: TimeGrid, x0: np.ndarray,
+                             topology: NetworkTopology) -> None:
+    """Reject a schedule that is not one row per grid step, or a state that
+    is not one value per node."""
     if len(schedule) != grid.steps:
         raise DynamicsError(
             f"schedule has {len(schedule)} controls, grid has {grid.steps} steps")
-    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (topology.n,):
         raise DynamicsError(f"x0 has shape {x0.shape}, expected ({topology.n},)")
-    cache = PropagatorCache(topology, grid.h)
+
+
+def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
+              grid: TimeGrid, *, cache: PropagatorCache | None = None) -> Trajectory:
+    """Propagate x' = A(t) x with a piecewise-constant link schedule.
+
+    One mask row per grid step. Each run of equal rows builds its exact
+    exponential E once and applies x[k+1] = E @ x[k] per step. A shared
+    `cache` keeps the decompositions for later calls; without one, a fresh
+    cache serves this call.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    check_schedule_and_state(schedule, grid, x0, topology)
+    cache = PropagatorCache(topology, grid.h) if cache is None else cache
     x = np.empty((grid.steps + 1, topology.n))
     x[0] = x0
-    for k, mask in enumerate(schedule.masks):
-        x[k + 1] = cache.step(mask) @ x[k]
+    for start, stop in schedule.runs():
+        E = cache.step(schedule.masks[start])
+        for k in range(start, stop):
+            x[k + 1] = E @ x[k]
     return Trajectory(grid=grid, x=x)
 
 

@@ -53,12 +53,16 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     (n^2, nc^s); one stacked propagator product gives the next level's
     states. Schedule index i gives step s's control as digit s of i in base
     nc (weight nc^s), and ties resolve to the first maximiser in that order.
+    Both sides start from x0 minus its mean.
     """
     h = TimeGrid(T, intervals).h
     x0 = np.asarray(x0, dtype=float)
     n = topology.n
     if x0.shape != (n,):
         raise DynamicsError(f"x0 has shape {x0.shape}, expected ({n},)")
+    # J and the power ranking ignore a consensus offset; dropping it keeps the
+    # rounding of the system matrices' row sums out of a J near consensus
+    x0 = x0 - np.mean(x0)
     control_sets = admissible_break_sets(topology, ell)
     alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
     nc = len(alphabet)

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Kernel, PropagatorCache, Trajectory,
-                       average_and_disagreement, objective, propagate)
+from .dynamics import (Kernel, PropagatorCache, Trajectory, _ModeRecurrence,
+                       average_and_disagreement, check_schedule_and_state,
+                       objective, propagate)
 from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
@@ -105,8 +106,9 @@ def classify(topology: NetworkTopology, schedule: Schedule,
 
 
 def simulate_attack1(config) -> Attack1Outcome:
-    """Closed-loop greedy attack: re-rank edge powers at every grid step,
-    rebuild the system matrix, and advance one exact-exponential step."""
+    """Closed-loop greedy attack: re-rank edge powers at every grid step and
+    advance one exact-exponential step, whose propagator is rebuilt only when
+    the control changes."""
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
     cache = PropagatorCache(topology, grid.h)
@@ -115,7 +117,9 @@ def simulate_attack1(config) -> Attack1Outcome:
     masks = np.empty((grid.steps, topology.m), dtype=np.uint8)
     for k in range(grid.steps):
         masks[k] = greedy_control(x[k], topology, ell)
-        x[k + 1] = cache.step(masks[k]) @ x[k]
+        if k == 0 or (masks[k] != masks[k - 1]).any():
+            E = cache.step(masks[k])
+        x[k + 1] = E @ x[k]
     traj = Trajectory(grid=grid, x=x)
     schedule = Schedule(topology, masks, ell)
     return Attack1Outcome(
@@ -128,27 +132,34 @@ def simulate_attack1(config) -> Attack1Outcome:
 
 
 def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopology,
-                     kernel: Kernel) -> np.ndarray:
+                     kernel: Kernel, *, cache: PropagatorCache | None = None) -> np.ndarray:
     """Backward co-state integration for p' = -2k(t)(x - xbar) - A(t) p, p(T)=0.
 
     Uses the same piecewise-constant system matrix per step as the forward
-    pass; the forcing integral over each step is approximated by trapezoid.
+    pass, with the forcing integral over each step by trapezoid:
+    p_k = E p_{k+1} + h (k_k d_k + E k_{k+1} d_{k+1}), d = x - xbar. Within a
+    run of equal masks E is diagonal in the run's eigenbasis (rate
+    r = e^{lam h} per mode), so the run, last one first, is one backward
+    banded solve of q_k = r q_{k+1} + h (delta_k + r delta_{k+1}) on its own
+    slice, with the later run's p at its end as the last forcing row. A
+    shared `cache` keeps the decompositions for later calls.
     """
-    if len(schedule) != traj.grid.steps:
-        raise ValueError("schedule length does not match trajectory grid")
     grid = traj.grid
-    t = grid.times()
-    kvals = kernel.sample(t)
+    check_schedule_and_state(schedule, grid, traj.x[0], topology)
+    cache = PropagatorCache(topology, grid.h) if cache is None else cache
+    kvals = kernel.sample(grid.times())
     xbar = np.mean(traj.x[0])
-    dev = traj.x - xbar
-    cache = PropagatorCache(topology, grid.h)
     p = np.zeros_like(traj.x)
-    # p(t_k) = E p(t_{k+1}) + 2*int_{t_k}^{t_{k+1}} exp(A (tau - t_k)) k e dtau,
-    # trapezoid: endpoints contribute k_k e_k and E k_{k+1} e_{k+1}
-    for k in range(grid.steps - 1, -1, -1):
-        E = cache.step(schedule.masks[k])
-        forcing = grid.h * (kvals[k] * dev[k] + E @ (kvals[k + 1] * dev[k + 1]))
-        p[k] = E @ p[k + 1] + forcing
+    for start, stop in reversed(schedule.runs()):
+        spectrum = cache.spectrum(schedule.masks[start])
+        vecs = spectrum.vecs
+        rate = np.exp(spectrum.vals * grid.h)
+        delta = (kvals[start:stop + 1, None] * (traj.x[start:stop + 1] - xbar)) @ vecs
+        f = np.empty_like(delta)
+        f[:-1] = grid.h * (delta[:-1] + rate * delta[1:])
+        f[-1] = p[stop] @ vecs
+        q = _ModeRecurrence(rate, stop - start + 1).run(f, reverse=True)
+        p[start:stop] = q[:-1] @ vecs.T
     return p
 
 
@@ -182,16 +193,19 @@ def forward_backward_sweep(config) -> SweepResult:
     convex-combined, so there is no relaxation; a cycle detector keyed by the
     mask bytes keeps the best-J schedule if the iteration cycles. On
     convergence the last pass's trajectory, co-state and J are the result.
+    All passes share one propagator cache, so each distinct mask is
+    decomposed once per sweep.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
     schedule = Schedule(topology, np.zeros((grid.steps, topology.m), dtype=np.uint8), ell)
+    cache = PropagatorCache(topology, grid.h)
     seen: set[bytes] = set()
     best = None  # (J, schedule)
     converged = False
     for iterations in range(1, SWEEP_MAX_ITER + 1):
-        traj = propagate(config.x0, schedule, topology, grid)
-        p = costate_backward(traj, schedule, topology, kernel)
+        traj = propagate(config.x0, schedule, topology, grid, cache=cache)
+        p = costate_backward(traj, schedule, topology, kernel, cache=cache)
         J = objective(traj, kernel)
         if best is None or J > best[0]:
             best = (J, schedule)
@@ -207,8 +221,8 @@ def forward_backward_sweep(config) -> SweepResult:
     if not converged:
         # cycle or pass limit: fall back to the best schedule visited
         J, schedule = best
-        traj = propagate(config.x0, schedule, topology, grid)
-        p = costate_backward(traj, schedule, topology, kernel)
+        traj = propagate(config.x0, schedule, topology, grid, cache=cache)
+        p = costate_backward(traj, schedule, topology, kernel, cache=cache)
     return SweepResult(
         trajectory=traj.with_costate(p),
         schedule=schedule,

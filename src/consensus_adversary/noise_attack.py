@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg.lapack import dtbtrs
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
-                       objective)
+                       _ModeRecurrence, objective)
 from .topology import LinkControl, build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
@@ -77,36 +76,6 @@ def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
     q = 2.0 * nu * np.sqrt(p_max) * (k_check + k_hat)
     return ContractionSetup(nu=float(nu), q=float(q), nu_max=float(nu_max),
                             k_check=k_check, k_hat=k_hat, p_max=float(p_max))
-
-
-class _ModeRecurrence:
-    """x[a] = r_d x[a-1] + f[a] down the samples of every mode d at once.
-
-    The modes are stacked end to end into one unit-lower-bidiagonal system
-    (sub-diagonal -r_d, cut between modes), so a run is one banded
-    triangular solve; its transpose runs the recurrence backwards.
-    """
-
-    def __init__(self, rate: np.ndarray, samples: int):
-        self.rate = rate
-        self.samples = samples
-        sub = np.repeat(-rate, samples)
-        sub[samples - 1::samples] = 0.0
-        self.band = np.asfortranarray(np.stack([np.ones_like(sub), sub]))
-
-    def run(self, f: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """Solution for a forcing f of shape (samples, n); reverse=True gives
-        x[a] = r_d x[a+1] + f[a] with x[samples] = 0."""
-        x, _ = dtbtrs(self.band, f.T.reshape(-1, 1), uplo="L",
-                      trans="T" if reverse else "N", diag="U")
-        return x.reshape(-1, self.samples).T
-
-    def tail(self, k: np.ndarray, h: float) -> np.ndarray:
-        """Trapezoid tails R[a] = int_{t_a}^T k(tau) r^{(tau-t_a)/h} dtau:
-        R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}), R[last] = 0."""
-        f = np.zeros((self.samples, self.rate.shape[0]))
-        f[:-1] = 0.5 * h * (k[:-1, None] + self.rate * k[1:, None])
-        return self.run(f, reverse=True)
 
 
 def g_term(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel, nu: float,

@@ -148,6 +148,12 @@ class Schedule:
     def __getitem__(self, k: int) -> LinkControl:
         return LinkControl(bits=self.masks[k], ell=self.ell)
 
+    def runs(self) -> list[tuple[int, int]]:
+        """(start, stop) steps of each maximal run of equal rows, in order."""
+        cuts = np.flatnonzero((self.masks[1:] != self.masks[:-1]).any(axis=1)) + 1
+        bounds = [0, *cuts.tolist(), len(self.masks)]
+        return list(zip(bounds[:-1], bounds[1:]))
+
 
 def build_system_matrix(topology: NetworkTopology, control: LinkControl | Schedule) -> np.ndarray:
     """Consensus system matrix: A_ij = a_ij (1 - u_ij) off-diagonal, zero row sums.

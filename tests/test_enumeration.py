@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -124,7 +125,9 @@ def oracle_inputs(draw):
 def reference_oracle(topology, x0, T, ell, intervals):
     """Every schedule's J in index order (step s is digit s in base nc, so
     step 0 varies fastest), one schedule at a time, and the greedy schedule
-    with its J, from per-control Spectrum operators."""
+    with its J, from per-control Spectrum operators. x0 is centred first, as
+    the oracle does, so both sides round alike and break ties alike."""
+    x0 = x0 - np.mean(x0)
     h = T / intervals
     sets = admissible_break_sets(topology, ell)
     spectra = [Spectrum(build_system_matrix(topology, LinkControl.breaking(topology, b, len(b))))
@@ -151,6 +154,31 @@ def reference_oracle(topology, x0, T, ell, intervals):
     return schedules, np.array(J), tuple(greedy), j_greedy
 
 
+def exact_objective(topology, x0, T, schedule, dps=60):
+    """J of one schedule (its broken pairs per interval) in mpmath at dps
+    digits: each Laplacian is built exactly from the edge weights and x0 is
+    centred exactly, so the consensus mode carries no rounding."""
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(T) / len(schedule)
+        z = mpmath.matrix([mpmath.mpf(float(v)) for v in x0])
+        z -= mpmath.fsum(z) / topology.n * mpmath.ones(topology.n, 1)
+        J = mpmath.mpf(0)
+        for broken in schedule:
+            A = mpmath.zeros(topology.n)
+            for (i, j, w) in topology.edges:
+                if (i, j) not in broken:
+                    A[i, j] += w
+                    A[j, i] += w
+                    A[i, i] -= w
+                    A[j, j] -= w
+            vals, vecs = mpmath.eigsy(A)
+            c = vecs.T * z
+            for lam, cd in zip(vals, c):
+                J += cd ** 2 * (h if lam == 0 else mpmath.expm1(2 * lam * h) / (2 * lam))
+            z = vecs * mpmath.matrix([mpmath.exp(lam * h) * cd for lam, cd in zip(vals, c)])
+        return float(J)
+
+
 class TestAgainstPerScheduleReference:
     @settings(max_examples=40, deadline=None)
     @given(case=oracle_inputs())
@@ -159,6 +187,11 @@ class TestAgainstPerScheduleReference:
     @example(case=(NetworkTopology(n=4, edges=((0, 3, 1.0), (1, 2, 5.0), (1, 3, 2.0),
                                                (2, 3, 2.0))),
                    np.array([0.5, -0.25, -0.5, 1.0]), 2.0, 1, 2))
+    # near consensus J ~ |x0 - xbar|^2 h is small against |x0|^2 h: without
+    # centring, the row-sum rounding of the system matrix put j_best 1.3e-13
+    # (relative) off the exact value
+    @example(case=(NetworkTopology(n=2, edges=((0, 1, 1.0),)),
+                   np.array([0.786, 0.802]), 1.0, 1, 1))
     def test_matches_schedule_by_schedule_enumeration(self, case):
         schedules, J, greedy, j_greedy = reference_oracle(*case)
         result = exhaustive_best(*case)
@@ -173,6 +206,10 @@ class TestAgainstPerScheduleReference:
             assert result.best_schedule == schedules[first]
         else:
             assert j_max - J[schedules.index(result.best_schedule)] <= 1e-12 * j_max
+        # both picks against 60-digit arithmetic
+        for schedule, j in ((result.best_schedule, result.j_best), (schedules[first], j_max)):
+            exact = exact_objective(case[0], case[1], case[2], schedule)
+            assert abs(j - exact) <= 1e-13 * exact
 
 
 class TestDominanceSweep:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consensus_adversary import link_attack
-from consensus_adversary.dynamics import Kernel, TimeGrid, objective, propagate
+from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid,
+                                          Trajectory, objective, propagate)
 from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              forward_backward_sweep,
                                              greedy_control, simulate_attack1,
@@ -15,7 +16,7 @@ from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              verify_scale_invariance)
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
-from consensus_adversary.topology import NetworkTopology, Schedule
+from consensus_adversary.topology import NetworkTopology, Schedule, build_system_matrix
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
@@ -114,6 +115,16 @@ class TestCostateBackward:
         assert np.max(np.abs(p[:, 0] + pi)) < 5e-6
         assert np.max(np.abs(p[:, 1] - pi)) < 5e-6
         assert np.max(np.abs(p[:, 0] + p[:, 1])) < 1e-11
+
+    @pytest.mark.parametrize("steps, width, match", [
+        (9, 2, "schedule has 9 controls, grid has 10 steps"),
+        (10, 3, r"x0 has shape \(3,\), expected \(2,\)"),
+    ], ids=["schedule-length", "trajectory-width"])
+    def test_malformed_input_named(self, steps, width, match):
+        traj = Trajectory(grid=TimeGrid(T=1.0, steps=10), x=np.ones((11, width)))
+        with pytest.raises(DynamicsError, match=match):
+            costate_backward(traj, Schedule.none(TWO_NODE, steps), TWO_NODE,
+                             Kernel.constant(1.0))
 
 
 class TestSwitchingFunctions:
@@ -220,6 +231,75 @@ class TestAgainstPerEdgeReference:
                 assert control_got.tolist() == mask
 
 
+@st.composite
+def run_schedules(draw):
+    """A random connected graph on 2 to 8 nodes (weights scaled by 50 when
+    stiff), a state, a horizon, a constant or table kernel, and a schedule of
+    1 to 300 steps made of 1 to 8 runs of random masks, any of which may be
+    a single step."""
+    n = draw(st.integers(2, 8))
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    topology = NetworkTopology(
+        n=n, edges=tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in sorted(pairs)))
+    T = draw(st.floats(0.5, 3.0))
+    if draw(st.booleans()):
+        kernel = Kernel.constant(draw(st.floats(0.5, 2.0)))
+    else:
+        kernel = Kernel.from_table([(t, draw(st.floats(0.5, 2.0)))
+                                    for t in np.linspace(0.0, T, draw(st.integers(2, 4)))])
+    steps = draw(st.integers(1, 300))
+    runs = draw(st.integers(1, min(8, steps)))
+    cuts = sorted(draw(st.sets(st.integers(1, steps - 1), min_size=runs - 1,
+                               max_size=runs - 1))) if runs > 1 else []
+    ell = draw(st.integers(0, topology.m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = np.zeros((steps, topology.m), dtype=np.uint8)
+    for start, stop in zip([0, *cuts], [*cuts, steps]):
+        masks[start:stop, rng.choice(topology.m, rng.integers(0, ell + 1), replace=False)] = 1
+    return topology, rng.uniform(-1.0, 1.0, n), T, kernel, masks, ell
+
+
+class TestAgainstPerStepReference:
+    """The per-run propagation and co-state against one exponential per grid
+    step, built from that step's own decomposition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=run_schedules())
+    @example(case=(PATH3, np.array([1.0, 0.0, -1.0]), 1.0, Kernel.constant(1.0), [[1, 0]], 1))
+    @example(case=(PATH3, np.array([1.0, 0.0, -1.0]), 1.0, Kernel.constant(1.0),
+                   [[1, 0], [0, 1], [0, 1], [1, 0], [0, 0]], 1))
+    def test_costate_and_trajectory(self, case):
+        topology, x0, T, kernel, masks, ell = case
+        schedule = Schedule(topology, masks, ell)
+        grid = TimeGrid(T=T, steps=len(schedule))
+        traj = propagate(x0, schedule, topology, grid)
+        x = np.empty_like(traj.x)
+        x[0] = x0
+        Es = [Spectrum(build_system_matrix(topology, control)).exp(grid.h)
+              for control in schedule]
+        for k, E in enumerate(Es):
+            x[k + 1] = E @ x[k]
+        assert np.array_equal(traj.x, x)
+        # p_k = E p_{k+1} + h (k_k d_k + E k_{k+1} d_{k+1}), p(T) = 0
+        kv = kernel.sample(grid.times())
+        dev = x - np.mean(x0)
+        p = np.zeros_like(x)
+        for k in range(grid.steps - 1, -1, -1):
+            E = Es[k]
+            p[k] = E @ p[k + 1] + grid.h * (kv[k] * dev[k] + E @ (kv[k + 1] * dev[k + 1]))
+        got = costate_backward(traj, schedule, topology, kernel)
+        assert np.all(got[-1] == 0.0)
+        assert np.max(np.abs(got - p)) <= 1e-12 * np.max(np.abs(p))
+
+
+def weighted_path_config():
+    weights = np.random.default_rng(1002).uniform(0.2, 2.0, 3)
+    path = NetworkTopology(n=4, edges=tuple((i, i + 1, w) for i, w in enumerate(weights)))
+    return link_config(path, np.random.default_rng(2000).uniform(-1.0, 1.0, 4), ell=1)
+
+
 class TestForwardBackwardSweep:
     def test_reference_run_matches_greedy(self):
         config = paper_k4_scenario("link")
@@ -235,11 +315,25 @@ class TestForwardBackwardSweep:
         # one forward pass per iteration: the converged result is the last
         # pass's trajectory, co-state and J, not a run of its own
         calls = []
-        monkeypatch.setattr(link_attack, "propagate",
-                            lambda *args: calls.append(args) or propagate(*args))
+        monkeypatch.setattr(link_attack, "propagate", lambda *args, **kwargs:
+                            calls.append(args) or propagate(*args, **kwargs))
         sweep = forward_backward_sweep(paper_k4_scenario("link"))
         assert sweep.converged and sweep.iterations == 4
         assert len(calls) == sweep.iterations
+
+    @pytest.mark.parametrize("config", [paper_k4_scenario("link"), weighted_path_config()],
+                             ids=["k4", "weighted-path"])
+    def test_one_decomposition_per_distinct_mask(self, monkeypatch, config):
+        # every pass shares one cache: each mask any pass propagates is
+        # decomposed once, by the forward pass that meets it first
+        visited, calls = [], []
+        monkeypatch.setattr(link_attack, "propagate", lambda *args, **kwargs:
+                            visited.append(args[1].masks) or propagate(*args, **kwargs))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
+        sweep = forward_backward_sweep(config)
+        assert sweep.converged and len(visited) == sweep.iterations
+        assert len(calls) == len(np.unique(np.concatenate(visited), axis=0))
 
     def test_pass_limit_falls_back_to_best_schedule(self, monkeypatch):
         # one pass evaluates only the no-break start, so that is the best
