@@ -7,8 +7,7 @@ from .dynamics import (Kernel, Spectrum, TimeGrid, Trajectory,
                        propagate)
 from .link_attack import (Attack1Outcome, SweepResult, costate_backward,
                           edge_power, forward_backward_sweep, greedy_control,
-                          simulate_attack1, switching_functions,
-                          verify_greedy_mp_consistency, verify_scale_invariance)
+                          simulate_attack1, switching_functions)
 from .noise_attack import (Attack2Outcome, ContractionSetup,
                            baseline_constant_control, contraction_setup,
                            costate_fixed_point, default_seed, g_term,
@@ -16,7 +15,7 @@ from .noise_attack import (Attack2Outcome, ContractionSetup,
                            optimal_noise, simulate_attack2)
 from .scenario import (LinkAttackSpec, NoiseAttackSpec, ScenarioConfig,
                        ScenarioError, load_scenario, paper_k4_scenario,
-                       paper_k4_topology, save_scenario, write_report)
+                       save_scenario, write_report)
 from .topology import (LinkControl, NetworkTopology, Schedule, TopologyError,
                        build_system_matrix, connected_components)
 

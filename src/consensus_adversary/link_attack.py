@@ -1,6 +1,6 @@
 """Link-breaking adversary: greedy power-ranking strategy and the maximum
 principle machinery (backward co-state, switching functions, forward-backward
-sweep), plus the consistency and scale-invariance verification operations.
+sweep).
 
 A control is one uint8 break-mask row over topology.edges, and a schedule
 is one (steps, m) break-mask `Schedule`. The greedy rule returns one row per
@@ -230,55 +230,3 @@ def forward_backward_sweep(config) -> SweepResult:
         converged=converged,
         iterations=iterations,
     )
-
-
-def verify_greedy_mp_consistency(config) -> dict:
-    """Compare the closed-loop greedy schedule against the sweep fixed point.
-
-    Reports the fraction of grid steps where the broken sets coincide, the
-    fraction where the power ranking and the negated switching-function
-    ranking agree on the top-ell set, and the relative J gap.
-    """
-    greedy = simulate_attack1(config)
-    sweep = forward_backward_sweep(config)
-    ell = config.attack.ell
-    x, p = sweep.trajectory.x[:-1], sweep.trajectory.p[:-1]
-    top_w = np.sort(edge_power(x, config.topology).ranking[:, :ell], axis=-1)
-    top_f = np.sort(switching_functions(x, p, config.topology, ell).order[:, :ell], axis=-1)
-    return {
-        "schedule_agreement": float(np.mean(
-            (greedy.schedule.masks == sweep.schedule.masks).all(axis=-1))),
-        "ordering_agreement": float(np.mean((top_w == top_f).all(axis=-1))),
-        "j_greedy": greedy.J,
-        "j_sweep": sweep.J,
-        "relative_j_gap": abs(greedy.J - sweep.J) / max(greedy.J, 1e-300),
-        "sweep_converged": sweep.converged,
-        "sweep_iterations": sweep.iterations,
-    }
-
-
-def verify_scale_invariance(config, c: float) -> dict:
-    """Run the greedy attack from x0 and c*x0 and compare schedules.
-
-    Power rankings scale by c^2, so the broken sets must be identical; the
-    report also checks that the switching-function signs match along the
-    scaled sweep trajectories.
-    """
-    if c == 0:
-        raise ValueError("scale factor c must be nonzero (consensus start is degenerate)")
-    base = simulate_attack1(config)
-    scaled = simulate_attack1(config.with_x0(np.asarray(config.x0) * c))
-    # sign comparison of f along the greedy trajectories, per sample
-    signs = []
-    for run in (base, scaled):
-        p = costate_backward(run.trajectory, run.schedule, config.topology, config.kernel)
-        f = switching_functions(run.trajectory.x, p, config.topology, config.attack.ell).f
-        tol = 1e-9 * np.maximum(np.max(np.abs(f), axis=-1, keepdims=True), 1e-300)
-        signs.append(np.where(np.abs(f) <= tol, 0, np.sign(f)))
-    return {
-        "c": c,
-        "schedules_identical": np.array_equal(base.schedule.masks, scaled.schedule.masks),
-        "switching_signs_match": np.array_equal(*signs),
-        "j_base": base.J,
-        "j_scaled": scaled.J,
-    }

@@ -238,41 +238,18 @@ def save_scenario(config: ScenarioConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # bundled fixtures
 
-PAPER_K4_WEIGHTS = {
-    (0, 1): 0.0326, (0, 2): 0.5525, (0, 3): 1.5442,
-    (1, 2): 1.1006, (1, 3): 0.0859, (2, 3): 1.4916,
-}
-
-
-def paper_k4_topology() -> NetworkTopology:
-    """Complete 4-node graph with the reference off-diagonal weights."""
-    return NetworkTopology(
-        n=4, edges=tuple((i, j, w) for (i, j), w in PAPER_K4_WEIGHTS.items()))
-
-
 def paper_k4_scenario(attack: str = "link", steps: int = DEFAULT_STEPS) -> ScenarioConfig:
-    """The reference K4 scenario: ell=2, T=2, x0=[1,2,3,4], constant kernel.
+    """The reference K4 scenario of the bundled `paper_k4` fixture: ell=2, T=2,
+    x0=[1,2,3,4], constant kernel.
 
     The noise variant's power budget p_max = 1 and safety fraction 0.9 are
     artifact defaults, not reference values.
     """
-    if attack == "link":
-        spec = LinkAttackSpec(ell=2)
-    elif attack == "noise":
-        spec = NoiseAttackSpec(p_max=1.0)
-    elif attack == "none":
-        spec = None
-    else:
+    k4 = load_scenario(fixture_path("paper_k4"))
+    specs = {"link": k4.attack, "noise": NoiseAttackSpec(p_max=1.0), "none": None}
+    if attack not in specs:
         raise ScenarioError(f"unknown attack kind {attack!r}")
-    return ScenarioConfig(
-        name=f"paper_k4_{attack}",
-        topology=paper_k4_topology(),
-        x0=np.array([1.0, 2.0, 3.0, 4.0]),
-        T=2.0,
-        steps=steps,
-        kernel=Kernel.constant(1.0),
-        attack=spec,
-    )
+    return replace(k4, name=f"paper_k4_{attack}", steps=steps, attack=specs[attack])
 
 
 def fixture_path(name: str) -> Path:

@@ -3,6 +3,11 @@ dominance against the brute-force oracle, greedy vs. maximum-principle
 consistency, scale invariance, the constant-baseline bound, contraction of
 the co-state iteration, and the conservation/stochasticity invariants.
 
+`run_verify` runs each K4 pipeline once (the greedy attack, attack II and the
+constant baseline) and hands the shared outcomes to the checks that judge
+them. A check runs itself only what no other check judges: the sweep, or the
+greedy attack from a scaled x0.
+
 Tolerances are calibrated for the default 400-step grid; coarser overrides
 scale the grid-sensitive tolerances by (default_h / h)^-2, i.e. (400/steps)^2.
 """
@@ -46,26 +51,59 @@ def check_thm1_greedy_dominance(fast: bool = False) -> CheckResult:
     )
 
 
-def check_thm2_mp_consistency(config) -> CheckResult:
-    report = link_attack.verify_greedy_mp_consistency(config)
-    passed = (report["schedule_agreement"] == 1.0
-              and report["sweep_converged"]
-              and report["relative_j_gap"] < _grid_tol(1e-4, config.steps))
+def check_thm2_mp_consistency(config, greedy) -> CheckResult:
+    """Greedy run against the sweep fixed point: the fraction of grid steps
+    where the broken sets coincide, the fraction where the power ranking and
+    the negated switching-function ranking agree on the top ell, and the
+    relative J gap."""
+    sweep = link_attack.forward_backward_sweep(config)
+    ell = config.attack.ell
+    x, p = sweep.trajectory.x[:-1], sweep.trajectory.p[:-1]
+    top_w = np.sort(link_attack.edge_power(x, config.topology).ranking[:, :ell], axis=-1)
+    top_f = np.sort(link_attack.switching_functions(x, p, config.topology, ell).order[:, :ell],
+                    axis=-1)
+    values = {
+        "schedule_agreement": float(np.mean(
+            (greedy.schedule.masks == sweep.schedule.masks).all(axis=-1))),
+        "ordering_agreement": float(np.mean((top_w == top_f).all(axis=-1))),
+        "relative_j_gap": abs(greedy.J - sweep.J) / max(greedy.J, 1e-300),
+        "sweep_converged": sweep.converged,
+        "sweep_iterations": sweep.iterations,
+    }
+    passed = (values["schedule_agreement"] == 1.0
+              and values["sweep_converged"]
+              and values["relative_j_gap"] < _grid_tol(1e-4, config.steps))
     return CheckResult(
         name="thm2-mp-consistency",
         passed=passed,
-        detail=(f"schedule agreement {report['schedule_agreement']:.0%}, "
-                f"J gap {report['relative_j_gap']:.2e}, "
-                f"sweep iterations {report['sweep_iterations']}"),
-        values=report,
+        detail=(f"schedule agreement {values['schedule_agreement']:.0%}, "
+                f"J gap {values['relative_j_gap']:.2e}, "
+                f"sweep iterations {values['sweep_iterations']}"),
+        values=values,
     )
 
 
-def check_lemma1_scale_invariance(config) -> CheckResult:
+def _switching_signs(config, run) -> np.ndarray:
+    """Signs of the switching functions along a greedy run, per sample, with
+    values within 1e-9 of the sample's largest |f| counted as zero."""
+    p = link_attack.costate_backward(run.trajectory, run.schedule, config.topology,
+                                     config.kernel)
+    f = link_attack.switching_functions(run.trajectory.x, p, config.topology,
+                                        config.attack.ell).f
+    tol = 1e-9 * np.maximum(np.max(np.abs(f), axis=-1, keepdims=True), 1e-300)
+    return np.where(np.abs(f) <= tol, 0, np.sign(f))
+
+
+def check_lemma1_scale_invariance(config, greedy) -> CheckResult:
+    """Rerun the greedy attack from c*x0 for c in {-3, 0.5, 10}. Power
+    rankings scale by c^2, so the broken sets must equal the greedy run's,
+    and the switching-function signs along both runs must match."""
+    base_signs = _switching_signs(config, greedy)
     failures = []
     for c in (-3.0, 0.5, 10.0):
-        report = link_attack.verify_scale_invariance(config, c)
-        if not (report["schedules_identical"] and report["switching_signs_match"]):
+        scaled = link_attack.simulate_attack1(config.with_x0(np.asarray(config.x0) * c))
+        if not (np.array_equal(greedy.schedule.masks, scaled.schedule.masks)
+                and np.array_equal(base_signs, _switching_signs(config, scaled))):
             failures.append(c)
     return CheckResult(
         name="lemma1-scale-invariance",
@@ -76,8 +114,7 @@ def check_lemma1_scale_invariance(config) -> CheckResult:
     )
 
 
-def check_lemma2_baseline_bound(config) -> CheckResult:
-    base = noise_attack.baseline_constant_control(config)
+def check_lemma2_baseline_bound(config, base) -> CheckResult:
     gap = abs(base["j2_closed_form"] - base["j2_simulated"]) / base["j2_closed_form"]
     routes_agree = gap < _grid_tol(1e-6, config.steps)
     bound_holds = base["j2_closed_form"] >= base["bound"] - 1e-9
@@ -90,8 +127,7 @@ def check_lemma2_baseline_bound(config) -> CheckResult:
     )
 
 
-def check_contraction(config) -> CheckResult:
-    outcome = noise_attack.simulate_attack2(config)
+def check_contraction(config, outcome) -> CheckResult:
     res = np.array(outcome.residuals)
     ratios, q = res[1:] / res[:-1], outcome.setup.q
     # fixed-point residual of one extra map application
@@ -109,8 +145,7 @@ def check_contraction(config) -> CheckResult:
     )
 
 
-def check_conservation(config) -> CheckResult:
-    outcome = link_attack.simulate_attack1(config)
+def check_conservation(config, outcome) -> CheckResult:
     sums = outcome.trajectory.x.sum(axis=1)
     drift, total = np.abs(sums - sums[0]), float(sums[0])
     # the propagator of every distinct control the attack used
@@ -130,15 +165,14 @@ def check_conservation(config) -> CheckResult:
     )
 
 
-def check_attack2_optimality(config) -> CheckResult:
-    outcome = noise_attack.simulate_attack2(config)
+def check_attack2_optimality(config, outcome, base) -> CheckResult:
     u, p = outcome.control, outcome.trajectory.p
     norms = np.linalg.norm(p, axis=1)
     nonsingular = norms > noise_attack.SINGULAR_FRACTION * norms.max()
     cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(outcome.p_max) * norms[nonsingular])
     j0 = objective(propagate(config.x0, Schedule.none(config.topology, config.steps),
                              config.topology, config.grid), config.kernel)
-    j2 = noise_attack.baseline_constant_control(config)["j2_closed_form"]
+    j2 = base["j2_closed_form"]
     values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - outcome.p_max),
               "cosine_error": np.abs(cosine - 1.0), "lam": outcome.lam,
               "J": outcome.J, "j0": j0, "j2": j2}
@@ -158,14 +192,17 @@ def run_verify(steps: int = DEFAULT_STEPS, fast: bool = False, printer=print) ->
     pass/fail line each."""
     link = paper_k4_scenario("link", steps=steps)
     noise = paper_k4_scenario("noise", steps=steps)
+    greedy = link_attack.simulate_attack1(link)
+    attack2 = noise_attack.simulate_attack2(noise)
+    base = noise_attack.baseline_constant_control(noise)
     checks = [
         check_thm1_greedy_dominance(fast=fast),
-        check_thm2_mp_consistency(link),
-        check_lemma1_scale_invariance(link),
-        check_lemma2_baseline_bound(noise),
-        check_contraction(noise),
-        check_conservation(link),
-        check_attack2_optimality(noise),
+        check_thm2_mp_consistency(link, greedy),
+        check_lemma1_scale_invariance(link, greedy),
+        check_lemma2_baseline_bound(noise, base),
+        check_contraction(noise, attack2),
+        check_conservation(link, greedy),
+        check_attack2_optimality(noise, attack2, base),
     ]
     all_passed = True
     for c in checks:

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, outputs, and diagnostics."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from consensus_adversary import link_attack, noise_attack
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
+from consensus_adversary.verify import run_verify
 
 
 @pytest.fixture
@@ -173,6 +175,21 @@ class TestVerify:
                             lambda x, p, t, ell: orig(x, -p, t, ell))
         assert main(["verify", "--fast"]) == 1
         assert "[FAIL] thm2-mp-consistency" in capsys.readouterr().out
+
+    def test_runs_each_pipeline_once(self, monkeypatch):
+        # one greedy run shared by the checks, plus the three scaled runs of
+        # the scale-invariance check; attack II and its baseline once each
+        calls = Counter()
+        for module, name in ((link_attack, "simulate_attack1"),
+                             (noise_attack, "simulate_attack2"),
+                             (noise_attack, "baseline_constant_control")):
+            def counted(*args, _orig=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert run_verify(fast=True, printer=lambda line: None)
+        assert calls == {"simulate_attack1": 4, "simulate_attack2": 1,
+                         "baseline_constant_control": 1}
 
 
 class TestReproducePaper:

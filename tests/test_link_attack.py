@@ -1,4 +1,5 @@
-"""Unit tests for the link-breaking adversary and its verification hooks."""
+"""Unit tests for the link-breaking adversary, and for the two verify checks
+that judge its greedy runs: greedy = maximum principle and scale invariance."""
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum, TimeG
 from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              forward_backward_sweep,
                                              greedy_control, simulate_attack1,
-                                             switching_functions,
-                                             verify_greedy_mp_consistency,
-                                             verify_scale_invariance)
+                                             switching_functions)
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
 from consensus_adversary.topology import NetworkTopology, Schedule, build_system_matrix
+from consensus_adversary.verify import (check_lemma1_scale_invariance,
+                                        check_thm2_mp_consistency)
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
@@ -385,18 +386,14 @@ class TestForwardBackwardSweep:
 
 class TestVerificationOps:
     def test_greedy_mp_consistency_report(self):
-        report = verify_greedy_mp_consistency(paper_k4_scenario("link", steps=100))
-        assert report["schedule_agreement"] == 1.0
-        assert report["ordering_agreement"] >= 0.95
-        assert report["relative_j_gap"] < 1e-4
+        config = paper_k4_scenario("link", steps=100)
+        values = check_thm2_mp_consistency(config, simulate_attack1(config)).values
+        assert values["schedule_agreement"] == 1.0
+        assert values["ordering_agreement"] >= 0.95
+        assert values["relative_j_gap"] < 1e-4
 
     def test_scale_invariance(self):
+        # passes only if, for every c in {-3, 0.5, 10}, the schedules are
+        # identical and the switching-function signs match
         config = paper_k4_scenario("link", steps=100)
-        for c in (-3.0, 0.5, 10.0):
-            report = verify_scale_invariance(config, c)
-            assert report["schedules_identical"]
-            assert report["switching_signs_match"]
-
-    def test_scale_zero_rejected(self):
-        with pytest.raises(ValueError):
-            verify_scale_invariance(paper_k4_scenario("link", steps=10), 0.0)
+        assert check_lemma1_scale_invariance(config, simulate_attack1(config)).passed
