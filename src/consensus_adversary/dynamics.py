@@ -211,13 +211,16 @@ class PropagatorCache:
 
 def check_schedule_and_state(schedule: Schedule, grid: TimeGrid, x0: np.ndarray,
                              topology: NetworkTopology) -> None:
-    """Reject a schedule that is not one row per grid step, or a state that
-    is not one value per node."""
+    """Reject a schedule (or its mask rows) that is not one row per grid
+    step, or a state that is not one finite value per node."""
     if len(schedule) != grid.steps:
         raise DynamicsError(
             f"schedule has {len(schedule)} controls, grid has {grid.steps} steps")
     if x0.shape != (topology.n,):
         raise DynamicsError(f"x0 has shape {x0.shape}, expected ({topology.n},)")
+    bad = np.flatnonzero(~np.isfinite(x0))
+    if bad.size:
+        raise DynamicsError(f"x0[{bad[0]}] must be finite, got {float(x0[bad[0]])}")
 
 
 def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,

@@ -4,11 +4,13 @@ sweep).
 
 A control is one uint8 break-mask row over topology.edges, and a schedule
 is one (steps, m) break-mask `Schedule`. The greedy rule returns one row per
-state, breaking the budgeted number of links of highest dissipated power
-w_ij = a_ij (x_j - x_i)^2, and the attack writes it straight into the
-schedule. The sweep ranks edges by the switching functions
-f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole trajectory in one
-call. On the reference K4 both give the same schedule, but the greedy rule is
+state of a stack, breaking the budgeted number of links of highest dissipated
+power w_ij = a_ij (x_j - x_i)^2, found by linear-time selection of the cut
+value rather than a sort. The attack ranks a block of upcoming states in one
+call and writes the rows straight into the schedule; its result is
+bit-identical to re-ranking every step. The sweep ranks edges by the
+switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole
+trajectory in one call. On the reference K4 both give the same schedule, but the greedy rule is
 myopic and not globally optimal: on the weighted 4-path counterexample pinned
 in `tests/test_enumeration.py` the sweep converges to a different cut with
 more than twice greedy's objective.
@@ -17,6 +19,7 @@ more than twice greedy's objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
+RANK_BLOCK = 2**15     # edge powers (steps x edges) the greedy attack ranks per greedy_control call
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,11 @@ class EdgePowerReport:
     """Per-edge power and its descending ranking (ties by edge index), per state."""
 
     w: np.ndarray                        # power per edge
-    ranking: np.ndarray                  # edge indices, highest power first
+
+    @cached_property
+    def ranking(self) -> np.ndarray:
+        """Edge indices, highest power first; sorted on first access."""
+        return np.argsort(-self.w, axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -69,26 +77,39 @@ class SweepResult:
 
 
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
-    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :], ranked descending."""
+    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :]; its
+    descending ranking is sorted on first access."""
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
-    w = a * (x[..., j] - x[..., i]) ** 2
-    return EdgePowerReport(w=w, ranking=np.argsort(-w, axis=-1, kind="stable"))
+    return EdgePowerReport(w=a * (x[..., j] - x[..., i]) ** 2)
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
     """uint8 break mask over topology.edges that breaks the ell highest-power
-    edges (ties by edge index).
+    edges (ties by edge index), one row per state x[..., :].
 
-    Zero-power edges are still selected to fill the budget; breaking one
-    removes no dissipated power at that instant, so the ranking is indifferent
-    to it.
+    The rows come from the ell-th largest power by linear-time selection, not
+    a sort: every edge strictly above that cut, then the lowest-index edges
+    at the cut value up to ell. This is the set the stable descending
+    ranking's first ell picks. Zero-power edges are still selected to fill
+    the budget; breaking one removes no dissipated power at that instant, so
+    the ranking is indifferent to it.
     """
-    if ell > topology.m:
-        raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
-    row = np.zeros(topology.m, dtype=np.uint8)
-    row[edge_power(x, topology).ranking[:ell]] = 1
-    return row
+    m = topology.m
+    if ell > m:
+        raise ValueError(f"budget {ell} exceeds edge count {m}")
+    w = edge_power(x, topology).w
+    if ell == 0:
+        return np.zeros(w.shape, dtype=np.uint8)
+    cut = np.partition(w, m - ell, axis=-1)[..., m - ell, None]
+    mask = w >= cut
+    # every row holds at least ell edges at or above its cut
+    if np.count_nonzero(mask) > ell * (w.size // m):
+        # ties at the cut overfill some row: keep them in edge order
+        tie = w == cut
+        room = ell - np.count_nonzero(w > cut, axis=-1, keepdims=True)
+        mask = (w > cut) | (tie & (np.cumsum(tie, axis=-1) <= room))
+    return mask.view(np.uint8)
 
 
 def classify(topology: NetworkTopology, schedule: Schedule,
@@ -106,27 +127,49 @@ def classify(topology: NetworkTopology, schedule: Schedule,
 
 
 def simulate_attack1(config) -> Attack1Outcome:
-    """Closed-loop greedy attack: re-rank edge powers at every grid step and
-    advance one exact-exponential step, whose propagator is rebuilt only when
-    the control changes."""
+    """Closed-loop greedy attack: the control at every grid step is the
+    greedy row of that step's state, and each step is one exact-exponential
+    step x[k+1] = E @ x[k].
+
+    Ranking goes a block of steps at a time: the current E advances the state
+    up to RANK_BLOCK // m steps ahead, one greedy_control call ranks those
+    states, and every step up to the first row that differs from the current
+    one is kept. The state from there on is recomputed under the new row's E,
+    which is built only when the row changes. Each kept state is the same
+    E @ x of the same E as when re-ranking every step, so the trajectory,
+    schedule and J are bit-identical to that.
+    """
     topology, grid, kernel = config.topology, config.grid, config.kernel
-    ell = config.attack.ell
+    ell, steps = config.attack.ell, grid.steps
+    x0 = np.asarray(config.x0, dtype=float)
+    masks = np.empty((steps, topology.m), dtype=np.uint8)
+    check_schedule_and_state(masks, grid, x0, topology)
+    block = max(1, RANK_BLOCK // max(topology.m, 1))
     cache = PropagatorCache(topology, grid.h)
-    x = np.empty((grid.steps + 1, topology.n))
-    x[0] = config.x0
-    masks = np.empty((grid.steps, topology.m), dtype=np.uint8)
-    for k in range(grid.steps):
-        masks[k] = greedy_control(x[k], topology, ell)
-        if k == 0 or (masks[k] != masks[k - 1]).any():
-            E = cache.step(masks[k])
-        x[k + 1] = E @ x[k]
+    x = np.empty((steps + 1, topology.n))
+    x[0] = x0
+    k, row = 0, greedy_control(x0, topology, ell)
+    E = cache.step(row)
+    while k < steps:
+        # x[k] is final, row is its greedy control and E its step
+        stop = min(k + block, steps)
+        for s in range(k, stop):
+            x[s + 1] = E @ x[s]
+        ahead = greedy_control(x[k + 1:min(stop + 1, steps)], topology, ell)
+        differ = np.flatnonzero((ahead != row).any(axis=-1))
+        kept = k + 1 + int(differ[0]) if differ.size else stop
+        masks[k:kept] = row
+        if differ.size:
+            row = ahead[differ[0]]
+            E = cache.step(row)
+        k = kept
     traj = Trajectory(grid=grid, x=x)
     schedule = Schedule(topology, masks, ell)
     return Attack1Outcome(
         trajectory=traj,
         schedule=schedule,
         J=objective(traj, kernel),
-        classification=classify(topology, schedule, x[-1], config.x0),
+        classification=classify(topology, schedule, x[-1], x0),
         topology=topology,
     )
 

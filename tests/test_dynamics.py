@@ -177,6 +177,11 @@ class TestPropagation:
         with pytest.raises(DynamicsError):
             propagate(np.array([0.0, 2.0, 1.0]), Schedule.none(TWO_NODE, 10), TWO_NODE, grid)
 
+    def test_non_finite_x0_named(self):
+        grid = TimeGrid(T=1.0, steps=10)
+        with pytest.raises(DynamicsError, match=r"x0\[1\] must be finite, got inf"):
+            propagate(np.array([0.0, np.inf]), Schedule.none(TWO_NODE, 10), TWO_NODE, grid)
+
     def test_trajectory_shape_checked(self):
         with pytest.raises(DynamicsError):
             Trajectory(grid=TimeGrid(T=1.0, steps=10), x=np.zeros((5, 2)))

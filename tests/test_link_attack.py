@@ -7,15 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consensus_adversary import link_attack
-from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid,
-                                          Trajectory, objective, propagate)
+from consensus_adversary.dynamics import (DynamicsError, Kernel, PropagatorCache,
+                                          Spectrum, TimeGrid, Trajectory, objective,
+                                          propagate)
 from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              forward_backward_sweep,
                                              greedy_control, simulate_attack1,
                                              switching_functions)
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
-from consensus_adversary.topology import NetworkTopology, Schedule, build_system_matrix
+from consensus_adversary.topology import (LinkControl, NetworkTopology, Schedule,
+                                          build_system_matrix)
 from consensus_adversary.verify import (check_lemma1_scale_invariance,
                                         check_thm2_mp_consistency)
 
@@ -92,6 +94,27 @@ class TestSimulateAttack1:
     def test_powerless_adversary_loses(self):
         outcome = simulate_attack1(link_config(TWO_NODE, [0.0, 2.0], ell=0, T=20.0))
         assert outcome.classification == "losing"
+
+    def test_non_finite_x0_named(self):
+        config = link_config(PATH3, [0.0, np.nan, 1.0], ell=1)
+        with pytest.raises(DynamicsError, match=r"x0\[1\] must be finite, got nan"):
+            simulate_attack1(config)
+
+    def test_one_ranking_call_per_block_and_one_step_per_run(self, monkeypatch):
+        # the K4 run is stationary: one propagator, and the states are
+        # ranked a block at a time, not once per step
+        config = paper_k4_scenario("link", steps=2000)
+        ranked, stepped = [], []
+        monkeypatch.setattr(link_attack, "greedy_control", lambda *args:
+                            ranked.append(args) or greedy_control(*args))
+        step = PropagatorCache.step
+        monkeypatch.setattr(PropagatorCache, "step", lambda self, mask:
+                            stepped.append(mask) or step(self, mask))
+        outcome = simulate_attack1(config)
+        runs = len(outcome.schedule.runs())
+        block = max(1, link_attack.RANK_BLOCK // config.topology.m)
+        assert runs == 1 and len(stepped) == runs
+        assert len(ranked) <= -(-config.steps // block) + runs + 1
 
 
 class TestCostateBackward:
@@ -205,14 +228,16 @@ class TestAgainstPerEdgeReference:
                 np.testing.assert_allclose(w, reference_powers(x, topology),
                                            rtol=4 * np.finfo(float).eps, atol=0)
                 assert ranking.tolist() == reference_ranking(w)
-        x = xs[0]
-        ranking = reference_ranking(edge_power(x, topology).w)
         if ell > topology.m:
             with pytest.raises(ValueError):
-                greedy_control(x, topology, ell)
+                greedy_control(xs, topology, ell)
             ell = topology.m
-        row = greedy_control(x, topology, ell)
-        assert np.flatnonzero(row).tolist() == sorted(ranking[:ell])
+        rows = greedy_control(xs, topology, ell)
+        assert rows.dtype == np.uint8 and rows.shape == (len(xs), topology.m)
+        for x, row in zip(xs, rows):
+            ranking = reference_ranking(edge_power(x, topology).w)
+            assert np.array_equal(greedy_control(x, topology, ell), row)
+            assert np.flatnonzero(row).tolist() == sorted(ranking[:ell])
 
     @settings(max_examples=200, deadline=None)
     @given(case=attack_inputs())
@@ -293,6 +318,51 @@ class TestAgainstPerStepReference:
         got = costate_backward(traj, schedule, topology, kernel)
         assert np.all(got[-1] == 0.0)
         assert np.max(np.abs(got - p)) <= 1e-12 * np.max(np.abs(p))
+
+
+@st.composite
+def greedy_runs(draw):
+    """A random graph on 1 to 8 nodes, connected or not and possibly edgeless
+    (weights scaled by 50 when stiff), a state, a budget from 0 to the edge
+    count and 1 to 300 steps. Unit weights come with integer states, so that
+    ties at the greedy cut are common."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    integer = draw(st.booleans())
+    weight = st.just(1.0) if integer else st.floats(0.2, 2.0)
+    value = st.integers(-3, 3).map(float) if integer else st.floats(-2.0, 2.0)
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    topology = NetworkTopology(n=n, edges=tuple((i, j, scale * draw(weight)) for (i, j) in pairs))
+    x0 = [draw(value) for _ in range(n)]
+    return link_config(topology, x0, ell=draw(st.integers(0, topology.m)),
+                       T=draw(st.floats(0.5, 3.0)), steps=draw(st.integers(1, 300)))
+
+
+class TestGreedyAgainstPerStepReference:
+    """The block-ranked closed loop against re-ranking every step by a stable
+    sort, with one exponential per run of equal rows."""
+
+    @pytest.mark.parametrize("block", [1, 7, link_attack.RANK_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(config=greedy_runs())
+    @example(config=link_config(NetworkTopology(n=1, edges=()), [0.5], ell=0, steps=3))
+    @example(config=link_config(PATH3, [0.0, 1.0, 2.0], ell=1, steps=20))
+    def test_schedule_and_trajectory(self, block, config):
+        topology, grid, ell = config.topology, config.grid, config.attack.ell
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(link_attack, "RANK_BLOCK", block)
+            outcome = simulate_attack1(config)
+        x = np.empty((grid.steps + 1, topology.n))
+        x[0] = config.x0
+        masks = np.zeros((grid.steps, topology.m), dtype=np.uint8)
+        for k in range(grid.steps):
+            masks[k, np.argsort(-edge_power(x[k], topology).w, kind="stable")[:ell]] = 1
+            if k == 0 or (masks[k] != masks[k - 1]).any():
+                E = Spectrum(build_system_matrix(topology, LinkControl(masks[k], ell))).exp(grid.h)
+            x[k + 1] = E @ x[k]
+        assert np.array_equal(outcome.trajectory.x, x)
+        assert np.array_equal(outcome.schedule.masks, masks)
+        assert outcome.J == objective(Trajectory(grid=grid, x=x), config.kernel)
 
 
 def weighted_path_config():

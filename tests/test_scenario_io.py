@@ -104,12 +104,20 @@ class TestSerialization:
 
 class TestFixtures:
     def test_bundled_fixture_matches_builtin(self):
-        config = load_scenario(fixture_path("paper_k4"))
-        builtin = paper_k4_scenario("link")
-        assert config.topology == builtin.topology
-        assert np.array_equal(config.x0, builtin.x0)
-        assert config.T == builtin.T and config.steps == builtin.steps
-        assert config.attack == builtin.attack
+        # the built-in variants are the fixture with name, steps and attack replaced
+        fixture = load_scenario(fixture_path("paper_k4"))
+        variants = {kind: paper_k4_scenario(kind, steps=123) for kind in ("link", "noise", "none")}
+        for kind, config in variants.items():
+            assert config.name == f"paper_k4_{kind}" != fixture.name
+            assert config.steps == 123 != fixture.steps
+            assert config.topology == fixture.topology
+            assert np.array_equal(config.x0, fixture.x0)
+            assert config.T == fixture.T and config.kernel == fixture.kernel
+        assert variants["link"].attack == fixture.attack
+        noise = variants["noise"].attack
+        assert isinstance(noise, NoiseAttackSpec)
+        assert (noise.p_max, noise.safety, noise.nu) == (1.0, 0.9, None)
+        assert variants["none"].attack is None
 
 
 class TestReports:
