@@ -209,18 +209,23 @@ class PropagatorCache:
         return self.spectrum(mask).exp(self.h)
 
 
-def check_schedule_and_state(schedule: Schedule, grid: TimeGrid, x0: np.ndarray,
-                             topology: NetworkTopology) -> None:
-    """Reject a schedule (or its mask rows) that is not one row per grid
-    step, or a state that is not one finite value per node."""
-    if len(schedule) != grid.steps:
-        raise DynamicsError(
-            f"schedule has {len(schedule)} controls, grid has {grid.steps} steps")
+def check_state(x0: np.ndarray, topology: NetworkTopology) -> None:
+    """Reject a state that is not one finite value per node."""
     if x0.shape != (topology.n,):
         raise DynamicsError(f"x0 has shape {x0.shape}, expected ({topology.n},)")
     bad = np.flatnonzero(~np.isfinite(x0))
     if bad.size:
         raise DynamicsError(f"x0[{bad[0]}] must be finite, got {float(x0[bad[0]])}")
+
+
+def check_schedule_and_state(schedule: Schedule, grid: TimeGrid, x0: np.ndarray,
+                             topology: NetworkTopology) -> None:
+    """Reject a schedule that is not one row per grid step, or a state that
+    is not one finite value per node."""
+    if len(schedule) != grid.steps:
+        raise DynamicsError(
+            f"schedule has {len(schedule)} controls, grid has {grid.steps} steps")
+    check_state(x0, topology)
 
 
 def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,

@@ -7,7 +7,7 @@ is one (steps, m) break-mask `Schedule`. The greedy rule returns one row per
 state of a stack, breaking the budgeted number of links of highest dissipated
 power w_ij = a_ij (x_j - x_i)^2, found by linear-time selection of the cut
 value rather than a sort. The attack ranks a block of upcoming states in one
-call and writes the rows straight into the schedule; its result is
+call, and looks further ahead the longer the row holds; its result is
 bit-identical to re-ranking every step. The sweep ranks edges by the
 switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole
 trajectory in one call. On the reference K4 both give the same schedule, but the greedy rule is
@@ -25,12 +25,12 @@ import numpy as np
 
 from .dynamics import (Kernel, PropagatorCache, Trajectory, _ModeRecurrence,
                        average_and_disagreement, check_schedule_and_state,
-                       objective, propagate)
+                       check_state, objective, propagate)
 from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
-RANK_BLOCK = 2**15     # edge powers (steps x edges) the greedy attack ranks per greedy_control call
+RANK_BLOCK = 2**15     # most edge powers (steps x edges) the greedy attack ranks per greedy_control call
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,10 @@ def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
     descending ranking is sorted on first access."""
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
-    return EdgePowerReport(w=a * (x[..., j] - x[..., i]) ** 2)
+    # a single state (the oracle ranks hundreds per run) is indexed as x[j],
+    # a fifth of the cost of x[..., j]
+    xi, xj = (x[i], x[j]) if x.ndim == 1 else (x[..., i], x[..., j])
+    return EdgePowerReport(w=a * (xj - xi) ** 2)
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
@@ -132,23 +135,27 @@ def simulate_attack1(config) -> Attack1Outcome:
     step x[k+1] = E @ x[k].
 
     Ranking goes a block of steps at a time: the current E advances the state
-    up to RANK_BLOCK // m steps ahead, one greedy_control call ranks those
-    states, and every step up to the first row that differs from the current
-    one is kept. The state from there on is recomputed under the new row's E,
-    which is built only when the row changes. Each kept state is the same
-    E @ x of the same E as when re-ranking every step, so the trajectory,
-    schedule and J are bit-identical to that.
+    some steps ahead, one greedy_control call ranks those states, and every
+    step up to the first row that differs from the current one is kept. The
+    state from there on is recomputed under the new row's E, which is built
+    only when the row changes. The look-ahead starts at one step after each
+    change and doubles after every block the row survives, up to
+    RANK_BLOCK // m steps, so the discarded states of a run never outnumber
+    its kept ones: the attack ranks at most 2 * steps states, however often
+    the row changes. Each kept state is the same E @ x of the same E as when
+    re-ranking every step, so the trajectory, schedule and J are
+    bit-identical to that.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell, steps = config.attack.ell, grid.steps
     x0 = np.asarray(config.x0, dtype=float)
-    masks = np.empty((steps, topology.m), dtype=np.uint8)
-    check_schedule_and_state(masks, grid, x0, topology)
-    block = max(1, RANK_BLOCK // max(topology.m, 1))
+    check_state(x0, topology)
+    longest = max(1, RANK_BLOCK // max(topology.m, 1))
     cache = PropagatorCache(topology, grid.h)
+    masks = np.empty((steps, topology.m), dtype=np.uint8)
     x = np.empty((steps + 1, topology.n))
     x[0] = x0
-    k, row = 0, greedy_control(x0, topology, ell)
+    k, block, row = 0, 1, greedy_control(x0, topology, ell)
     E = cache.step(row)
     while k < steps:
         # x[k] is final, row is its greedy control and E its step
@@ -157,12 +164,15 @@ def simulate_attack1(config) -> Attack1Outcome:
             x[s + 1] = E @ x[s]
         ahead = greedy_control(x[k + 1:min(stop + 1, steps)], topology, ell)
         differ = np.flatnonzero((ahead != row).any(axis=-1))
-        kept = k + 1 + int(differ[0]) if differ.size else stop
-        masks[k:kept] = row
         if differ.size:
+            kept = k + 1 + int(differ[0])
+            masks[k:kept] = row
             row = ahead[differ[0]]
             E = cache.step(row)
-        k = kept
+            k, block = kept, 1
+        else:
+            masks[k:stop] = row
+            k, block = stop, min(2 * block, longest)
     traj = Trajectory(grid=grid, x=x)
     schedule = Schedule(topology, masks, ell)
     return Attack1Outcome(

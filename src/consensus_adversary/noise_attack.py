@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
-                       _ModeRecurrence, objective)
+                       _ModeRecurrence, check_state, objective)
 from .topology import LinkControl, build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
@@ -223,11 +223,13 @@ def simulate_attack2(config) -> Attack2Outcome:
     control synthesis, and forward propagation."""
     topology, grid, kernel = config.topology, config.grid, config.kernel
     spec = config.attack
+    x0 = np.asarray(config.x0, dtype=float)
+    check_state(x0, topology)
     spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
     setup = contraction_setup(kernel, grid, spec.p_max, safety=spec.safety, nu=spec.nu)
-    fixed = costate_fixed_point(spectrum, config.x0, kernel, grid, setup)
+    fixed = costate_fixed_point(spectrum, x0, kernel, grid, setup)
     u = optimal_noise(fixed.p, spec.p_max)
-    traj = propagate_forced(spectrum, config.x0, u, grid)
+    traj = propagate_forced(spectrum, x0, u, grid)
     J = objective(traj, kernel)
     return Attack2Outcome(
         trajectory=traj.with_costate(fixed.p),
@@ -253,9 +255,10 @@ def baseline_constant_control(config) -> dict:
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     p_max = config.attack.p_max
+    x0 = np.asarray(config.x0, dtype=float)
+    check_state(x0, topology)
     spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
     vals, vecs = spectrum.vals, spectrum.vecs
-    x0 = np.asarray(config.x0, dtype=float)
     n = topology.n
     t = grid.times()
     k = kernel.sample(t)

@@ -100,21 +100,43 @@ class TestSimulateAttack1:
         with pytest.raises(DynamicsError, match=r"x0\[1\] must be finite, got nan"):
             simulate_attack1(config)
 
-    def test_one_ranking_call_per_block_and_one_step_per_run(self, monkeypatch):
-        # the K4 run is stationary: one propagator, and the states are
-        # ranked a block at a time, not once per step
-        config = paper_k4_scenario("link", steps=2000)
+    @staticmethod
+    def count_calls(monkeypatch):
+        """States per greedy_control call and masks per PropagatorCache.step."""
         ranked, stepped = [], []
-        monkeypatch.setattr(link_attack, "greedy_control", lambda *args:
-                            ranked.append(args) or greedy_control(*args))
+        monkeypatch.setattr(link_attack, "greedy_control", lambda x, *args:
+                            ranked.append(len(np.atleast_2d(x))) or greedy_control(x, *args))
         step = PropagatorCache.step
         monkeypatch.setattr(PropagatorCache, "step", lambda self, mask:
                             stepped.append(mask) or step(self, mask))
+        return ranked, stepped
+
+    def test_one_step_per_run_and_doubling_look_ahead(self, monkeypatch):
+        # the K4 run is stationary: one propagator, and after x0 the states
+        # are ranked in blocks of 1, 2, 4, ... steps, not once per step
+        config = paper_k4_scenario("link", steps=2000)
+        ranked, stepped = self.count_calls(monkeypatch)
+        outcome = simulate_attack1(config)
+        assert len(outcome.schedule.runs()) == 1 and len(stepped) == 1
+        assert ranked[:4] == [1, 1, 2, 4]
+        assert len(ranked) == 1 + config.steps.bit_length()
+        assert sum(ranked) == config.steps
+
+    def test_ranked_states_bounded_when_the_row_changes_often(self, monkeypatch):
+        # each change discards the rest of its block, and the look-ahead
+        # restarts at one step after it: at most 2 * steps states are ranked
+        rng = np.random.default_rng(3)
+        n = 20
+        topology = NetworkTopology(n=n, edges=tuple(
+            (i, j, rng.uniform(0.2, 2.0)) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.5))
+        config = link_config(topology, rng.uniform(-1.0, 1.0, n), ell=topology.m // 4,
+                             steps=200)
+        ranked, stepped = self.count_calls(monkeypatch)
         outcome = simulate_attack1(config)
         runs = len(outcome.schedule.runs())
-        block = max(1, link_attack.RANK_BLOCK // config.topology.m)
-        assert runs == 1 and len(stepped) == runs
-        assert len(ranked) <= -(-config.steps // block) + runs + 1
+        assert runs >= 10 and len(stepped) == runs
+        assert sum(ranked) <= 2 * config.steps
 
 
 class TestCostateBackward:

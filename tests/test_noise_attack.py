@@ -189,6 +189,12 @@ class TestSpectrumReuse:
 
 
 class TestSimulateAttack2:
+    @pytest.mark.parametrize("run", [simulate_attack2, baseline_constant_control])
+    def test_non_finite_x0_named(self, run):
+        config = paper_k4_scenario("noise", steps=50).with_x0([1.0, np.nan, 3.0, 4.0])
+        with pytest.raises(DynamicsError, match=r"x0\[1\] must be finite, got nan"):
+            run(config)
+
     def test_reference_run(self):
         outcome = simulate_attack2(paper_k4_scenario("noise"))
         base = baseline_constant_control(paper_k4_scenario("noise"))
