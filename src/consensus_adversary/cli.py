@@ -10,6 +10,7 @@ CONSENSUS_ADVERSARY_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -136,7 +137,10 @@ def run_reproduce_paper(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="consensus-adversary",
         description="Consensus averaging under optimal link-breaking and "

@@ -233,9 +233,10 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
     """Propagate x' = A(t) x with a piecewise-constant link schedule.
 
     One mask row per grid step. Each run of equal rows builds its exact
-    exponential E once and applies x[k+1] = E @ x[k] per step. A shared
-    `cache` keeps the decompositions for later calls; without one, a fresh
-    cache serves this call.
+    exponential E once and applies x[k+1] = E @ x[k] per step, written in
+    place into the trajectory (the same gemv as `E @ x[k]`, without a
+    temporary). A shared `cache` keeps the decompositions for later calls;
+    without one, a fresh cache serves this call.
     """
     x0 = np.asarray(x0, dtype=float)
     check_schedule_and_state(schedule, grid, x0, topology)
@@ -245,7 +246,7 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
     for start, stop in schedule.runs():
         E = cache.step(schedule.masks[start])
         for k in range(start, stop):
-            x[k + 1] = E @ x[k]
+            np.dot(E, x[k], out=x[k + 1])
     return Trajectory(grid=grid, x=x)
 
 

@@ -10,10 +10,11 @@ value rather than a sort. The attack ranks a block of upcoming states in one
 call, and looks further ahead the longer the row holds; its result is
 bit-identical to re-ranking every step. The sweep ranks edges by the
 switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole
-trajectory in one call. On the reference K4 both give the same schedule, but the greedy rule is
-myopic and not globally optimal: on the weighted 4-path counterexample pinned
-in `tests/test_enumeration.py` the sweep converges to a different cut with
-more than twice greedy's objective.
+trajectory in one call, through the same top-ell cut. On the reference K4
+both give the same schedule, but the greedy rule is myopic and not
+globally optimal: on the weighted 4-path counterexample pinned in
+`tests/test_enumeration.py` the sweep converges to a different cut with more
+than twice greedy's objective.
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ class SwitchingReport:
     """Switching-function values and the induced bang-bang control, per state."""
 
     f: np.ndarray
-    order: np.ndarray                    # edge indices, most negative f first
     control: np.ndarray                  # uint8 break mask
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Edge indices, most negative f first (ties by edge index); sorted
+        on first access."""
+        return np.argsort(self.f, axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -91,24 +97,35 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.nda
     """uint8 break mask over topology.edges that breaks the ell highest-power
     edges (ties by edge index), one row per state x[..., :].
 
-    The rows come from the ell-th largest power by linear-time selection, not
-    a sort: every edge strictly above that cut, then the lowest-index edges
-    at the cut value up to ell. This is the set the stable descending
-    ranking's first ell picks. Zero-power edges are still selected to fill
-    the budget; breaking one removes no dissipated power at that instant, so
-    the ranking is indifferent to it.
+    The rows are the top-ell cut of the powers (`_top_ell`, linear-time
+    selection, not a sort): the set the stable descending ranking's first
+    ell picks. Zero-power edges are still selected to fill the budget;
+    breaking one removes no dissipated power at that instant, so the ranking
+    is indifferent to it.
     """
-    m = topology.m
-    if ell > m:
-        raise ValueError(f"budget {ell} exceeds edge count {m}")
-    w = edge_power(x, topology).w
+    if ell > topology.m:
+        raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
+    return _top_ell(edge_power(x, topology).w, ell)
+
+
+def _top_ell(w: np.ndarray, ell: int) -> np.ndarray:
+    """uint8 mask of the ell largest entries of each row w[..., :], ties to
+    the lowest index (0 <= ell <= w.shape[-1]): the first ell of the stable
+    descending order.
+
+    The ell-th largest value is found by linear-time selection, not a sort.
+    Every entry at or above that cut is kept, and only when ties at the cut
+    overfill some row (one count over the whole stack) are the rows rebuilt
+    from the entries strictly above it plus the lowest-index ones at it.
+    """
+    m = w.shape[-1]
     if ell == 0:
         return np.zeros(w.shape, dtype=np.uint8)
     cut = np.partition(w, m - ell, axis=-1)[..., m - ell, None]
     mask = w >= cut
-    # every row holds at least ell edges at or above its cut
+    # every row holds at least ell entries at or above its cut
     if np.count_nonzero(mask) > ell * (w.size // m):
-        # ties at the cut overfill some row: keep them in edge order
+        # ties at the cut overfill some row: keep them in index order
         tie = w == cut
         room = ell - np.count_nonzero(w > cut, axis=-1, keepdims=True)
         mask = (w > cut) | (tie & (np.cumsum(tie, axis=-1) <= room))
@@ -132,7 +149,7 @@ def classify(topology: NetworkTopology, schedule: Schedule,
 def simulate_attack1(config) -> Attack1Outcome:
     """Closed-loop greedy attack: the control at every grid step is the
     greedy row of that step's state, and each step is one exact-exponential
-    step x[k+1] = E @ x[k].
+    step x[k+1] = E @ x[k], written in place.
 
     Ranking goes a block of steps at a time: the current E advances the state
     some steps ahead, one greedy_control call ranks those states, and every
@@ -161,7 +178,7 @@ def simulate_attack1(config) -> Attack1Outcome:
         # x[k] is final, row is its greedy control and E its step
         stop = min(k + block, steps)
         for s in range(k, stop):
-            x[s + 1] = E @ x[s]
+            np.dot(E, x[s], out=x[s + 1])
         ahead = greedy_control(x[k + 1:min(stop + 1, steps)], topology, ell)
         differ = np.flatnonzero((ahead != row).any(axis=-1))
         if differ.size:
@@ -220,21 +237,18 @@ def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
                         ell: int) -> SwitchingReport:
     """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) and the induced
     control: break the ell most negative f's among those strictly below zero
-    (and below the (ell+1)-th smallest), per state x[..., :] and co-state
-    p[..., :]. f_ij = 0 edges resolve to 0.
+    (ties by edge index), per state x[..., :] and co-state p[..., :]. f_ij = 0
+    edges resolve to 0.
+
+    The control is the greedy attack's top-ell cut (`_top_ell`) applied to -f
+    and then restricted to f < 0, so no row is sorted; the report's ascending
+    `order` is sorted on first access.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     i, j, a = topology.arrays
     f = a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
-    order = np.argsort(f, axis=-1, kind="stable")   # ascending, ties by edge index
-    ranked = np.take_along_axis(f, order, axis=-1)
-    f_cut = ranked[..., ell:ell + 1] if topology.m > ell else np.inf   # (ell+1)-th smallest
-    # the candidates form a prefix of the ascending order; break its first ell
-    breaks = (ranked < 0) & (ranked <= f_cut) & (np.arange(topology.m) < ell)
-    control = np.zeros(f.shape, dtype=np.uint8)
-    np.put_along_axis(control, order, breaks, axis=-1)
-    return SwitchingReport(f=f, order=order, control=control)
+    return SwitchingReport(f=f, control=_top_ell(-f, min(ell, topology.m)) & (f < 0))
 
 
 def forward_backward_sweep(config) -> SweepResult:

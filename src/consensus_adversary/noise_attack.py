@@ -209,12 +209,21 @@ def lagrange_multiplier(u: np.ndarray, p: np.ndarray, p_max: float) -> np.ndarra
 def propagate_forced(spectrum: Spectrum, x0: np.ndarray, u: np.ndarray,
                      grid: TimeGrid) -> Trajectory:
     """x' = A x + u(t) with the exact homogeneous propagator per step and a
-    trapezoid approximation of the forcing convolution."""
+    trapezoid approximation of the forcing convolution:
+    x[k+1] = E x[k] + h/2 (E u[k] + u[k+1]).
+
+    The forcing of every step comes first, from one stacked matmul whose
+    slices are the same gemv as `E @ u[k]`; each step then writes E x[k] in
+    place and adds its forcing."""
     E = spectrum.exp(grid.h)
+    forcing = np.matmul(E, u[:grid.steps, :, None])[..., 0]
+    forcing += u[1:grid.steps + 1]
+    forcing *= 0.5 * grid.h
     x = np.empty((grid.steps + 1, len(x0)))
     x[0] = np.asarray(x0, dtype=float)
     for k in range(grid.steps):
-        x[k + 1] = E @ x[k] + 0.5 * grid.h * (E @ u[k] + u[k + 1])
+        np.dot(E, x[k], out=x[k + 1])
+        x[k + 1] += forcing[k]
     return Trajectory(grid=grid, x=x)
 
 

@@ -21,6 +21,7 @@ from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
+CSV_BLOCK = 512   # most values one `%` operation of the CSV writer formats
 
 
 class ScenarioError(ValueError):
@@ -165,7 +166,11 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
         path = (base_dir or Path(".")) / topo_doc
         if not path.exists():
             raise ScenarioError(f"topology: referenced file not found: {path}")
-        topo_doc = json.loads(path.read_text())
+        try:
+            topo_doc = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(
+                f"topology: {path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(topo_doc, dict):
         raise ScenarioError("topology: must be an object or a file reference")
     topology = _parse_topology(topo_doc, "topology")
@@ -269,11 +274,21 @@ class PlainOutcome:
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """One header line, then one line per row of the stacked columns. %.17g
-    round-trips every double and prints integral values, node ids say,
-    without a decimal point."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """One header line, one name per column, then one line per row of the
+    stacked columns. %.17g round-trips every double and prints integral
+    values, node ids say, without a decimal point.
+
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")` on the
+    stacked table, but the rows are stacked and formatted a block at a time:
+    one `%` operation per block of at most CSV_BLOCK values (one row, if a
+    row is wider), not one per row, and no full table is held."""
+    rows = max(1, CSV_BLOCK // len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), rows):
+            block = np.column_stack([c[start:start + rows] for c in columns])
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -290,10 +305,22 @@ def write_control_csv(t: np.ndarray, u: np.ndarray, path: Path) -> None:
 
 
 def write_broken_edges_csv(outcome, path: Path) -> None:
+    """One `t,edge_i,edge_j` line per broken edge and step, in step then edge
+    order, with the bytes `_write_csv` gives that table. It goes a block of
+    steps at a time (at most CSV_BLOCK values); each step's time and each
+    edge's 1-based ids are formatted once."""
     i, j, _ = outcome.topology.arrays
-    k, e = np.nonzero(outcome.schedule.masks)
-    _write_csv(path, ["t", "edge_i", "edge_j"],
-               [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
+    ids = ["%.17g,%.17g\n" % pair for pair in zip((i + 1.0).tolist(), (j + 1.0).tolist())]
+    masks = outcome.schedule.masks
+    times = outcome.trajectory.grid.times()
+    steps = max(1, CSV_BLOCK // (3 * max(outcome.schedule.ell, 1)))
+    with open(path, "w") as fh:
+        fh.write("t,edge_i,edge_j\n")
+        for start in range(0, masks.shape[0], steps):
+            k, e = np.nonzero(masks[start:start + steps])
+            used = np.unique(k)
+            text = dict(zip(used.tolist(), ["%.17g," % t for t in times[start + used].tolist()]))
+            fh.write("".join([text[s] + ids[x] for s, x in zip(k.tolist(), e.tolist())]))
 
 
 def write_report(outcome, directory) -> list[Path]:

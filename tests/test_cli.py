@@ -90,6 +90,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    def test_malformed_topology_file_exits_2(self, tmp_path, capsys):
+        # broken JSON in a referenced topology file is a usage error that
+        # names the field, the file and the line, as in the scenario file
+        (tmp_path / "topo.json").write_text('{"n": 2,\n "edges": [[1, 2, 1.0]]\n "x": 1}')
+        doc = scenario_to_doc(paper_k4_scenario("none", steps=5))
+        doc.update(topology="topo.json", x0=[0.0, 1.0])
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology: ") and "topo.json: parse error at line 3" in err
+        assert not (tmp_path / "o").exists()
+
     def test_nu_checked_against_overridden_steps(self, tmp_path, capsys):
         # nu_max is 0.04545 on the 4-step grid of the file, 0.04520 on 400 steps
         doc = scenario_to_doc(paper_k4_scenario("noise", steps=4))
@@ -159,6 +173,28 @@ class TestSubcommands:
         assert main(["simulate", "--scenario", str(scenarios["none"]),
                      "--quiet"]) == 0
         assert (tmp_path / "paper_k4_none" / "summary.json").exists()
+
+
+class TestParserReuse:
+    def test_calls_do_not_share_options(self, scenarios, tmp_path, capsys):
+        # one parser serves every call; options set by one call must not
+        # reach the next, whichever subcommand it runs
+        assert main(["attack1", "--scenario", str(scenarios["link"]), "--steps", "7",
+                     "--out", str(tmp_path / "a1"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["simulate", "--scenario", str(scenarios["none"]),
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert "J =" in capsys.readouterr().err
+        steps = {name: json.loads((tmp_path / name / "summary.json").read_text())["steps"]
+                 for name in ("a1", "sim")}
+        assert steps == {"a1": 7, "sim": 50}
+        with pytest.raises(SystemExit):
+            main(["simulate", "--fast"])
+        capsys.readouterr()
+        assert main(["attack1", "--scenario", str(scenarios["link"]),
+                     "--out", str(tmp_path / "a1")]) == 0
+        assert json.loads((tmp_path / "a1" / "summary.json").read_text())["steps"] == 50
+        assert "classification" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -280,6 +280,55 @@ class TestAgainstPerEdgeReference:
 
 
 @st.composite
+def tie_heavy_switching(draw):
+    """A random graph on 2 to 7 nodes with integer weights (scaled by 50 when
+    stiff), integer-valued states and co-states that may hold -0.0, as one
+    state or a stack of up to five, and a budget from 0 to one above the
+    edge count: ties at the top-ell cut and f = -0.0 are common."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    pairs = pairs or [(0, 1)]
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    topology = NetworkTopology(
+        n=n, edges=tuple((i, j, scale * draw(st.integers(1, 3))) for (i, j) in pairs))
+    value = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    shape = (n,) if draw(st.booleans()) else (draw(st.integers(1, 5)), n)
+    x = np.array([draw(value) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    p = np.array([draw(value) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    return topology, x, p, draw(st.integers(0, topology.m + 1))
+
+
+def argsort_switching(f, ell):
+    """Control and order by a stable ascending sort of f: break the first
+    ell edges of the order among those below zero and at most the
+    (ell+1)-th smallest."""
+    m = f.shape[-1]
+    order = np.argsort(f, axis=-1, kind="stable")
+    ranked = np.take_along_axis(f, order, axis=-1)
+    f_cut = ranked[..., ell:ell + 1] if m > ell else np.inf
+    breaks = (ranked < 0) & (ranked <= f_cut) & (np.arange(m) < ell)
+    control = np.zeros(f.shape, dtype=np.uint8)
+    np.put_along_axis(control, order, breaks, axis=-1)
+    return control, order
+
+
+class TestSwitchingAgainstArgsort:
+    """The top-ell cut against a stable ascending sort of f, on the ties
+    that the sort settles by edge index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_heavy_switching())
+    @example(case=(PATH3, np.array([0.0, -0.0, 0.0]), np.array([1.0, 0.0, -1.0]), 1))
+    def test_control_and_order(self, case):
+        topology, x, p, ell = case
+        report = switching_functions(x, p, topology, ell)
+        control, order = argsort_switching(report.f, ell)
+        assert report.control.dtype == np.uint8
+        assert np.array_equal(report.control, control)
+        assert np.array_equal(report.order, order)
+
+
+@st.composite
 def run_schedules(draw):
     """A random connected graph on 2 to 8 nodes (weights scaled by 50 when
     stiff), a state, a horizon, a constant or table kernel, and a schedule of

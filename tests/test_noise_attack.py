@@ -160,6 +160,39 @@ class TestPropagateForced:
         assert np.max(np.abs(traj.x[:, 1] - (2.0 - 0.25 * t))) < 1e-14
 
 
+@st.composite
+def forced_runs(draw):
+    """A random graph on 1 to 8 nodes, connected or not (weights scaled by 50
+    when stiff), a state, a grid of 1 to 300 steps and a forcing sample per
+    grid point."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    scale = 50.0 if draw(st.booleans()) else 1.0
+    topology = NetworkTopology(
+        n=n, edges=tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in pairs))
+    grid = TimeGrid(T=draw(st.floats(0.5, 3.0)), steps=draw(st.integers(1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (topology, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (grid.steps + 1, n)),
+            grid)
+
+
+class TestPropagateForcedAgainstPerStep:
+    """The stacked forcing and in-place steps against the per-step formula;
+    the stacked matmul must run the same gemv as one `E @ u[k]`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=forced_runs())
+    def test_bit_identical(self, case):
+        topology, x0, u, grid = case
+        spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
+        E = spectrum.exp(grid.h)
+        x = np.empty((grid.steps + 1, topology.n))
+        x[0] = x0
+        for k in range(grid.steps):
+            x[k + 1] = E @ x[k] + 0.5 * grid.h * (E @ u[k] + u[k + 1])
+        assert np.array_equal(propagate_forced(spectrum, x0, u, grid).x, x)
+
+
 class TestBaseline:
     def test_consensus_start_saturates_bound(self):
         # from the consensus line the constant control gives exactly P T^3 / 3

@@ -1,20 +1,23 @@
 """Unit tests for scenario parsing, fixtures, and report persistence."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from consensus_adversary.dynamics import Kernel, objective, propagate
+from consensus_adversary import scenario
+from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, objective, propagate
 from consensus_adversary.link_attack import simulate_attack1
 from consensus_adversary.noise_attack import simulate_attack2
-from consensus_adversary.scenario import (LinkAttackSpec, NoiseAttackSpec,
-                                          PlainOutcome, ScenarioError,
+from consensus_adversary.scenario import (CSV_BLOCK, LinkAttackSpec,
+                                          NoiseAttackSpec, PlainOutcome,
+                                          ScenarioConfig, ScenarioError,
                                           fixture_path, load_scenario,
                                           parse_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc,
-                                          write_report)
-from consensus_adversary.topology import Schedule
+                                          write_broken_edges_csv, write_report)
+from consensus_adversary.topology import NetworkTopology, Schedule
 
 
 def minimal_doc(**overrides):
@@ -161,3 +164,81 @@ class TestReports:
         for name in ("trajectory.csv", "broken_edges.csv", "summary.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+
+def savetxt_bytes(path, header, columns) -> bytes:
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 3.0, -7.0,
+           2.0**53, 0.1, 1 / 3, np.nan, np.inf, -np.inf]
+
+
+def table_columns(rows, width, seed=0):
+    """A t column and a (rows, width - 1) block holding SPECIAL's values and
+    random doubles of every magnitude."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(rows * width) * 10.0 ** rng.integers(-300, 300, rows * width)
+    values[:len(SPECIAL)] = SPECIAL[:rows * width]
+    table = values.reshape(rows, width)
+    return [table[:, 0], table[:, 1:]]
+
+
+class TestCsvBytes:
+    """The block writer against np.savetxt, byte for byte."""
+
+    @pytest.mark.parametrize("rows,width", [
+        (0, 3), (1, 3), (1, 9), (1, CSV_BLOCK + 3), (3, CSV_BLOCK + 3),
+        (CSV_BLOCK // 9 - 1, 9), (CSV_BLOCK // 9, 9), (CSV_BLOCK // 9 + 1, 9),
+        (CSV_BLOCK // 3 - 1, 3), (CSV_BLOCK // 3, 3), (CSV_BLOCK // 3 + 1, 3),
+        (5 * (CSV_BLOCK // 5) + 1, 5), (2001, 9), (1, 1), (CSV_BLOCK + 1, 1)])
+    def test_write_csv_matches_savetxt(self, tmp_path, rows, width):
+        columns = table_columns(rows, width, seed=rows * 1000 + width)
+        header = [f"c{k}" for k in range(width)]
+        scenario._write_csv(tmp_path / "got.csv", header, columns)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == savetxt_bytes(tmp_path / "want.csv", header, columns))
+
+    @staticmethod
+    def savetxt_broken_edges(outcome, path) -> bytes:
+        i, j, _ = outcome.topology.arrays
+        k, e = np.nonzero(outcome.schedule.masks)
+        return savetxt_bytes(path, ["t", "edge_i", "edge_j"],
+                             [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
+
+    def check_broken_edges(self, outcome, tmp_path):
+        write_broken_edges_csv(outcome, tmp_path / "got.csv")
+        want = self.savetxt_broken_edges(outcome, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == want
+        return want
+
+    def test_broken_edges_on_k4_fixture(self, tmp_path):
+        self.check_broken_edges(simulate_attack1(paper_k4_scenario("link")), tmp_path)
+
+    def test_broken_edges_tie_heavy_greedy(self, tmp_path):
+        # unit-weight K5 with repeated integer states: the powers tie often
+        k5 = NetworkTopology(n=5, edges=tuple((i, j, 1.0) for i in range(5)
+                                              for j in range(i + 1, 5)))
+        config = ScenarioConfig(name="k5", topology=k5, x0=np.array([0.0, 0.0, 1.0, 1.0, 3.0]),
+                                T=3.0, steps=700, kernel=Kernel.constant(1.0),
+                                attack=LinkAttackSpec(ell=4))
+        self.check_broken_edges(simulate_attack1(config), tmp_path)
+
+    @pytest.mark.parametrize("ell", [0, 1, 3, 10])
+    def test_broken_edges_random_schedule(self, tmp_path, ell):
+        # rows with anywhere from no broken edge to ell, over several blocks
+        topology = NetworkTopology(n=5, edges=tuple((i, j, 1.0) for i in range(5)
+                                                    for j in range(i + 1, 5)))
+        rng = np.random.default_rng(ell)
+        steps = 3 * CSV_BLOCK
+        masks = np.zeros((steps, topology.m), dtype=np.uint8)
+        for row in masks:
+            row[rng.choice(topology.m, rng.integers(0, ell + 1), replace=False)] = 1
+        grid = TimeGrid(T=0.7, steps=steps)
+        outcome = SimpleNamespace(topology=topology, schedule=Schedule(topology, masks, ell),
+                                  trajectory=Trajectory(grid=grid, x=np.zeros((steps + 1, 5))))
+        want = self.check_broken_edges(outcome, tmp_path)
+        if ell == 0:
+            assert want == b"t,edge_i,edge_j\n"
