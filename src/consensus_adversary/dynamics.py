@@ -33,6 +33,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.T > 0:
             raise DynamicsError(f"horizon must be positive, got {self.T}")
+        if not np.isfinite(self.T):
+            raise DynamicsError(f"horizon must be finite, got {self.T}")
         if self.steps < 1:
             raise DynamicsError(f"steps must be positive, got {self.steps}")
 
@@ -141,7 +143,7 @@ class Spectrum:
         # int_0^h e^{2 lam tau} dtau per mode, minus the consensus projector part
         with np.errstate(divide="ignore", invalid="ignore"):
             mode_int = np.where(np.abs(vals) > 1e-12,
-                                (np.exp(2.0 * vals * h) - 1.0) / (2.0 * vals),
+                                np.expm1(2.0 * vals * h) / (2.0 * vals),
                                 h)
         return (vecs * mode_int[..., None, :]) @ vecs.swapaxes(-1, -2) - h * (1.0 / vals.shape[-1])
 

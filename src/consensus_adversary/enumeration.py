@@ -1,20 +1,21 @@
-"""Brute-force oracle for the greedy link-attack strategy.
+"""Exact oracle for the greedy link-attack strategy.
 
-Enumerates every admissible piecewise-constant break schedule on a coarse
-switch grid and compares the best objective against the closed-loop greedy
-schedule. Both sides are evaluated with the same per-interval machinery
-(exact eigenmode integrals, constant kernel), so the comparison isolates
-strategy rather than integration error.
+Finds the best of every admissible piecewise-constant break schedule on a
+switch grid, by branch and bound over the schedule tree, and compares it
+against the closed-loop greedy schedule. Both sides are evaluated with the
+same per-interval machinery (exact eigenmode integrals, constant kernel), so
+the comparison isolates strategy rather than integration error.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsError, Spectrum, TimeGrid
+from .dynamics import Spectrum, TimeGrid, check_state
 from .link_attack import greedy_control
 from .topology import NetworkTopology, Schedule, build_system_matrix
 
@@ -29,7 +30,8 @@ class EnumerationResult:
     j_best: float
     best_schedule: tuple[tuple[tuple[int, int], ...], ...]   # per-interval broken (i, j) pairs
     greedy_schedule: tuple[tuple[tuple[int, int], ...], ...]
-    num_schedules: int
+    num_schedules: int                 # nc^K, every schedule, pruned or not
+    prefixes_kept: tuple[int, ...]     # surviving prefixes after each level
 
 
 def admissible_break_sets(topology: NetworkTopology, ell: int):
@@ -47,38 +49,46 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     The nc admissible break sets are one (nc, m) mask array, decomposed in
     one stacked call into each control's propagator exp(A_c h) and form W_c,
     y' W_c y = int_0^h |exp(A_c tau) y - M y|^2 dtau (constant kernel k == 1).
-    The schedules form a prefix tree, one level per interval. Level s adds
-    x_r' W_c x_r = vec(W_c) . vec(x_r x_r') to the partial objectives of its
-    nc^s prefix states x_r, for every control c, as one GEMM of (nc, n^2) by
-    (n^2, nc^s); one stacked propagator product gives the next level's
-    states. Schedule index i gives step s's control as digit s of i in base
-    nc (weight nc^s), and ties resolve to the first maximiser in that order.
-    Both sides start from x0 minus its mean.
+    Greedy and every constant schedule are evaluated first, by the same
+    forms as the tree; the larger of their J is the incumbent. The
+    schedules form a prefix tree, one level per interval, searched by
+    branch and bound (Land & Doig, Econometrica 28, 1960): level s extends
+    each surviving prefix state x_r by every control c, adding x_r' W_c x_r
+    to its partial J as one GEMM of the (nc, n^2) forms by the prefixes'
+    outer products. Under every control d/dt |e|^2 = 2 e'A_c e <=
+    -2 mu |e|^2, with mu the least algebraic connectivity over the alphabet
+    (0 if a control disconnects the graph), so a prefix at deviation e at
+    time t gains at most |e|^2 (1 - exp(-2 mu (T - t))) / (2 mu) more,
+    |e|^2 (T - t) at mu = 0. mu is taken 1e-9 of the fastest rate lower,
+    for the eigenvalues' rounding. A prefix whose partial J plus that bound
+    is below incumbent * (1 - 1e-12) is dropped; the margin keeps rounding
+    from dropping the maximiser. A prefix whose J plus its bound rounds to
+    J, as at exact consensus or after a stiff decay, keeps only its first
+    extension: every extension gives it the same J.
+
+    Schedule index i gives step s's control as digit s of i in base nc
+    (weight nc^s). Each survivor keeps its control and its prefix's
+    position, not its index (nc^K overflows int64 from K = 15 at nc = 22).
+    Survivors stay in index order, so ties resolve to the first maximiser
+    in that order, as in a full enumeration. `num_schedules` counts all
+    nc^K schedules, pruned or not; `prefixes_kept` gives the survivors
+    after each level. Both sides start from x0 minus its mean, or from 0
+    at consensus.
     """
     h = TimeGrid(T, intervals).h
     x0 = np.asarray(x0, dtype=float)
+    check_state(x0, topology)
     n = topology.n
-    if x0.shape != (n,):
-        raise DynamicsError(f"x0 has shape {x0.shape}, expected ({n},)")
     # J and the power ranking ignore a consensus offset; dropping it keeps the
     # rounding of the system matrices' row sums out of a J near consensus
-    x0 = x0 - np.mean(x0)
+    # (at consensus the mean's own rounding may leave a multiple of 1 behind)
+    x0 = x0 - np.mean(x0) if np.ptp(x0) > 0 else np.zeros(n)
     control_sets = admissible_break_sets(topology, ell)
     alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
     nc = len(alphabet)
     spectrum = Spectrum(build_system_matrix(topology, alphabet))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
-    X = x0[None, :]      # (nc^s, n) prefix states
-    J = np.zeros(1)      # (nc^s,) partial objectives
-    for step in range(intervals):
-        # prefix r extended by control c lands at index c * nc^step + r
-        level = forms @ (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n).T
-        J = np.add(level, J, out=level).reshape(-1)
-        if step + 1 < intervals:
-            X = np.matmul(X, props.transpose(0, 2, 1)).reshape(-1, n)
-    best_idx = int(np.argmax(J))
-    best_schedule = tuple(control_sets[best_idx // nc ** s % nc] for s in range(intervals))
 
     # greedy on the same switch grid with the same evaluators
     y = x0.copy()
@@ -90,12 +100,53 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
         greedy_schedule.append(control_sets[c])
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
+    # every constant schedule in one stacked pass, by the same forms as the
+    # tree; the best is the other incumbent
+    Y = np.broadcast_to(x0, (nc, n))
+    j_constant = np.zeros(nc)
+    for _ in range(intervals):
+        j_constant += np.einsum("ci,cij,cj->c", Y, quads, Y)
+        Y = np.einsum("cij,cj->ci", props, Y)
+    incumbent = max(j_greedy, float(j_constant.max()))
+    floor = incumbent - 1e-12 * abs(incumbent)
+    # mu less 1e-9 of the fastest rate, so a disconnecting control gives a
+    # slightly negative mu and the bound allows for the eigenvalues' rounding
+    vals = spectrum.vals
+    mu = float(1e-9 * vals[:, 0].min() - vals[:, -2].max()) if n > 1 else 0.0
+
+    X = x0[None, :]      # (r, n) surviving prefix states
+    J = np.zeros(1)      # (r,) their partial objectives
+    settled = ~X.any(axis=1)   # (r,) J plus its bound rounds to J
+    controls, parents = [], []   # per level: each survivor's control and prefix
+    for step in range(intervals):
+        # candidate (c, r), prefix r extended by control c, has index
+        # c * nc^step + (index of r), so C order is index order
+        level = forms @ (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n).T
+        J = np.add(level, J, out=level)
+        X_next = np.matmul(X, props.transpose(0, 2, 1))
+        # J can still gain at most |e|^2 times this over the remaining time
+        tau = (intervals - 1 - step) * h
+        bound = np.einsum("crn,crn->cr", X_next, X_next)
+        bound *= -math.expm1(-2.0 * mu * tau) / (2.0 * mu) if mu else tau
+        bound += J
+        keep = bound >= floor
+        keep[1:, settled] = False    # only the first extension of a settled prefix
+        c, r = np.nonzero(keep)
+        X, J, settled = X_next[c, r], J[c, r], (bound == J)[c, r]
+        controls.append(c)
+        parents.append(r)
+    best = int(np.argmax(J))
+    best_schedule, r = [], best
+    for c, parent in zip(reversed(controls), reversed(parents)):
+        best_schedule.append(control_sets[c[r]])
+        r = parent[r]
     return EnumerationResult(
         j_greedy=j_greedy,
-        j_best=float(J[best_idx]),
-        best_schedule=best_schedule,
+        j_best=float(J[best]),
+        best_schedule=tuple(reversed(best_schedule)),
         greedy_schedule=tuple(greedy_schedule),
-        num_schedules=len(J),
+        num_schedules=nc ** intervals,
+        prefixes_kept=tuple(len(c) for c in controls),
     )
 
 
