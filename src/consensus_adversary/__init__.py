@@ -3,11 +3,11 @@ ranked by dissipated power, and power-capped noise injection synthesized from
 a contraction fixed point of the co-state equation."""
 
 from .dynamics import (Kernel, Spectrum, TimeGrid, Trajectory,
-                       average_and_disagreement, matrix_exponential, objective,
-                       propagate)
+                       matrix_exponential, objective, propagate)
 from .link_attack import (Attack1Outcome, SweepResult, costate_backward,
                           edge_power, forward_backward_sweep, greedy_control,
-                          simulate_attack1, switching_functions)
+                          simulate_attack1, switching_control,
+                          switching_functions)
 from .noise_attack import (Attack2Outcome, ContractionSetup,
                            baseline_constant_control, contraction_setup,
                            costate_fixed_point, default_seed, g_term,

@@ -113,14 +113,14 @@ def run_reproduce_paper(args) -> int:
     a2 = noise_attack.simulate_attack2(noise_cfg)
     write_report(a2, out / "attack2")
 
-    w = link_attack.edge_power(link_cfg.x0, link_cfg.topology)
-    w_by_edge = dict(zip(link_cfg.topology.pairs, w.w))
+    w_by_edge = dict(zip(link_cfg.topology.pairs,
+                         link_attack.edge_power(link_cfg.x0, link_cfg.topology)))
     checks.append(("w13(0) = 2.2101 +- 5e-4", abs(w_by_edge[(0, 2)] - 2.2101) < 5e-4,
                    f"{w_by_edge[(0, 2)]:.5f}"))
     checks.append(("w14(0) = 13.8979 +- 5e-4", abs(w_by_edge[(0, 3)] - 13.8979) < 5e-4,
                    f"{w_by_edge[(0, 3)]:.5f}"))
-    stationary = (a1.stationary
-                  and a1.schedule[0].broken_edges(link_cfg.topology) == [(0, 2), (0, 3)])
+    broken = [link_cfg.topology.pairs[e] for e in np.flatnonzero(a1.schedule.masks[0])]
+    stationary = a1.stationary and broken == [(0, 2), (0, 3)]
     checks.append(("stationary control breaking (1,3),(1,4)", stationary,
                    f"stationary={a1.stationary}"))
     checks.append(("J(attack-I) > J(no attack)", a1.J > j_none,

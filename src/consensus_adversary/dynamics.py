@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .topology import LinkControl, NetworkTopology, Schedule, build_system_matrix
+from .topology import NetworkTopology, Schedule, build_system_matrix
 
 
 class DynamicsError(ValueError):
@@ -202,8 +202,7 @@ class PropagatorCache:
     def spectrum(self, mask: np.ndarray) -> Spectrum:
         key = mask.tobytes()
         if key not in self._spectra:
-            control = LinkControl(bits=mask, ell=int(mask.sum()))
-            self._spectra[key] = Spectrum(build_system_matrix(self.topology, control))
+            self._spectra[key] = Spectrum(build_system_matrix(self.topology, mask))
         return self._spectra[key]
 
     def step(self, mask: np.ndarray) -> np.ndarray:
@@ -250,13 +249,6 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
         for k in range(start, stop):
             np.dot(E, x[k], out=x[k + 1])
     return Trajectory(grid=grid, x=x)
-
-
-def average_and_disagreement(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Average of the entries and the deviation vector from it."""
-    x = np.asarray(x, dtype=float)
-    avg = float(np.mean(x))
-    return avg, x - avg
 
 
 def objective(traj: Trajectory, kernel: Kernel) -> float:

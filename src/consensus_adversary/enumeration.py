@@ -86,7 +86,7 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     control_sets = admissible_break_sets(topology, ell)
     alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
     nc = len(alphabet)
-    spectrum = Spectrum(build_system_matrix(topology, alphabet))
+    spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
 

@@ -10,54 +10,27 @@ value rather than a sort. The attack ranks a block of upcoming states in one
 call, and looks further ahead the longer the row holds; its result is
 bit-identical to re-ranking every step. The sweep ranks edges by the
 switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole
-trajectory in one call, through the same top-ell cut. On the reference K4
-both give the same schedule, but the greedy rule is myopic and not
-globally optimal: on the weighted 4-path counterexample pinned in
-`tests/test_enumeration.py` the sweep converges to a different cut with more
-than twice greedy's objective.
+trajectory in one call, through the same top-ell cut (`switching_control`).
+On the reference K4 both give the same schedule, but the greedy rule is
+myopic and not globally optimal: on the weighted 4-path counterexample
+pinned in `tests/test_enumeration.py` the sweep converges to a different cut
+with more than twice greedy's objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .dynamics import (Kernel, PropagatorCache, Trajectory, _ModeRecurrence,
-                       average_and_disagreement, check_schedule_and_state,
-                       check_state, objective, propagate)
+                       check_schedule_and_state, check_state, objective,
+                       propagate)
 from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
 RANK_BLOCK = 2**15     # most edge powers (steps x edges) the greedy attack ranks per greedy_control call
-
-
-@dataclass(frozen=True)
-class EdgePowerReport:
-    """Per-edge power and its descending ranking (ties by edge index), per state."""
-
-    w: np.ndarray                        # power per edge
-
-    @cached_property
-    def ranking(self) -> np.ndarray:
-        """Edge indices, highest power first; sorted on first access."""
-        return np.argsort(-self.w, axis=-1, kind="stable")
-
-
-@dataclass(frozen=True)
-class SwitchingReport:
-    """Switching-function values and the induced bang-bang control, per state."""
-
-    f: np.ndarray
-    control: np.ndarray                  # uint8 break mask
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Edge indices, most negative f first (ties by edge index); sorted
-        on first access."""
-        return np.argsort(self.f, axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -82,15 +55,14 @@ class SweepResult:
     iterations: int
 
 
-def edge_power(x: np.ndarray, topology: NetworkTopology) -> EdgePowerReport:
-    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :]; its
-    descending ranking is sorted on first access."""
+def edge_power(x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
+    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :]."""
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
     # a single state (the oracle ranks hundreds per run) is indexed as x[j],
     # a fifth of the cost of x[..., j]
     xi, xj = (x[i], x[j]) if x.ndim == 1 else (x[..., i], x[..., j])
-    return EdgePowerReport(w=a * (xj - xi) ** 2)
+    return a * (xj - xi) ** 2
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
@@ -105,7 +77,7 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.nda
     """
     if ell > topology.m:
         raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
-    return _top_ell(edge_power(x, topology).w, ell)
+    return _top_ell(edge_power(x, topology), ell)
 
 
 def _top_ell(w: np.ndarray, ell: int) -> np.ndarray:
@@ -136,12 +108,12 @@ def classify(topology: NetworkTopology, schedule: Schedule,
              x_final: np.ndarray, x0: np.ndarray) -> str:
     """winning if the surviving graph is disconnected under the last control;
     losing if disagreement collapsed to consensus; else ongoing."""
-    if len(connected_components(topology, schedule[-1])) > 1:
+    if len(connected_components(topology, schedule.masks[-1])) > 1:
         return "winning"
-    _, e0 = average_and_disagreement(np.asarray(x0, dtype=float))
-    _, e = average_and_disagreement(np.asarray(x_final, dtype=float))
-    init_spread = np.max(np.abs(e0))
-    if init_spread == 0 or np.max(np.abs(e)) < CONSENSUS_TOL * init_spread:
+    x0, x_final = np.asarray(x0, dtype=float), np.asarray(x_final, dtype=float)
+    init_spread = np.max(np.abs(x0 - np.mean(x0)))
+    spread = np.max(np.abs(x_final - np.mean(x_final)))
+    if init_spread == 0 or spread < CONSENSUS_TOL * init_spread:
         return "losing"
     return "ongoing"
 
@@ -233,22 +205,21 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
     return p
 
 
-def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
-                        ell: int) -> SwitchingReport:
-    """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) and the induced
-    control: break the ell most negative f's among those strictly below zero
-    (ties by edge index), per state x[..., :] and co-state p[..., :]. f_ij = 0
-    edges resolve to 0.
-
-    The control is the greedy attack's top-ell cut (`_top_ell`) applied to -f
-    and then restricted to f < 0, so no row is sorted; the report's ascending
-    `order` is sorted on first access.
-    """
+def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology) -> np.ndarray:
+    """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) per edge of each
+    state x[..., :] and co-state p[..., :]."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     i, j, a = topology.arrays
-    f = a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
-    return SwitchingReport(f=f, control=_top_ell(-f, min(ell, topology.m)) & (f < 0))
+    return a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
+
+
+def switching_control(f: np.ndarray, ell: int) -> np.ndarray:
+    """uint8 bang-bang break mask of switching functions f[..., :]: break the
+    ell most negative f's among those strictly below zero (ties by edge
+    index); f_ij = 0 edges resolve to 0. It is the greedy attack's top-ell
+    cut (`_top_ell`) of -f, restricted to f < 0."""
+    return _top_ell(-f, min(ell, f.shape[-1])) & (f < 0)
 
 
 def forward_backward_sweep(config) -> SweepResult:
@@ -276,7 +247,7 @@ def forward_backward_sweep(config) -> SweepResult:
         J = objective(traj, kernel)
         if best is None or J > best[0]:
             best = (J, schedule)
-        masks = switching_functions(traj.x[:-1], p[:-1], topology, ell).control
+        masks = switching_control(switching_functions(traj.x[:-1], p[:-1], topology), ell)
         if np.array_equal(masks, schedule.masks):
             converged = True
             break

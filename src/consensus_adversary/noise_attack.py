@@ -15,7 +15,7 @@ from scipy.integrate import simpson
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
                        _ModeRecurrence, check_state, objective)
-from .topology import LinkControl, build_system_matrix
+from .topology import build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
 FIXED_POINT_TOL = 1e-8      # co-state iteration stops below this residual relative to the iterate
@@ -234,7 +234,7 @@ def simulate_attack2(config) -> Attack2Outcome:
     spec = config.attack
     x0 = np.asarray(config.x0, dtype=float)
     check_state(x0, topology)
-    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
+    spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
     setup = contraction_setup(kernel, grid, spec.p_max, safety=spec.safety, nu=spec.nu)
     fixed = costate_fixed_point(spectrum, x0, kernel, grid, setup)
     u = optimal_noise(fixed.p, spec.p_max)
@@ -266,7 +266,7 @@ def baseline_constant_control(config) -> dict:
     p_max = config.attack.p_max
     x0 = np.asarray(config.x0, dtype=float)
     check_state(x0, topology)
-    spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
+    spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
     vals, vecs = spectrum.vals, spectrum.vecs
     n = topology.n
     t = grid.times()

@@ -111,15 +111,24 @@ def _parse_topology(doc, where: str) -> NetworkTopology:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _one_kind(doc, kinds: tuple[str, ...], field: str) -> str | None:
+    """The one key of `kinds` that an object names, or None; two is an error."""
+    named = [k for k in kinds if k in doc] if isinstance(doc, dict) else []
+    if len(named) > 1:
+        raise ScenarioError(f"{field}: names {' and '.join(map(repr, named))}, expected one kind")
+    return named[0] if named else None
+
+
 def _parse_kernel(doc, T: float) -> Kernel:
     if doc is None:
         return Kernel.constant(1.0)
-    if isinstance(doc, dict) and "constant" in doc:
+    kind = _one_kind(doc, ("constant", "table"), "kernel")
+    if kind == "constant":
         try:
             return Kernel.constant(_number(doc["constant"], "kernel.constant"))
         except DynamicsError as exc:
             raise ScenarioError(f"kernel.constant: {exc}") from exc
-    table = doc.get("table") if isinstance(doc, dict) else None
+    table = doc["table"] if kind else None
     if not (isinstance(table, list) and all(isinstance(p, list) and len(p) == 2 for p in table)):
         raise ScenarioError("kernel: expected {'constant': value} or {'table': [[t, k], ...]}")
     try:
@@ -135,12 +144,13 @@ def _parse_kernel(doc, T: float) -> Kernel:
 
 
 def _parse_attack(doc, topology: NetworkTopology):
-    if doc is None or (isinstance(doc, dict) and "none" in doc):
+    kind = _one_kind(doc, ("none", "link", "noise"), "attack")
+    if doc is None or kind == "none":
         return None
-    spec = doc.get("link", doc.get("noise")) if isinstance(doc, dict) else None
+    spec = doc[kind] if kind else None
     if not isinstance(spec, dict):
         raise ScenarioError("attack: expected one of {'none'}, {'link': ...}, {'noise': ...}")
-    if "link" in doc:
+    if kind == "link":
         ell = _integer(spec.get("ell"), "attack.link.ell")
         if not 0 <= ell <= topology.m:
             raise ScenarioError(

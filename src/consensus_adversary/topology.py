@@ -1,4 +1,4 @@
-"""Weighted undirected network topologies, link controls, schedules, and system matrices.
+"""Weighted undirected network topologies, break masks, schedules, and system matrices.
 
 Nodes are 1-based in all user-facing structures (files, reports) and 0-based
 internally; conversion happens at the I/O layer, so everything in this module
@@ -21,8 +21,8 @@ class TopologyError(ValueError):
 class NetworkTopology:
     """Undirected weighted graph on nodes 0..n-1.
 
-    edges are (i, j, weight) with i < j and weight > 0, kept sorted; a link
-    control is a break mask in this edge order. Connectivity is a computed
+    edges are (i, j, weight) with i < j and weight > 0, kept sorted; a
+    control is one 0/1 break-mask row in this edge order. Connectivity is a computed
     property, not an assumption; disconnected inputs are legal and flagged
     downstream.
     """
@@ -120,8 +120,8 @@ class LinkControl:
 
 class Schedule:
     """Link schedule with budget ell: a read-only (steps, m) uint8 break mask
-    over topology.edges, one row per grid step, validated once. Indexing or
-    iterating it yields one LinkControl per step, a view of its row."""
+    over topology.edges, one row per grid step, validated once. Code that
+    computes with a schedule reads `masks`."""
 
     def __init__(self, topology: NetworkTopology, masks, ell: int):
         if ell < 0:
@@ -146,6 +146,7 @@ class Schedule:
         return len(self.masks)
 
     def __getitem__(self, k: int) -> LinkControl:
+        """Step k as a LinkControl viewing its row, for callers outside the package."""
         return LinkControl(bits=self.masks[k], ell=self.ell)
 
     def runs(self) -> list[tuple[int, int]]:
@@ -155,17 +156,24 @@ class Schedule:
         return list(zip(bounds[:-1], bounds[1:]))
 
 
-def build_system_matrix(topology: NetworkTopology, control: LinkControl | Schedule) -> np.ndarray:
+def _edge_mask(topology: NetworkTopology, bits) -> np.ndarray:
+    """bits as an array whose last axis runs over topology.edges."""
+    bits = np.asarray(bits)
+    if bits.ndim == 0 or bits.shape[-1] != topology.m:
+        length = bits.shape[-1] if bits.ndim else "of a 0-d value"
+        raise TopologyError(f"control length {length} != {topology.m} edges")
+    return bits
+
+
+def build_system_matrix(topology: NetworkTopology, bits) -> np.ndarray:
     """Consensus system matrix: A_ij = a_ij (1 - u_ij) off-diagonal, zero row sums.
 
     Breaking edge (i, j) zeroes A_ij and A_ji and adjusts both diagonals, so
     the result is always symmetric with zero row sums. Works along the last
-    axis of the mask: a LinkControl gives one (n, n) matrix, a Schedule of k
-    rows a (k, n, n) stack.
+    axis of the 0/1 mask: one row gives one (n, n) matrix, a (k, m) stack a
+    (k, n, n) stack; np.zeros(topology.m) gives the attack-free matrix.
     """
-    bits = control.masks if isinstance(control, Schedule) else control.bits
-    if bits.shape[-1] != topology.m:
-        raise TopologyError(f"control length {bits.shape[-1]} != {topology.m} edges")
+    bits = _edge_mask(topology, bits)
     i, j, w = topology.arrays
     d = np.arange(topology.n)
     a = np.zeros(bits.shape[:-1] + (topology.n, topology.n))
@@ -198,8 +206,9 @@ def components_of_edges(n: int, edges) -> list[tuple[int, ...]]:
     return sorted(comps)
 
 
-def connected_components(topology: NetworkTopology, control: LinkControl) -> list[tuple[int, ...]]:
-    """Components of the surviving graph after removing broken links."""
+def connected_components(topology: NetworkTopology, bits) -> list[tuple[int, ...]]:
+    """Components of the surviving graph after removing the links one 0/1
+    break-mask row breaks."""
     i, j, _ = topology.arrays
-    keep = np.logical_not(control.bits)
+    keep = np.logical_not(_edge_mask(topology, bits))
     return components_of_edges(topology.n, zip(i[keep].tolist(), j[keep].tolist()))

@@ -50,7 +50,7 @@ def test_criterion_01_edge_powers():
     start = time.perf_counter()
     rep = edge_power(config.x0, config.topology)
     elapsed = time.perf_counter() - start
-    by_edge = dict(zip(config.topology.pairs, rep.w))
+    by_edge = dict(zip(config.topology.pairs, rep))
     ok = (abs(by_edge[(0, 2)] - 2.2101) < 5e-4
           and abs(by_edge[(0, 3)] - 13.8979) < 5e-4
           and elapsed < 1e-3)
@@ -171,7 +171,7 @@ def test_criterion_10_analytic_regressions():
     j_err = abs(J - j_trap) / j_trap
     exact_err = abs(J - exact) / exact
     j_ok = j_err < 1e-12
-    A = build_system_matrix(TWO_NODE, LinkControl.none(TWO_NODE))
+    A = build_system_matrix(TWO_NODE, np.zeros(TWO_NODE.m))
     exp_err = 0.0
     for t in (0.25, 1.0, 2.0):
         d = np.exp(-2.0 * t)

@@ -74,6 +74,12 @@ class TestExitCodes:
         (("topology", "edges", 0, 0), True, "topology: edges[0] node id"),
         (("attack",), {"link": {"ell": True}}, "attack.link.ell"),
         (("attack",), {"noise": {"p_max": 1.0, "safety": 1.5}}, "attack.noise.safety"),
+        # two kinds in one object are refused, not resolved by a lookup order
+        (("attack",), {"none": {}, "link": {"ell": 2}}, "error: attack: names 'none' and 'link'"),
+        (("attack",), {"link": {"ell": 2}, "noise": {"p_max": 1.0}},
+         "error: attack: names 'link' and 'noise'"),
+        (("kernel",), {"constant": 2.0, "table": [[0.0, 1.0], [2.0, 1.0]]},
+         "error: kernel: names 'constant' and 'table'"),
     ]
 
     @pytest.mark.parametrize("path,value,field", MALFORMED,
@@ -208,7 +214,7 @@ class TestVerify:
         # negating the co-state flips the sign of every switching function
         orig = link_attack.switching_functions
         monkeypatch.setattr(link_attack, "switching_functions",
-                            lambda x, p, t, ell: orig(x, -p, t, ell))
+                            lambda x, p, t: orig(x, -p, t))
         assert main(["verify", "--fast"]) == 1
         assert "[FAIL] thm2-mp-consistency" in capsys.readouterr().out
 

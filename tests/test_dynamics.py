@@ -9,11 +9,10 @@ from scipy.linalg import expm
 
 from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum,
                                           TimeGrid, Trajectory,
-                                          average_and_disagreement,
                                           matrix_exponential, objective,
                                           propagate)
-from consensus_adversary.topology import (LinkControl, NetworkTopology,
-                                          Schedule, build_system_matrix)
+from consensus_adversary.topology import (NetworkTopology, Schedule,
+                                          build_system_matrix)
 
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
@@ -73,7 +72,7 @@ def connected_systems(draw):
     scale = 50.0 if draw(st.booleans()) else 1.0
     edges = tuple((i, j, scale * draw(st.floats(0.2, 2.0))) for (i, j) in sorted(pairs))
     topology = NetworkTopology(n=n, edges=edges)
-    return build_system_matrix(topology, LinkControl.none(topology))
+    return build_system_matrix(topology, np.zeros(topology.m))
 
 
 class TestMatrixExponential:
@@ -91,7 +90,7 @@ class TestMatrixExponential:
         w = rng.uniform(0.2, 2.0, 6)
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         topo = NetworkTopology(n=4, edges=tuple((i, j, ww) for (i, j), ww in zip(pairs, w)))
-        A = build_system_matrix(topo, LinkControl.none(topo))
+        A = build_system_matrix(topo, np.zeros(topo.m))
         lhs = matrix_exponential(A, 0.7)
         rhs = matrix_exponential(A, 0.3) @ matrix_exponential(A, 0.4)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -121,10 +120,10 @@ class TestMatrixExponential:
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         topo = NetworkTopology(n=4, edges=tuple((i, j, scale * a) for (i, j), a in zip(pairs, w)))
         schedule = Schedule(topo, [[0, 0, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 0, 1]], 3)
-        stack = Spectrum(build_system_matrix(topo, schedule))
+        stack = Spectrum(build_system_matrix(topo, schedule.masks))
         assert np.sum(np.abs(stack.vals[1]) <= 1e-12) == 2
-        for k, control in enumerate(schedule):
-            one = Spectrum(build_system_matrix(topo, control))
+        for k, row in enumerate(schedule.masks):
+            one = Spectrum(build_system_matrix(topo, row))
             for h in (0.0, 0.05, 0.5):
                 assert np.array_equal(stack.exp(h)[k], one.exp(h))
                 assert np.array_equal(stack.interval_form(h)[k], one.interval_form(h))
@@ -188,11 +187,6 @@ class TestPropagation:
 
 
 class TestObjective:
-    def test_average_and_disagreement(self):
-        avg, e = average_and_disagreement(np.array([0.0, 2.0]))
-        assert avg == 1.0
-        assert np.array_equal(e, np.array([-1.0, 1.0]))
-
     def test_two_node_analytic_value(self):
         # J = (1 - e^{-4T})/2 exactly; trapezoid carries an O(h^2) error
         grid = TimeGrid(T=2.0, steps=400)

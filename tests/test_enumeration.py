@@ -71,7 +71,7 @@ def unpruned_oracle(topology, x0, T, ell, intervals):
     control_sets = admissible_break_sets(topology, ell)
     alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
     nc = len(alphabet)
-    spectrum = Spectrum(build_system_matrix(topology, alphabet))
+    spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
     X = x0[None, :]
@@ -323,8 +323,8 @@ def reference_oracle(topology, x0, T, ell, intervals):
     x0 = x0 - np.mean(x0)
     h = T / intervals
     sets = admissible_break_sets(topology, ell)
-    spectra = [Spectrum(build_system_matrix(topology, LinkControl.breaking(topology, b, len(b))))
-               for b in sets]
+    spectra = [Spectrum(build_system_matrix(
+                   topology, LinkControl.breaking(topology, b, len(b)).bits)) for b in sets]
     props = [spectrum.exp(h) for spectrum in spectra]
     quads = [spectrum.interval_form(h) for spectrum in spectra]
     schedules, J = [], []

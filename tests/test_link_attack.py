@@ -13,10 +13,11 @@ from consensus_adversary.dynamics import (DynamicsError, Kernel, PropagatorCache
 from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              forward_backward_sweep,
                                              greedy_control, simulate_attack1,
+                                             switching_control,
                                              switching_functions)
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
-from consensus_adversary.topology import (LinkControl, NetworkTopology, Schedule,
+from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix)
 from consensus_adversary.verify import (check_lemma1_scale_invariance,
                                         check_thm2_mp_consistency)
@@ -34,21 +35,21 @@ def link_config(topology, x0, ell, T=2.0, steps=400, name="test"):
 class TestEdgePower:
     def test_reference_initial_powers(self):
         config = paper_k4_scenario("link")
-        report = edge_power(config.x0, config.topology)
-        by_edge = dict(zip(config.topology.pairs, report.w))
+        by_edge = dict(zip(config.topology.pairs, edge_power(config.x0, config.topology)))
         assert by_edge[(0, 2)] == pytest.approx(2.2100, abs=5e-4)
         assert by_edge[(0, 3)] == pytest.approx(13.8978, abs=5e-4)
 
     def test_ranking_descending_with_slot_ties(self):
         # equal-weight path from a symmetric state: both edges tie, lower edge index first
-        report = edge_power(np.array([0.0, 1.0, 2.0]), PATH3)
-        assert report.w[0] == report.w[1]
-        assert report.ranking.tolist() == [0, 1]
+        w = edge_power(np.array([0.0, 1.0, 2.0]), PATH3)
+        assert w[0] == w[1]
+        assert np.argsort(-w, kind="stable").tolist() == [0, 1]
+        assert greedy_control(np.array([0.0, 1.0, 2.0]), PATH3, 1).tolist() == [1, 0]
 
     def test_formula(self):
         topo = NetworkTopology(n=2, edges=((0, 1, 2.0),))
-        report = edge_power(np.array([1.0, 4.0]), topo)
-        assert report.w[0] == pytest.approx(2.0 * 9.0)
+        w = edge_power(np.array([1.0, 4.0]), topo)
+        assert w[0] == pytest.approx(2.0 * 9.0)
 
 
 class TestGreedyControl:
@@ -177,22 +178,21 @@ class TestSwitchingFunctions:
     def test_manual_values_and_selection(self):
         x = np.array([0.0, 2.0, 1.0])
         p = np.array([-1.0, 1.0, 0.0])
-        report = switching_functions(x, p, PATH3, ell=1)
+        f = switching_functions(x, p, PATH3)
         # f_01 = 1*(p1-p0)(x0-x1) = 2*(-2) = -4; f_12 = (0-1)(2-1) = -1
-        assert report.f == pytest.approx([-4.0, -1.0])
-        assert report.control.tolist() == [1, 0]
+        assert f == pytest.approx([-4.0, -1.0])
+        assert switching_control(f, 1).tolist() == [1, 0]
 
     def test_zero_f_not_broken(self):
-        report = switching_functions(np.array([1.0, 1.0, 1.0]),
-                                     np.array([0.0, 0.0, 0.0]), PATH3, ell=2)
-        assert report.control.tolist() == [0, 0]
+        f = switching_functions(np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.0, 0.0]), PATH3)
+        assert switching_control(f, 2).tolist() == [0, 0]
 
     def test_positive_f_kept(self):
         x = np.array([0.0, 2.0])
         p = np.array([1.0, -1.0])  # f = (p1-p0)(x0-x1) = (-2)(-2) = 4 > 0
-        report = switching_functions(x, p, TWO_NODE, ell=1)
-        assert report.f[0] > 0
-        assert report.control.tolist() == [0]
+        f = switching_functions(x, p, TWO_NODE)
+        assert f[0] > 0
+        assert switching_control(f, 1).tolist() == [0]
 
 
 @st.composite
@@ -244,9 +244,10 @@ class TestAgainstPerEdgeReference:
         # each state alone and the whole stack in one call
         topology, xs, _, ell = case
         stack = edge_power(xs, topology)
-        for x, w_row, ranking_row in zip(xs, stack.w, stack.ranking):
-            report = edge_power(x, topology)
-            for w, ranking in ((report.w, report.ranking), (w_row, ranking_row)):
+        rankings = np.argsort(-stack, axis=-1, kind="stable")
+        for x, w_row, ranking_row in zip(xs, stack, rankings):
+            w_one = edge_power(x, topology)
+            for w, ranking in ((w_one, np.argsort(-w_one, kind="stable")), (w_row, ranking_row)):
                 np.testing.assert_allclose(w, reference_powers(x, topology),
                                            rtol=4 * np.finfo(float).eps, atol=0)
                 assert ranking.tolist() == reference_ranking(w)
@@ -257,7 +258,7 @@ class TestAgainstPerEdgeReference:
         rows = greedy_control(xs, topology, ell)
         assert rows.dtype == np.uint8 and rows.shape == (len(xs), topology.m)
         for x, row in zip(xs, rows):
-            ranking = reference_ranking(edge_power(x, topology).w)
+            ranking = reference_ranking(edge_power(x, topology))
             assert np.array_equal(greedy_control(x, topology, ell), row)
             assert np.flatnonzero(row).tolist() == sorted(ranking[:ell])
 
@@ -266,17 +267,20 @@ class TestAgainstPerEdgeReference:
     def test_switching_functions(self, case):
         # each (state, co-state) alone and the whole stack in one call
         topology, xs, ps, ell = case
-        stack = switching_functions(xs, ps, topology, ell)
+        stack = switching_functions(xs, ps, topology)
+        stack_control = switching_control(stack, ell)
         for row, (x, p) in enumerate(zip(xs, ps)):
             f, order, tilde = reference_switching(x, p, topology, ell)
             mask = [int(e in tilde[:ell]) for e in range(topology.m)]
-            single = switching_functions(x, p, topology, ell)
-            for f_got, order_got, control_got in (
-                    (single.f, single.order, single.control),
-                    (stack.f[row], stack.order[row], stack.control[row])):
+            single = switching_functions(x, p, topology)
+            for f_got, control_got in ((single, switching_control(single, ell)),
+                                       (stack[row], stack_control[row])):
                 assert f_got.tolist() == f
-                assert order_got.tolist() == order
+                assert np.argsort(f_got, kind="stable").tolist() == order
                 assert control_got.tolist() == mask
+                # the unrestricted cut of -f picks the first ell of that order
+                top = link_attack._top_ell(-f_got, min(ell, topology.m))
+                assert np.flatnonzero(top).tolist() == sorted(order[:ell])
 
 
 @st.composite
@@ -321,11 +325,12 @@ class TestSwitchingAgainstArgsort:
     @example(case=(PATH3, np.array([0.0, -0.0, 0.0]), np.array([1.0, 0.0, -1.0]), 1))
     def test_control_and_order(self, case):
         topology, x, p, ell = case
-        report = switching_functions(x, p, topology, ell)
-        control, order = argsort_switching(report.f, ell)
-        assert report.control.dtype == np.uint8
-        assert np.array_equal(report.control, control)
-        assert np.array_equal(report.order, order)
+        f = switching_functions(x, p, topology)
+        control, order = argsort_switching(f, ell)
+        got = switching_control(f, ell)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, control)
+        assert np.array_equal(np.argsort(f, axis=-1, kind="stable"), order)
 
 
 @st.composite
@@ -374,8 +379,8 @@ class TestAgainstPerStepReference:
         traj = propagate(x0, schedule, topology, grid)
         x = np.empty_like(traj.x)
         x[0] = x0
-        Es = [Spectrum(build_system_matrix(topology, control)).exp(grid.h)
-              for control in schedule]
+        Es = [Spectrum(build_system_matrix(topology, row)).exp(grid.h)
+              for row in schedule.masks]
         for k, E in enumerate(Es):
             x[k + 1] = E @ x[k]
         assert np.array_equal(traj.x, x)
@@ -427,9 +432,9 @@ class TestGreedyAgainstPerStepReference:
         x[0] = config.x0
         masks = np.zeros((grid.steps, topology.m), dtype=np.uint8)
         for k in range(grid.steps):
-            masks[k, np.argsort(-edge_power(x[k], topology).w, kind="stable")[:ell]] = 1
+            masks[k, np.argsort(-edge_power(x[k], topology), kind="stable")[:ell]] = 1
             if k == 0 or (masks[k] != masks[k - 1]).any():
-                E = Spectrum(build_system_matrix(topology, LinkControl(masks[k], ell))).exp(grid.h)
+                E = Spectrum(build_system_matrix(topology, masks[k])).exp(grid.h)
             x[k + 1] = E @ x[k]
         assert np.array_equal(outcome.trajectory.x, x)
         assert np.array_equal(outcome.schedule.masks, masks)
@@ -513,9 +518,7 @@ class TestForwardBackwardSweep:
         # criterion 4's worst case (weight seed 2, x0 seed 0, ell = 1): the
         # sweep leaves greedy's myopic cut (2, 3) for (1, 2) at every step
         # and more than doubles greedy's objective
-        weights = np.random.default_rng(1002).uniform(0.2, 2.0, 3)
-        path = NetworkTopology(n=4, edges=tuple((i, i + 1, w) for i, w in enumerate(weights)))
-        config = link_config(path, np.random.default_rng(2000).uniform(-1.0, 1.0, 4), ell=1)
+        config = weighted_path_config()
         sweep = forward_backward_sweep(config)
         assert sweep.converged and sweep.iterations == 2
         assert sweep.J == pytest.approx(1.0524269373330504, rel=1e-12)
@@ -532,6 +535,24 @@ class TestVerificationOps:
         assert values["schedule_agreement"] == 1.0
         assert values["ordering_agreement"] >= 0.95
         assert values["relative_j_gap"] < 1e-4
+
+    def test_greedy_mp_consistency_on_the_weighted_path(self):
+        # off K4 the two rankings part: on criterion 4's counterexample the
+        # sweep and greedy break different edges at every step, and the check
+        # fails honestly
+        config = weighted_path_config()
+        check = check_thm2_mp_consistency(config, simulate_attack1(config))
+        sweep = forward_backward_sweep(config)
+        x, p = sweep.trajectory.x[:-1], sweep.trajectory.p[:-1]
+        # each step's top edge (ell = 1) by stable sorts: power descending, f ascending
+        top_w = np.argsort(-edge_power(x, config.topology), axis=-1, kind="stable")[:, 0]
+        f = switching_functions(x, p, config.topology)
+        top_f = np.argsort(f, axis=-1, kind="stable")[:, 0]
+        assert check.values["ordering_agreement"] == np.mean(top_w == top_f) == 0.99
+        assert check.values["schedule_agreement"] == 0.0
+        assert check.values["relative_j_gap"] == pytest.approx(1.3166, abs=5e-5)
+        assert check.values["sweep_converged"] and check.values["sweep_iterations"] == 2
+        assert not check.passed
 
     def test_scale_invariance(self):
         # passes only if, for every c in {-3, 0.5, 10}, the schedules are

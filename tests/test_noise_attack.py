@@ -18,8 +18,8 @@ from consensus_adversary.noise_attack import (CostateMap,
                                               simulate_attack2)
 from consensus_adversary.scenario import (NoiseAttackSpec, ScenarioConfig,
                                           paper_k4_scenario)
-from consensus_adversary.topology import (LinkControl, NetworkTopology,
-                                          Schedule, build_system_matrix)
+from consensus_adversary.topology import (NetworkTopology, Schedule,
+                                          build_system_matrix)
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 
@@ -32,7 +32,7 @@ def noise_config(topology, x0, p_max=1.0, T=2.0, steps=400, safety=0.9):
 
 
 def two_node_system():
-    return Spectrum(build_system_matrix(TWO_NODE, LinkControl.none(TWO_NODE)))
+    return Spectrum(build_system_matrix(TWO_NODE, np.zeros(TWO_NODE.m)))
 
 
 class TestContractionSetup:
@@ -80,7 +80,7 @@ class TestGTerm:
         # preserves that, so g(t) . 1 = 0 at every sample
         grid = TimeGrid(T=2.0, steps=100)
         config = paper_k4_scenario("noise", steps=100)
-        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology)))
+        spectrum = Spectrum(build_system_matrix(config.topology, np.zeros(config.topology.m)))
         g = g_term(spectrum, config.x0, config.kernel, 0.1, grid)
         assert np.max(np.abs(g.sum(axis=1))) < 1e-12
 
@@ -88,7 +88,7 @@ class TestGTerm:
 class TestFixedPoint:
     def test_reference_run_contracts(self):
         config = paper_k4_scenario("noise")
-        spectrum = Spectrum(build_system_matrix(config.topology, LinkControl.none(config.topology)))
+        spectrum = Spectrum(build_system_matrix(config.topology, np.zeros(config.topology.m)))
         setup = contraction_setup(config.kernel, config.grid, 1.0)
         fixed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
         assert fixed.converged
@@ -184,7 +184,7 @@ class TestPropagateForcedAgainstPerStep:
     @given(case=forced_runs())
     def test_bit_identical(self, case):
         topology, x0, u, grid = case
-        spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
+        spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
         E = spectrum.exp(grid.h)
         x = np.empty((grid.steps + 1, topology.n))
         x[0] = x0
@@ -268,7 +268,7 @@ class TestStiffGraph:
         assert np.isfinite(outcome.J) and outcome.converged
         # no-attack J by expm stepping and trapezoid, independent of Spectrum
         grid = config.grid
-        E = expm(build_system_matrix(config.topology, LinkControl.none(config.topology)) * grid.h)
+        E = expm(build_system_matrix(config.topology, np.zeros(config.topology.m)) * grid.h)
         e = np.empty((grid.steps + 1, 4))
         e[0] = config.x0 - np.mean(config.x0)
         for k in range(grid.steps):
@@ -338,7 +338,7 @@ class TestAgainstDenseReference:
     @given(inputs=map_inputs())
     def test_map_and_g_match_dense_kernel(self, inputs):
         topology, kernel, grid, x0, p, stiff = inputs
-        spectrum = Spectrum(build_system_matrix(topology, LinkControl.none(topology)))
+        spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
         vals, vecs = spectrum.vals, spectrum.vecs
         setup = contraction_setup(kernel, grid, 1.0)
         t = grid.times()
