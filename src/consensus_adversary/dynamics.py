@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .topology import NetworkTopology, Schedule, build_system_matrix
 
@@ -174,6 +173,7 @@ class _ModeRecurrence:
         """Solution for a forcing f of shape (samples, n); reverse=True gives
         x[a] = r_d x[a+1] + f[a] with x[samples] = 0, so the last row of f is
         the end value x[samples - 1]."""
+        from scipy.linalg.lapack import dtbtrs  # scipy.linalg loads on first use
         x, _ = dtbtrs(self.band, f.T.reshape(-1, 1), uplo="L",
                       trans="T" if reverse else "N", diag="U")
         return x.reshape(-1, self.samples).T

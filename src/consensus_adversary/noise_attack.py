@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
                        _ModeRecurrence, check_state, objective)
@@ -254,6 +253,30 @@ def simulate_attack2(config) -> Attack2Outcome:
     )
 
 
+def _simpson(y: np.ndarray, t: np.ndarray) -> float:
+    """Composite Simpson quadrature of samples y at increasing times t, with
+    the arithmetic of `scipy.integrate.simpson(y, x=t)` (Cartwright's
+    correction on the last interval when their count is odd), so it gives
+    the same double without importing scipy.integrate."""
+    h = np.diff(t)
+    if len(y) == 2:
+        return 0.0 + 0.5 * h[-1] * (y[-1] + y[-2])
+    stop = len(y) - 3 + len(y) % 2
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if len(y) % 2 == 1:
+        return result
+    # one-element arrays, as in scipy: h1 ** 3 takes numpy's array power
+    h0, h1 = h[-2:-1], h[-1:]
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = (1 * h1 ** 3) / (6 * h0 * (h0 + h1))
+    return (result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0] + 0.0
+
+
 def baseline_constant_control(config) -> dict:
     """Lemma-2 style constant control u2 = sqrt(P_max/n) 1.
 
@@ -276,13 +299,13 @@ def baseline_constant_control(config) -> dict:
     c = vecs.T @ ((np.eye(n) - M) @ x0)
     cx = vecs.T @ x0
     quad_term = np.sum(np.exp(2.0 * vals[None, :] * t[:, None]) * (cx * c)[None, :], axis=1)
-    closed = simpson(k * (quad_term + p_max * t ** 2), x=t)
+    closed = _simpson(k * (quad_term + p_max * t ** 2), t)
     # simulation route
     u = np.tile(np.sqrt(p_max / n) * np.ones(n), (grid.steps + 1, 1))
     traj = propagate_forced(spectrum, x0, u, grid)
     xbar = np.mean(x0)
     dev = traj.x - xbar
-    simulated = simpson(k * np.sum(dev * dev, axis=1), x=t)
+    simulated = _simpson(k * np.sum(dev * dev, axis=1), t)
     bound = p_max * grid.T ** 3 / 3.0
     return {
         "j2_closed_form": float(closed),

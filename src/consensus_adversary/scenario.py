@@ -21,7 +21,7 @@ from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
-CSV_BLOCK = 512   # most values one `%` operation of the CSV writer formats
+CSV_BLOCK = 512   # most values the CSV writer formats at a time
 
 
 class ScenarioError(ValueError):
@@ -283,22 +283,150 @@ class PlainOutcome:
     J: float
 
 
+# %.17g in numpy. A double whose 17-digit rounding lies in [10**X, 10**(X+1))
+# prints in fixed notation when -4 <= X <= 16. _FIXED[X + 4] is the smallest
+# double whose 17-digit rounding is at least 10**X (for X = -4 .. 17), so one
+# searchsorted gives X; tests/test_scenario_io.py derives these from fractions.
+_FIXED = np.array([float.fromhex(h) for h in (
+    "0x1.a36e2eb1c432dp-14", "0x1.0624dd2f1a9fcp-10", "0x1.47ae147ae147bp-7",
+    "0x1.999999999999ap-4", "0x1.0000000000000p+0", "0x1.4000000000000p+3",
+    "0x1.9000000000000p+6", "0x1.f400000000000p+9", "0x1.3880000000000p+13",
+    "0x1.86a0000000000p+16", "0x1.e848000000000p+19", "0x1.312d000000000p+23",
+    "0x1.7d78400000000p+26", "0x1.dcd6500000000p+29", "0x1.2a05f20000000p+33",
+    "0x1.74876e8000000p+36", "0x1.d1a94a2000000p+39", "0x1.2309ce5400000p+43",
+    "0x1.6bcc41e900000p+46", "0x1.c6bf526340000p+49", "0x1.1c37937e08000p+53",
+    "0x1.6345785d8a000p+56")])
+# Each value gets a NUL-padded row of _ROW bytes: its sign at byte 2, text
+# columns 0..21 at bytes 3..24 and the separator at byte 25.
+_ROW = 28
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo into two halves of at most 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**(16 - X) and its halves, by the searchsorted index e = X + 5
+_POW10 = np.array([0] + [10 ** k for k in range(20, -1, -1)] + [0], dtype=float)
+_POW10_HI, _POW10_LO = _split(_POW10)
+# the four ASCII digits of 0..9999 as one uint32, and how many are trailing zeros
+_GROUP = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_TRAILING = (_GROUP[:, ::-1] == 0).cumprod(axis=1).sum(axis=1).astype(np.int8)
+_GROUP = (_GROUP + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _templates() -> np.ndarray:
+    """The byte masks that keep a digit in place and keep it shifted one
+    column right, and the constant bytes, of the row of a fixed-notation
+    value: entry (e * 17 + trailing zeros) * 2 + (value < 0) of each.
+
+    Text column c holds digit c of "0000" + D, or digit c - 1 from the point
+    on: the point sits at column 5 + X. Columns before 4 + min(X, 0), and
+    those past the last nonzero digit or the integer part, stay NUL."""
+    x = np.arange(-4, 17)[:, None, None]
+    nd = np.arange(17, 0, -1)[None, :, None]
+    c = np.arange(22)
+    point = 5 + x
+    keep = (c >= 4 + np.minimum(x, 0)) & (c < np.where(nd > x + 1, 5 + nd, point))
+    pad = ((c < point) & (c < 4)) | ((c > point) & (c < 5))
+    rows = np.zeros((3, 22, 17, 2, _ROW), np.uint8)   # e = 0 is never used
+    rows[0, 1:, ..., 3:25] = 255 * (keep & ~pad & (c < point))[:, :, None]
+    rows[1, 1:, ..., 3:25] = 255 * (keep & ~pad & (c > point))[:, :, None]
+    rows[2, 1:, ..., 3:25] = np.where(keep & (c == point), ord("."),
+                                      ord("0") * (keep & pad))[:, :, None]
+    rows[2, 1:, :, 1, 2] = ord("-")
+    return rows.reshape(3, -1, _ROW).view(f"V{_ROW}")[..., 0]
+
+
+_TEMPLATE = _templates()
+
+
+def _significand(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """D = a * 10**(16 - X) rounded half to even, for e = X + 5: the 17
+    significant digits of a, exactly. 10**k is a double for k <= 20,
+    Dekker's product gives a * 10**k = hi + lo with no rounding, and
+    hi >= 2**53 is an even integer, so D = hi + rint(lo)."""
+    ph, pl = _POW10_HI[e], _POW10_LO[e]
+    hi = a * _POW10[e]
+    ah, al = _split(a)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each D in ASCII, after three "0"s, at bytes 7..23 of
+    a NUL-padded _ROW-byte row, and the number of trailing zeros among them."""
+    high, low = np.divmod(d, 10 ** 8)
+    top, high = np.divmod(high, 10 ** 8)
+    groups = [top, *np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
+    digits = np.zeros((d.size, _ROW // 4), np.uint32)
+    for col, g in enumerate(groups, 1):
+        digits[:, col] = _GROUP[g]
+    trailing = _TRAILING[groups[-1]]
+    rest = np.flatnonzero(trailing == 4)
+    for zeros, g in zip((8, 12, 16), groups[-2:0:-1]):
+        if not rest.size:
+            break
+        trailing[rest] += _TRAILING[g[rest]]
+        rest = rest[trailing[rest] == zeros]
+    return digits.view(np.uint8).ravel(), trailing
+
+
+def _format(v: np.ndarray, width: int) -> bytes:
+    """%.17g of each value of v as text: `width` values per line, separated
+    by `,`, each line ended by a newline, the bytes Python's `%` gives.
+
+    A value takes the fast path when its %.17g is in fixed notation, i.e. its
+    17-digit rounding has a decimal exponent X in [-4, 16]; one searchsorted
+    on _FIXED gives X. `_significand` gives its digits exactly, `_digits`
+    writes them as text, and `_TEMPLATE`, picked by X, digit count and sign,
+    places the point, the leading "0.000" and the sign and blanks trailing
+    zeros with NULs, which are dropped at the end. Every other value (0, -0,
+    nan, inf, below about 1e-4, from about 1e17) takes one `%` for the
+    block."""
+    a = np.abs(v)
+    e = np.searchsorted(_FIXED, a, side="right")
+    slow = np.flatnonzero((e == 0) | (e == len(_FIXED)))
+    a[slow], e[slow] = 1.0, 5
+    digits, trailing = _digits(_significand(a, e))
+    index = (e * 17 + trailing) * 2 + (v < 0)
+    keep, shift, const = _TEMPLATE
+    row = digits & keep.take(index).view(np.uint8)
+    row[1:] |= digits[:-1] & shift.take(index).view(np.uint8)[1:]
+    row |= const.take(index).view(np.uint8)
+    del digits   # keeps the block's peak memory at the lines above
+    row = row.reshape(-1, width, _ROW)
+    row[:, :-1, 25] = ord(",")
+    row[:, -1, 25] = ord("\n")
+    row = row.reshape(-1, _ROW)
+    if slow.size:
+        text = (" ".join(["%.17g"] * slow.size) % tuple(v[slow].tolist())).split()
+        row[slow, :25] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
+    row = row.ravel()
+    return row[row != 0].tobytes()
+
+
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """One header line, one name per column, then one line per row of the
     stacked columns. %.17g round-trips every double and prints integral
     values, node ids say, without a decimal point.
 
-    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")` on the
-    stacked table, but the rows are stacked and formatted a block at a time:
-    one `%` operation per block of at most CSV_BLOCK values (one row, if a
-    row is wider), not one per row, and no full table is held."""
+    The bytes are those of `np.savetxt` with format %.17g and delimiter `,`
+    on the stacked table, but the rows are stacked and formatted a block of
+    at most CSV_BLOCK values (one row, if a row is wider) at a time, and no
+    full table is held. `_format` computes %.17g in numpy for every value
+    whose %.17g is in fixed notation (magnitudes from about 1e-4 to 1e17):
+    the 17 digits are exact, from an error-free product by a power of ten
+    rounded half to even. Only the other values (0, nan, inf and magnitudes
+    outside that range) go through Python's `%`, once per block."""
     rows = max(1, CSV_BLOCK // len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns[0]), rows):
             block = np.column_stack([c[start:start + rows] for c in columns])
-            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+            fh.write(_format(block.astype(float, copy=False).ravel(), len(header)))
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -316,21 +444,11 @@ def write_control_csv(t: np.ndarray, u: np.ndarray, path: Path) -> None:
 
 def write_broken_edges_csv(outcome, path: Path) -> None:
     """One `t,edge_i,edge_j` line per broken edge and step, in step then edge
-    order, with the bytes `_write_csv` gives that table. It goes a block of
-    steps at a time (at most CSV_BLOCK values); each step's time and each
-    edge's 1-based ids are formatted once."""
+    order, with 1-based node ids."""
     i, j, _ = outcome.topology.arrays
-    ids = ["%.17g,%.17g\n" % pair for pair in zip((i + 1.0).tolist(), (j + 1.0).tolist())]
-    masks = outcome.schedule.masks
-    times = outcome.trajectory.grid.times()
-    steps = max(1, CSV_BLOCK // (3 * max(outcome.schedule.ell, 1)))
-    with open(path, "w") as fh:
-        fh.write("t,edge_i,edge_j\n")
-        for start in range(0, masks.shape[0], steps):
-            k, e = np.nonzero(masks[start:start + steps])
-            used = np.unique(k)
-            text = dict(zip(used.tolist(), ["%.17g," % t for t in times[start + used].tolist()]))
-            fh.write("".join([text[s] + ids[x] for s, x in zip(k.tolist(), e.tolist())]))
+    k, e = np.nonzero(outcome.schedule.masks)
+    _write_csv(path, ["t", "edge_i", "edge_j"],
+               [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
 
 
 def write_report(outcome, directory) -> list[Path]:

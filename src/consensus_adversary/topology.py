@@ -157,11 +157,13 @@ class Schedule:
 
 
 def _edge_mask(topology: NetworkTopology, bits) -> np.ndarray:
-    """bits as an array whose last axis runs over topology.edges."""
+    """bits as a 0/1 array whose last axis runs over topology.edges."""
     bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] != topology.m:
         length = bits.shape[-1] if bits.ndim else "of a 0-d value"
         raise TopologyError(f"control length {length} != {topology.m} edges")
+    if not ((bits == 0) | (bits == 1)).all():
+        raise TopologyError("control bits must be 0 or 1")
     return bits
 
 
@@ -209,6 +211,9 @@ def components_of_edges(n: int, edges) -> list[tuple[int, ...]]:
 def connected_components(topology: NetworkTopology, bits) -> list[tuple[int, ...]]:
     """Components of the surviving graph after removing the links one 0/1
     break-mask row breaks."""
+    bits = _edge_mask(topology, bits)
+    if bits.ndim != 1:
+        raise TopologyError(f"components take one break-mask row, got shape {bits.shape}")
     i, j, _ = topology.arrays
-    keep = np.logical_not(_edge_mask(topology, bits))
+    keep = np.logical_not(bits)
     return components_of_edges(topology.n, zip(i[keep].tolist(), j[keep].tolist()))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from consensus_adversary.dynamics import DynamicsError, Kernel, Spectrum, TimeGrid
-from consensus_adversary.noise_attack import (CostateMap,
+from consensus_adversary.noise_attack import (CostateMap, _simpson,
                                               baseline_constant_control,
                                               contraction_setup,
                                               costate_fixed_point, default_seed,
@@ -204,6 +205,14 @@ class TestBaseline:
         base = baseline_constant_control(paper_k4_scenario("noise"))
         assert base["j2_closed_form"] >= 8.0 / 3.0
         assert base["j2_closed_form"] == pytest.approx(base["j2_simulated"], rel=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.integers(1, 60) | st.sampled_from([400, 401, 2000, 2001]),
+           T=st.floats(1e-3, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_simpson_is_scipy_bit_for_bit(self, steps, T, seed):
+        t = TimeGrid(T=T, steps=steps).times()
+        y = np.random.default_rng(seed).standard_normal(steps + 1)
+        assert float(_simpson(y, t)).hex() == float(simpson(y, x=t)).hex()
 
 
 class TestSpectrumReuse:

@@ -1,10 +1,18 @@
 """Unit tests for scenario parsing, fixtures, and report persistence."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensus_adversary import scenario
 from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, objective, propagate
@@ -242,3 +250,90 @@ class TestCsvBytes:
         want = self.check_broken_edges(outcome, tmp_path)
         if ell == 0:
             assert want == b"t,edge_i,edge_j\n"
+
+
+def percent_bytes(values, width=1) -> bytes:
+    """What `%` gives for rows of `width` values: the writer's reference."""
+    line = ",".join(["%.17g"] * width) + "\n"
+    return (line * (len(values) // width) % tuple(map(float, values))).encode()
+
+
+def formatted(values, width=1) -> bytes:
+    return scenario._format(np.array(values, dtype=float), width)
+
+
+class TestFormatter:
+    """The vectorised %.17g against Python's, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40), width=st.integers(1, 4))
+    def test_any_double(self, values, width):
+        values = values * width
+        assert formatted(values, width) == percent_bytes(values, width)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(1e-5, 1e18) | st.floats(-1e18, -1e-5), min_size=1,
+                           max_size=40))
+    def test_fixed_notation_range(self, values):
+        assert formatted(values) == percent_bytes(values)
+
+    def test_ties(self):
+        # k * 2**-e: 714 of these 32,000 values are exact halfway cases
+        # between two 17-digit decimals, which %.17g rounds to even
+        rng = np.random.default_rng(18)
+        values = np.concatenate([np.ldexp(rng.integers(1, 2 ** 53, 500).astype(float), -e)
+                                 for e in range(-4, 60)])
+        assert formatted(values) == percent_bytes(values)
+
+    def test_neighbours_of_powers_of_ten_and_thresholds(self):
+        centres = [10.0 ** x for x in range(-5, 19)] + [float(10 ** x) for x in range(19)]
+        centres += list(scenario._FIXED)
+        values = []
+        for c in centres:
+            for direction in (0.0, math.inf):
+                v = c
+                for _ in range(8):
+                    values.append(v)
+                    v = math.nextafter(v, direction)
+        values += [-v for v in values]
+        assert formatted(values, 2) == percent_bytes(values, 2)
+
+    def test_specials(self):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  1.0, -1.0, 0.5, 1e-4, 1e16, 1e17, 2.0 ** 53, 2.0 ** 53 + 2, 0.1, 1 / 3]
+        assert formatted(values) == percent_bytes(values)
+        assert formatted(values, 4) == percent_bytes(values, 4)
+
+    def test_thresholds_are_the_smallest_doubles_rounding_up(self):
+        # _FIXED[X + 4] is the least double whose 17-digit rounding is at
+        # least 10**X: the least double at or above the tie 10**X - 5e-18 * 10**X
+        # between 99999999999999999e(X-17) and 10**X, which rounds up (to even)
+        for x, threshold in zip(range(-4, 18), scenario._FIXED):
+            tie = Fraction(10) ** x * (1 - Fraction(5, 10 ** 18))
+            below = math.nextafter(threshold, 0.0)
+            assert Fraction(threshold) >= tie > Fraction(below)
+            assert "%.17g" % below != "%.17g" % threshold
+        assert len(scenario._FIXED) == 22
+
+    def test_write_csv_fast_range_matches_savetxt(self, tmp_path):
+        # trajectory-like values: nearly all take the vectorised path
+        rng = np.random.default_rng(5)
+        rows, width = 3 * CSV_BLOCK // 7 + 5, 7
+        table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 12, (rows, width))
+        table[::97, 3] = 0.0
+        table[:, 0] = np.linspace(0.0, 2.0, rows)
+        columns = [table[:, 0], table[:, 1:]]
+        header = [f"c{k}" for k in range(width)]
+        scenario._write_csv(tmp_path / "got.csv", header, columns)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == savetxt_bytes(tmp_path / "want.csv", header, columns))
+
+
+def test_import_leaves_scipy_integrate_and_linalg_unloaded():
+    code = ("import sys, consensus_adversary; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(scenario.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -143,6 +143,22 @@ class TestSystemMatrix:
             build(path3, bits)
 
 
+    @pytest.mark.parametrize("build", [build_system_matrix, connected_components],
+                             ids=["system-matrix", "components"])
+    @pytest.mark.parametrize("bits", [[0, 0.5], [0, 2], [-1, 0], [0, np.nan]],
+                             ids=["half", "two", "minus-one", "nan"])
+    def test_control_bits_other_than_0_or_1(self, build, bits):
+        # any nonzero entry used to count as broken
+        path3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        with pytest.raises(TopologyError, match="must be 0 or 1"):
+            build(path3, bits)
+
+    def test_components_take_one_row(self):
+        path3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        with pytest.raises(TopologyError, match=r"one break-mask row, got shape \(2, 2\)"):
+            connected_components(path3, np.zeros((2, 2)))
+
+
 class TestCutsAndComponents:
     def test_components_after_breaking(self):
         topo = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
