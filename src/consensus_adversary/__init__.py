@@ -2,8 +2,8 @@
 ranked by dissipated power, and power-capped noise injection synthesized from
 a contraction fixed point of the co-state equation."""
 
-from .dynamics import (Kernel, Spectrum, TimeGrid, Trajectory,
-                       matrix_exponential, objective, propagate)
+from .dynamics import (Kernel, PlainOutcome, Spectrum, TimeGrid, Trajectory,
+                       matrix_exponential, objective, propagate, simulate)
 from .link_attack import (Attack1Outcome, SweepResult, costate_backward,
                           edge_power, forward_backward_sweep, greedy_control,
                           simulate_attack1, switching_control,

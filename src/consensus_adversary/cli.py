@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, attack1, attack2, verify, reproduce-paper.
+The first three run one pipeline on a scenario file through one runner
+(`run_pipeline`), each by its row of `PIPELINES`; the same table registers
+their subparsers.
 Exit codes: 0 success, 1 runtime/assertion failure, 2 usage/config error.
 Progress and diagnostics go to stderr; data only to files, so CSV outputs
 stay pipe-clean. The default output directory can be set through the
@@ -17,13 +20,26 @@ from pathlib import Path
 
 import numpy as np
 
-from . import link_attack, noise_attack, verify
-from .dynamics import objective, propagate
-from .scenario import (DEFAULT_STEPS, PlainOutcome, ScenarioError, load_scenario,
-                       paper_k4_scenario, write_report)
-from .topology import Schedule
+from . import dynamics, link_attack, noise_attack, verify
+from .scenario import (DEFAULT_STEPS, LinkAttackSpec, NoiseAttackSpec, ScenarioError,
+                       load_scenario, paper_k4_scenario, write_report)
 
 ENV_OUT = "CONSENSUS_ADVERSARY_OUT"
+
+# subcommand: (attack spec the scenario must hold, how errors name it, help,
+# pipeline, diagnostic). Each pipeline is looked up on its module when it
+# runs, so a function replaced there, by a test or a tracer, is the one run.
+PIPELINES = {
+    "simulate": (type(None), "attack = none", "run the consensus dynamics without an attack",
+                 lambda config: dynamics.simulate(config), "J = {0.J:.6g}"),
+    "attack1": (LinkAttackSpec, "a link attack", "closed-loop greedy link-breaking attack",
+                lambda config: link_attack.simulate_attack1(config),
+                "J = {0.J:.6g}, classification = {0.classification}, "
+                "stationary = {0.stationary}"),
+    "attack2": (NoiseAttackSpec, "a noise attack", "power-constrained noise-injection attack",
+                lambda config: noise_attack.simulate_attack2(config),
+                "J = {0.J:.6g} (scaled {0.J_scaled:.6g}), {0.iterations} fixed-point iterations"),
+}
 
 
 def _diag(args, msg: str) -> None:
@@ -47,43 +63,16 @@ def _out_dir(args, default_name: str) -> Path:
     return Path(base) / default_name
 
 
-def run_simulate(args) -> int:
+def run_pipeline(args) -> int:
+    spec, named, _, pipeline, diagnostic = PIPELINES[args.command]
     config = _load(args)
-    if config.attack is not None:
-        raise ScenarioError("simulate requires a scenario with attack = none")
+    if not isinstance(config.attack, spec):
+        raise ScenarioError(f"{args.command} requires a scenario with {named}")
     if not config.connected:
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
-    traj = propagate(config.x0, Schedule.none(config.topology, config.steps),
-                     config.topology, config.grid)
-    outcome = PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))
+    outcome = pipeline(config)
     files = write_report(outcome, _out_dir(args, config.name))
-    _diag(args, f"J = {outcome.J:.6g}; wrote {len(files)} files")
-    return 0
-
-
-def run_attack1(args) -> int:
-    config = _load(args)
-    if not hasattr(config.attack, "ell"):
-        raise ScenarioError("attack1 requires a scenario with a link attack")
-    if not config.connected:
-        _diag(args, f"warning: topology of '{config.name}' is disconnected")
-    outcome = link_attack.simulate_attack1(config)
-    files = write_report(outcome, _out_dir(args, config.name))
-    _diag(args, f"J = {outcome.J:.6g}, classification = {outcome.classification}, "
-                f"stationary = {outcome.stationary}; wrote {len(files)} files")
-    return 0
-
-
-def run_attack2(args) -> int:
-    config = _load(args)
-    if not hasattr(config.attack, "p_max"):
-        raise ScenarioError("attack2 requires a scenario with a noise attack")
-    if not config.connected:
-        _diag(args, f"warning: topology of '{config.name}' is disconnected")
-    outcome = noise_attack.simulate_attack2(config)
-    files = write_report(outcome, _out_dir(args, config.name))
-    _diag(args, f"J = {outcome.J:.6g} (scaled {outcome.J_scaled:.6g}), "
-                f"{outcome.iterations} fixed-point iterations; wrote {len(files)} files")
+    _diag(args, f"{diagnostic.format(outcome)}; wrote {len(files)} files")
     return 0
 
 
@@ -99,11 +88,8 @@ def run_reproduce_paper(args) -> int:
     out = _out_dir(args, "paper_k4")
     checks = []
 
-    none_cfg = paper_k4_scenario("none", steps=steps)
-    traj = propagate(none_cfg.x0, Schedule.none(none_cfg.topology, steps),
-                     none_cfg.topology, none_cfg.grid)
-    j_none = objective(traj, none_cfg.kernel)
-    write_report(PlainOutcome(trajectory=traj, J=j_none), out / "no_attack")
+    plain = dynamics.simulate(paper_k4_scenario("none", steps=steps))
+    write_report(plain, out / "no_attack")
 
     link_cfg = paper_k4_scenario("link", steps=steps)
     a1 = link_attack.simulate_attack1(link_cfg)
@@ -123,10 +109,10 @@ def run_reproduce_paper(args) -> int:
     stationary = a1.stationary and broken == [(0, 2), (0, 3)]
     checks.append(("stationary control breaking (1,3),(1,4)", stationary,
                    f"stationary={a1.stationary}"))
-    checks.append(("J(attack-I) > J(no attack)", a1.J > j_none,
-                   f"{a1.J:.4f} > {j_none:.4f}"))
-    checks.append(("J(attack-II) > J(no attack)", a2.J > j_none,
-                   f"{a2.J:.4f} > {j_none:.4f}"))
+    checks.append(("J(attack-I) > J(no attack)", a1.J > plain.J,
+                   f"{a1.J:.4f} > {plain.J:.4f}"))
+    checks.append(("J(attack-II) > J(no attack)", a2.J > plain.J,
+                   f"{a2.J:.4f} > {plain.J:.4f}"))
 
     ok = True
     for name, passed, detail in checks:
@@ -155,17 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, help="override grid step count")
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
-    p = sub.add_parser("simulate", help="run the consensus dynamics without an attack")
-    common(p, True)
-    p.set_defaults(func=run_simulate)
-
-    p = sub.add_parser("attack1", help="closed-loop greedy link-breaking attack")
-    common(p, True)
-    p.set_defaults(func=run_attack1)
-
-    p = sub.add_parser("attack2", help="power-constrained noise-injection attack")
-    common(p, True)
-    p.set_defaults(func=run_attack2)
+    for command, (_, _, help_text, _, _) in PIPELINES.items():
+        p = sub.add_parser(command, help=help_text)
+        common(p, True)
+        p.set_defaults(func=run_pipeline)
 
     p = sub.add_parser("verify", help="run the built-in property suite")
     common(p, False)

@@ -1,4 +1,6 @@
-"""Time grids, kernels, trajectory propagation, and the disagreement objective.
+"""Time grids, kernels, trajectory propagation, the disagreement objective,
+and the attack-free run of a scenario (`simulate`), the pipeline beside the
+two attacks' `simulate_attack1` and `simulate_attack2`.
 
 The system matrix is always symmetric with zero row sums, so matrix
 exponentials are computed through one eigendecomposition per matrix
@@ -178,11 +180,15 @@ class _ModeRecurrence:
                       trans="T" if reverse else "N", diag="U")
         return x.reshape(-1, self.samples).T
 
-    def tail(self, k: np.ndarray, h: float) -> np.ndarray:
-        """Trapezoid tails R[a] = int_{t_a}^T k(tau) r^{(tau-t_a)/h} dtau:
-        R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}), R[last] = 0."""
-        f = np.zeros((self.samples, self.rate.shape[0]))
-        f[:-1] = 0.5 * h * (k[:-1, None] + self.rate * k[1:, None])
+    def tail(self, k: np.ndarray, h: float, end: np.ndarray | float = 0.0) -> np.ndarray:
+        """Trapezoid tails R[a] = int_{t_a}^T k(tau) r^{(tau-t_a)/h} dtau
+        + r^{last-a} end: R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}),
+        R[last] = end. The forcing k is one value per sample, shape
+        (samples,), or one per sample and mode, shape (samples, modes)."""
+        k = k.reshape(self.samples, -1)
+        f = np.empty((self.samples, self.rate.shape[0]))
+        f[:-1] = 0.5 * h * (k[:-1] + self.rate * k[1:])
+        f[-1] = end
         return self.run(f, reverse=True)
 
 
@@ -261,3 +267,19 @@ def objective(traj: Trajectory, kernel: Kernel) -> float:
     dev = traj.x - xbar
     integrand = kernel.sample(t) * np.sum(dev * dev, axis=1)
     return float(np.trapezoid(integrand, t))
+
+
+@dataclass(frozen=True)
+class PlainOutcome:
+    """Outcome of an attack-free simulation run."""
+
+    trajectory: Trajectory
+    J: float
+
+
+def simulate(config) -> PlainOutcome:
+    """The attack-free run of a scenario's network: no link broken and no
+    noise injected, whatever attack `config.attack` names."""
+    traj = propagate(config.x0, Schedule.none(config.topology, config.steps),
+                     config.topology, config.grid)
+    return PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))

@@ -59,10 +59,7 @@ def edge_power(x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :]."""
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
-    # a single state (the oracle ranks hundreds per run) is indexed as x[j],
-    # a fifth of the cost of x[..., j]
-    xi, xj = (x[i], x[j]) if x.ndim == 1 else (x[..., i], x[..., j])
-    return a * (xj - xi) ** 2
+    return a * (x[..., j] - x[..., i]) ** 2
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
@@ -179,28 +176,24 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
 
     Uses the same piecewise-constant system matrix per step as the forward
     pass, with the forcing integral over each step by trapezoid:
-    p_k = E p_{k+1} + h (k_k d_k + E k_{k+1} d_{k+1}), d = x - xbar. Within a
-    run of equal masks E is diagonal in the run's eigenbasis (rate
-    r = e^{lam h} per mode), so the run, last one first, is one backward
-    banded solve of q_k = r q_{k+1} + h (delta_k + r delta_{k+1}) on its own
-    slice, with the later run's p at its end as the last forcing row. A
-    shared `cache` keeps the decompositions for later calls.
+    p_k = E p_{k+1} + h/2 (g_k + E g_{k+1}), g = 2k (x - xbar). Within a run
+    of equal masks E is diagonal in the run's eigenbasis (rate r = e^{lam h}
+    per mode), so the run, last one first, is the trapezoid tail
+    (`_ModeRecurrence.tail`) of g's modes on its own slice, ending at the
+    later run's p. A shared `cache` keeps the decompositions for later calls.
     """
     grid = traj.grid
     check_schedule_and_state(schedule, grid, traj.x[0], topology)
     cache = PropagatorCache(topology, grid.h) if cache is None else cache
-    kvals = kernel.sample(grid.times())
+    two_k = 2.0 * kernel.sample(grid.times())
     xbar = np.mean(traj.x[0])
     p = np.zeros_like(traj.x)
     for start, stop in reversed(schedule.runs()):
         spectrum = cache.spectrum(schedule.masks[start])
         vecs = spectrum.vecs
-        rate = np.exp(spectrum.vals * grid.h)
-        delta = (kvals[start:stop + 1, None] * (traj.x[start:stop + 1] - xbar)) @ vecs
-        f = np.empty_like(delta)
-        f[:-1] = grid.h * (delta[:-1] + rate * delta[1:])
-        f[-1] = p[stop] @ vecs
-        q = _ModeRecurrence(rate, stop - start + 1).run(f, reverse=True)
+        g = (two_k[start:stop + 1, None] * (traj.x[start:stop + 1] - xbar)) @ vecs
+        q = _ModeRecurrence(np.exp(spectrum.vals * grid.h), stop - start + 1).tail(
+            g, grid.h, end=p[stop] @ vecs)
         p[start:stop] = q[:-1] @ vecs.T
     return p
 
@@ -229,24 +222,24 @@ def forward_backward_sweep(config) -> SweepResult:
     integrates the co-state backward, and recomputes the bang-bang control
     per step from the switching functions. Bang-bang controls cannot be
     convex-combined, so there is no relaxation; a cycle detector keyed by the
-    mask bytes keeps the best-J schedule if the iteration cycles. On
-    convergence the last pass's trajectory, co-state and J are the result.
-    All passes share one propagator cache, so each distinct mask is
-    decomposed once per sweep.
+    mask bytes stops the iteration if it cycles. On convergence the last
+    pass is the result; otherwise the best-J pass visited, kept with its
+    trajectory and co-state, so no pass is rerun. All passes share one
+    propagator cache, so each distinct mask is decomposed once per sweep.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
     schedule = Schedule(topology, np.zeros((grid.steps, topology.m), dtype=np.uint8), ell)
     cache = PropagatorCache(topology, grid.h)
     seen: set[bytes] = set()
-    best = None  # (J, schedule)
+    best = None  # (J, schedule, trajectory, co-state) of the best pass
     converged = False
     for iterations in range(1, SWEEP_MAX_ITER + 1):
         traj = propagate(config.x0, schedule, topology, grid, cache=cache)
         p = costate_backward(traj, schedule, topology, kernel, cache=cache)
         J = objective(traj, kernel)
         if best is None or J > best[0]:
-            best = (J, schedule)
+            best = (J, schedule, traj, p)
         masks = switching_control(switching_functions(traj.x[:-1], p[:-1], topology), ell)
         if np.array_equal(masks, schedule.masks):
             converged = True
@@ -257,10 +250,8 @@ def forward_backward_sweep(config) -> SweepResult:
         seen.add(key)
         schedule = Schedule(topology, masks, ell)
     if not converged:
-        # cycle or pass limit: fall back to the best schedule visited
-        J, schedule = best
-        traj = propagate(config.x0, schedule, topology, grid, cache=cache)
-        p = costate_backward(traj, schedule, topology, kernel, cache=cache)
+        # cycle or pass limit: fall back to the best pass visited
+        J, schedule, traj, p = best
     return SweepResult(
         trajectory=traj.with_costate(p),
         schedule=schedule,

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
+from .link_attack import Attack1Outcome, SweepResult
+from .noise_attack import Attack2Outcome, contraction_setup
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
@@ -54,7 +56,6 @@ class ScenarioConfig:
         # nu_max depends on the grid, so check nu against every grid a config
         # gets, including a --steps override
         if isinstance(self.attack, NoiseAttackSpec) and self.attack.nu is not None:
-            from .noise_attack import contraction_setup
             try:
                 contraction_setup(self.kernel, self.grid, self.attack.p_max,
                                   nu=self.attack.nu)
@@ -275,14 +276,6 @@ def fixture_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 # report writing
 
-@dataclass(frozen=True)
-class PlainOutcome:
-    """Outcome of an attack-free simulation run."""
-
-    trajectory: Trajectory
-    J: float
-
-
 # %.17g in numpy. A double whose 17-digit rounding lies in [10**X, 10**(X+1))
 # prints in fixed notation when -4 <= X <= 16. _FIXED[X + 4] is the smallest
 # double whose 17-digit rounding is at least 10**X (for X = -4 .. 17), so one
@@ -463,9 +456,6 @@ def write_report(outcome, directory) -> list[Path]:
     t = traj.grid.times()
     summary = {"J": outcome.J, "steps": traj.grid.steps, "T": traj.grid.T}
     csv_writers = {"trajectory.csv": partial(write_trajectory_csv, traj)}
-
-    from .link_attack import Attack1Outcome, SweepResult
-    from .noise_attack import Attack2Outcome
     if isinstance(outcome, Attack1Outcome):
         csv_writers["broken_edges.csv"] = partial(write_broken_edges_csv, outcome)
         summary.update({

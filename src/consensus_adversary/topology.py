@@ -34,19 +34,21 @@ class NetworkTopology:
         if self.n < 1:
             raise TopologyError(f"node count must be positive, got {self.n}")
         seen = set()
-        norm = []
+        norm = []   # the edges before this one, in input order: edges[len(norm)] is this one
         for (i, j, w) in self.edges:
             i, j = int(i), int(j)
             if i == j:
-                raise TopologyError(f"self-loop on node {i}")
+                raise TopologyError(f"edges[{len(norm)}] is a self-loop")
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise TopologyError(f"edge ({i}, {j}) references node outside 0..{self.n - 1}")
+                raise TopologyError(
+                    f"edges[{len(norm)}] references a node outside 0..{self.n - 1}")
             if i > j:
                 i, j = j, i
             if (i, j) in seen:
-                raise TopologyError(f"duplicate edge ({i}, {j})")
+                first = [e[:2] for e in norm].index((i, j))
+                raise TopologyError(f"edges[{len(norm)}] duplicates edges[{first}]")
             if not w > 0:
-                raise TopologyError(f"edge ({i}, {j}) has non-positive weight {w}")
+                raise TopologyError(f"edges[{len(norm)}] has non-positive weight {w}")
             seen.add((i, j))
             norm.append((i, j, float(w)))
         norm.sort()
@@ -129,8 +131,7 @@ class Schedule:
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != topology.m:
             raise TopologyError(f"schedule shape {masks.shape} is not (steps, {topology.m})")
-        if not ((masks == 0) | (masks == 1)).all():
-            raise TopologyError("control bits must be 0 or 1")
+        _edge_mask(topology, masks)
         most = int(masks.sum(axis=1).max(initial=0))
         if most > ell:
             raise TopologyError(f"schedule breaks up to {most} links per step, budget is {ell}")

@@ -5,8 +5,8 @@ the co-state iteration, and the conservation/stochasticity invariants.
 
 `run_verify` runs each K4 pipeline once (the greedy attack, attack II and the
 constant baseline) and hands the shared outcomes to the checks that judge
-them. A check runs itself only what no other check judges: the sweep, or the
-greedy attack from a scaled x0.
+them. A check runs itself only what no other check judges: the sweep, the
+greedy attack from a scaled x0, or the attack-free run (`simulate`) for J0.
 
 Tolerances are calibrated for the default 400-step grid; coarser overrides
 scale the grid-sensitive tolerances by (default_h / h)^-2, i.e. (400/steps)^2.
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import enumeration, link_attack, noise_attack
-from .dynamics import PropagatorCache, Spectrum, objective, propagate
+from .dynamics import PropagatorCache, Spectrum, simulate
 from .scenario import DEFAULT_STEPS, paper_k4_scenario
-from .topology import Schedule, build_system_matrix
+from .topology import build_system_matrix
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ def check_attack2_optimality(config, outcome, base) -> CheckResult:
     norms = np.linalg.norm(p, axis=1)
     nonsingular = norms > noise_attack.SINGULAR_FRACTION * norms.max()
     cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(outcome.p_max) * norms[nonsingular])
-    j0 = objective(propagate(config.x0, Schedule.none(config.topology, config.steps),
-                             config.topology, config.grid), config.kernel)
+    j0 = simulate(config).J
     j2 = base["j2_closed_form"]
     values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - outcome.p_max),
               "cosine_error": np.abs(cosine - 1.0), "lam": outcome.lam,

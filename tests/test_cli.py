@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from consensus_adversary import link_attack, noise_attack
+from consensus_adversary import dynamics, link_attack, noise_attack
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
@@ -80,6 +80,12 @@ class TestExitCodes:
          "error: attack: names 'link' and 'noise'"),
         (("kernel",), {"constant": 2.0, "table": [[0.0, 1.0], [2.0, 1.0]]},
          "error: kernel: names 'constant' and 'table'"),
+        # topology errors name the input position, not a 0-based node id
+        (("topology", "edges"), [[1, 2, 1.0], [2, 1, 0.5]],
+         "error: topology: edges[1] duplicates edges[0]"),
+        (("topology", "edges"), [[2, 2, 1.0]], "error: topology: edges[0] is a self-loop"),
+        (("topology", "edges"), [[1, 3, 0.0]],
+         "error: topology: edges[0] has non-positive weight 0.0"),
     ]
 
     @pytest.mark.parametrize("path,value,field", MALFORMED,
@@ -161,6 +167,21 @@ class TestSubcommands:
         assert "runtime failure:" in err and "non-finite J" in err
         assert not (out / "summary.json").exists()
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command,kind,module,name", [
+        ("simulate", "none", dynamics, "simulate"),
+        ("attack1", "link", link_attack, "simulate_attack1"),
+        ("attack2", "noise", noise_attack, "simulate_attack2"),
+    ], ids=["simulate", "attack1", "attack2"])
+    def test_runs_its_pipeline_once(self, scenarios, tmp_path, monkeypatch,
+                                    command, kind, module, name):
+        # each subcommand runs the function its module holds when it is called
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda config: calls.append(config) or real(config))
+        assert main([command, "--scenario", str(scenarios[kind]),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert len(calls) == 1 and calls[0].name == f"paper_k4_{kind}"
 
     def test_steps_override_applies(self, scenarios, tmp_path):
         out = tmp_path / "short"

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from consensus_adversary.dynamics import (DynamicsError, Kernel, Spectrum,
-                                          TimeGrid, Trajectory,
+from consensus_adversary.dynamics import (DynamicsError, Kernel, PlainOutcome,
+                                          Spectrum, TimeGrid, Trajectory,
                                           matrix_exponential, objective,
-                                          propagate)
+                                          propagate, simulate)
+from consensus_adversary.scenario import paper_k4_scenario
 from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix)
 
@@ -201,3 +202,16 @@ class TestObjective:
         # the propagator rows sum to 1 only to machine precision, so the
         # deviation picks up ~1e-16 noise and J ~ its square
         assert objective(traj, Kernel.constant(1.0)) < 1e-25
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("kind", ["none", "link", "noise"])
+    def test_attack_free_run_whatever_the_attack(self, kind):
+        # the scenario's attack is ignored: no link broken, no noise
+        config = paper_k4_scenario(kind, steps=50)
+        traj = propagate(config.x0, Schedule.none(config.topology, 50), config.topology,
+                         config.grid)
+        outcome = simulate(config)
+        assert isinstance(outcome, PlainOutcome) and outcome.trajectory.p is None
+        assert np.array_equal(outcome.trajectory.x, traj.x)
+        assert outcome.J == objective(traj, config.kernel)

@@ -15,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensus_adversary import scenario
-from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, objective, propagate
+from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, simulate
 from consensus_adversary.link_attack import simulate_attack1
 from consensus_adversary.noise_attack import simulate_attack2
 from consensus_adversary.scenario import (CSV_BLOCK, LinkAttackSpec,
-                                          NoiseAttackSpec, PlainOutcome,
-                                          ScenarioConfig, ScenarioError,
-                                          fixture_path, load_scenario,
-                                          parse_scenario, paper_k4_scenario,
-                                          save_scenario, scenario_to_doc,
-                                          write_broken_edges_csv, write_report)
+                                          NoiseAttackSpec, ScenarioConfig,
+                                          ScenarioError, fixture_path,
+                                          load_scenario, parse_scenario,
+                                          paper_k4_scenario, save_scenario,
+                                          scenario_to_doc, write_broken_edges_csv,
+                                          write_report)
 from consensus_adversary.topology import NetworkTopology, Schedule
 
 
@@ -133,11 +133,7 @@ class TestFixtures:
 
 class TestReports:
     def test_plain_outcome_files(self, tmp_path):
-        config = paper_k4_scenario("none", steps=20)
-        traj = propagate(config.x0, Schedule.none(config.topology, 20),
-                         config.topology, config.grid)
-        outcome = PlainOutcome(trajectory=traj, J=objective(traj, config.kernel))
-        files = write_report(outcome, tmp_path / "out")
+        files = write_report(simulate(paper_k4_scenario("none", steps=20)), tmp_path / "out")
         names = {f.name for f in files}
         assert names == {"trajectory.csv", "summary.json"}
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())

@@ -27,8 +27,9 @@ class TestNetworkTopology:
             NetworkTopology(n=3, edges=((1, 1, 1.0),))
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(TopologyError, match="duplicate"):
-            NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 0, 2.0)))
+        # named by input position, whichever order the endpoints come in
+        with pytest.raises(TopologyError, match=r"edges\[2\] duplicates edges\[0\]"):
+            NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0)))
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(TopologyError, match="weight"):
