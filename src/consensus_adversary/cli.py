@@ -114,10 +114,7 @@ def run_reproduce_paper(args) -> int:
     checks.append(("J(attack-II) > J(no attack)", a2.J > plain.J,
                    f"{a2.J:.4f} > {plain.J:.4f}"))
 
-    ok = True
-    for name, passed, detail in checks:
-        _diag(args, f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-        ok = ok and passed
+    ok = verify.report_checks(checks, printer=functools.partial(_diag, args))
     _diag(args, f"outputs under {out} (noise attack uses artifact defaults "
                 f"p_max=1, safety=0.9)")
     return 0 if ok else 1

@@ -28,18 +28,21 @@ DOMINANCE_REL_TOL = 1e-3    # largest relative excess of the best over greedy th
 class EnumerationResult:
     j_greedy: float
     j_best: float
-    best_schedule: tuple[tuple[tuple[int, int], ...], ...]   # per-interval broken (i, j) pairs
-    greedy_schedule: tuple[tuple[tuple[int, int], ...], ...]
+    best_schedule: Schedule            # one break-mask row per interval
+    greedy_schedule: Schedule
     num_schedules: int                 # nc^K, every schedule, pruned or not
     prefixes_kept: tuple[int, ...]     # surviving prefixes after each level
 
 
-def admissible_break_sets(topology: NetworkTopology, ell: int):
-    """All edge subsets of size <= ell (the bang-bang control alphabet)."""
-    sets = []
-    for k in range(min(ell, topology.m) + 1):
-        sets.extend(itertools.combinations(topology.pairs, k))
-    return sets
+def admissible_break_sets(topology: NetworkTopology, ell: int) -> np.ndarray:
+    """The bang-bang control alphabet: every break-mask row that breaks at
+    most ell links, as an (nc, m) uint8 array, ordered by the number of
+    links broken, then lexicographically by broken edge index."""
+    broken = [c for k in range(min(ell, topology.m) + 1)
+              for c in itertools.combinations(range(topology.m), k)]
+    masks = np.zeros((len(broken), topology.m), dtype=np.uint8)
+    masks[[r for r, c in enumerate(broken) for _ in c], [e for c in broken for e in c]] = 1
+    return masks
 
 
 def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
@@ -72,8 +75,9 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     Survivors stay in index order, so ties resolve to the first maximiser
     in that order, as in a full enumeration. `num_schedules` counts all
     nc^K schedules, pruned or not; `prefixes_kept` gives the survivors
-    after each level. Both sides start from x0 minus its mean, or from 0
-    at consensus.
+    after each level. The best and the greedy schedule are K-row
+    `Schedule`s of alphabet rows. Both sides start from x0 minus its mean,
+    or from 0 at consensus.
     """
     h = TimeGrid(T, intervals).h
     x0 = np.asarray(x0, dtype=float)
@@ -83,8 +87,7 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     # rounding of the system matrices' row sums out of a J near consensus
     # (at consensus the mean's own rounding may leave a multiple of 1 behind)
     x0 = x0 - np.mean(x0) if np.ptp(x0) > 0 else np.zeros(n)
-    control_sets = admissible_break_sets(topology, ell)
-    alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
+    alphabet = Schedule(topology, admissible_break_sets(topology, ell), ell)
     nc = len(alphabet)
     spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
@@ -97,7 +100,7 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     mask_index = {row.tobytes(): c for c, row in enumerate(alphabet.masks)}
     for _ in range(intervals):
         c = mask_index[greedy_control(y, topology, min(ell, topology.m)).tobytes()]
-        greedy_schedule.append(control_sets[c])
+        greedy_schedule.append(c)
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     # every constant schedule in one stacked pass, by the same forms as the
@@ -138,13 +141,13 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     best = int(np.argmax(J))
     best_schedule, r = [], best
     for c, parent in zip(reversed(controls), reversed(parents)):
-        best_schedule.append(control_sets[c[r]])
+        best_schedule.append(c[r])
         r = parent[r]
     return EnumerationResult(
         j_greedy=j_greedy,
         j_best=float(J[best]),
-        best_schedule=tuple(reversed(best_schedule)),
-        greedy_schedule=tuple(greedy_schedule),
+        best_schedule=Schedule(topology, alphabet.masks[best_schedule[::-1]], ell),
+        greedy_schedule=Schedule(topology, alphabet.masks[greedy_schedule], ell),
         num_schedules=nc ** intervals,
         prefixes_kept=tuple(len(c) for c in controls),
     )

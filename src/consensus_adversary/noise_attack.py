@@ -163,9 +163,8 @@ def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:
 
 
 def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
-                        grid: TimeGrid, setup: ContractionSetup,
-                        p0: np.ndarray | None = None) -> FixedPointResult:
-    """Iterate the co-state map from the default seed (or p0 if given) until
+                        grid: TimeGrid, setup: ContractionSetup) -> FixedPointResult:
+    """Iterate the co-state map from the default seed until
     the sup-norm residual falls below FIXED_POINT_TOL relative to the
     iterate's norm, for at most FIXED_POINT_MAX_ITER applications.
 
@@ -173,7 +172,7 @@ def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
     resolution problem; the result is then flagged rather than raised.
     """
     fmap = CostateMap(spectrum, x0, kernel, grid, setup)
-    p = default_seed(fmap, kernel) if p0 is None else np.array(p0, dtype=float)
+    p = default_seed(fmap, kernel)
     residuals = []
     converged = False
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):

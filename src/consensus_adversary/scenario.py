@@ -449,7 +449,8 @@ def write_report(outcome, directory) -> list[Path]:
 
     Always writes trajectory.csv and summary.json; link attacks add
     broken_edges.csv, noise attacks add control.csv. A non-finite summary
-    value, J say, raises DynamicsError naming it before any file is written.
+    value, J say, raises DynamicsError naming it before any file is written;
+    a file that cannot be written raises ScenarioError naming its path.
     """
     directory = Path(directory)
     traj = outcome.trajectory
@@ -499,13 +500,10 @@ def write_report(outcome, directory) -> list[Path]:
     except OSError as exc:
         raise ScenarioError(f"cannot create output directory {directory}: {exc}") from exc
     written = []
-    for name, write_csv in csv_writers.items():
+    for name, write in {**csv_writers, "summary.json": lambda path: path.write_text(text)}.items():
         written.append(directory / name)
-        write_csv(written[-1])
-    summary_path = directory / "summary.json"
-    try:
-        summary_path.write_text(text)
-    except OSError as exc:
-        raise ScenarioError(f"cannot write {summary_path}: {exc}") from exc
-    written.append(summary_path)
+        try:
+            write(written[-1])
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {written[-1]}: {exc}") from exc
     return written

@@ -73,7 +73,7 @@ class NetworkTopology:
         return i, j, w
 
     def is_connected(self) -> bool:
-        return len(components_of_edges(self.n, self.pairs)) == 1
+        return len(connected_components(self, np.zeros(self.m, dtype=np.uint8))) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,15 +185,22 @@ def build_system_matrix(topology: NetworkTopology, bits) -> np.ndarray:
     return a
 
 
-def components_of_edges(n: int, edges) -> list[tuple[int, ...]]:
-    """Connected components of the graph on 0..n-1 with the given edge list."""
-    adj = [[] for _ in range(n)]
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
+def connected_components(topology: NetworkTopology, bits) -> list[tuple[int, ...]]:
+    """Components of the surviving graph after removing the links one 0/1
+    break-mask row breaks, each a sorted tuple of node ids, in the order of
+    their smallest node."""
+    bits = _edge_mask(topology, bits)
+    if bits.ndim != 1:
+        raise TopologyError(f"components take one break-mask row, got shape {bits.shape}")
+    i, j, _ = topology.arrays
+    keep = np.logical_not(bits)
+    adj = [[] for _ in range(topology.n)]
+    for a, b in zip(i[keep].tolist(), j[keep].tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * topology.n
     comps = []
-    for start in range(n):
+    for start in range(topology.n):
         if seen[start]:
             continue
         stack, comp = [start], []
@@ -206,15 +213,4 @@ def components_of_edges(n: int, edges) -> list[tuple[int, ...]]:
                     seen[w] = True
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
-    return sorted(comps)
-
-
-def connected_components(topology: NetworkTopology, bits) -> list[tuple[int, ...]]:
-    """Components of the surviving graph after removing the links one 0/1
-    break-mask row breaks."""
-    bits = _edge_mask(topology, bits)
-    if bits.ndim != 1:
-        raise TopologyError(f"components take one break-mask row, got shape {bits.shape}")
-    i, j, _ = topology.arrays
-    keep = np.logical_not(bits)
-    return components_of_edges(topology.n, zip(i[keep].tolist(), j[keep].tolist()))
+    return comps

@@ -201,9 +201,12 @@ def run_verify(steps: int = DEFAULT_STEPS, fast: bool = False, printer=print) ->
         check_conservation(link, greedy),
         check_attack2_optimality(noise, attack2, base),
     ]
-    all_passed = True
-    for c in checks:
-        printer(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        if not c.passed:
-            all_passed = False
-    return all_passed
+    return report_checks([(c.name, c.passed, c.detail) for c in checks], printer)
+
+
+def report_checks(checks, printer=print) -> bool:
+    """Print one `[PASS]/[FAIL] name: detail` line per (name, passed, detail)
+    check, in order; True if every check passed."""
+    for name, passed, detail in checks:
+        printer(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
+    return all(passed for _, passed, _ in checks)

@@ -59,6 +59,11 @@ STIFF_CASES = [
 ]
 
 
+def broken_pairs(topology, schedule):
+    """A Schedule as its broken (i, j) pairs per step, in edge order."""
+    return tuple(tuple(topology.pairs[e] for e in np.flatnonzero(row)) for row in schedule.masks)
+
+
 def unpruned_oracle(topology, x0, T, ell, intervals):
     """The oracle without pruning: every one of the nc^K schedules, as a
     prefix tree of all nc^s prefix states per level (one GEMM of the forms
@@ -68,8 +73,7 @@ def unpruned_oracle(topology, x0, T, ell, intervals):
     x0 = np.asarray(x0, dtype=float)
     n = topology.n
     x0 = x0 - np.mean(x0)
-    control_sets = admissible_break_sets(topology, ell)
-    alphabet = Schedule(topology, [[p in b for p in topology.pairs] for b in control_sets], ell)
+    alphabet = Schedule(topology, admissible_break_sets(topology, ell), ell)
     nc = len(alphabet)
     spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
@@ -83,19 +87,21 @@ def unpruned_oracle(topology, x0, T, ell, intervals):
         if step + 1 < intervals:
             X = np.matmul(X, props.transpose(0, 2, 1)).reshape(-1, n)
     best_idx = int(np.argmax(J))
-    best_schedule = tuple(control_sets[best_idx // nc ** s % nc] for s in range(intervals))
+    best_schedule = [best_idx // nc ** s % nc for s in range(intervals)]
     y = x0.copy()
     j_greedy = 0.0
     greedy_schedule = []
     mask_index = {row.tobytes(): c for c, row in enumerate(alphabet.masks)}
     for _ in range(intervals):
         c = mask_index[greedy_control(y, topology, min(ell, topology.m)).tobytes()]
-        greedy_schedule.append(control_sets[c])
+        greedy_schedule.append(c)
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     return EnumerationResult(
-        j_greedy=j_greedy, j_best=float(J[best_idx]), best_schedule=best_schedule,
-        greedy_schedule=tuple(greedy_schedule), num_schedules=len(J),
+        j_greedy=j_greedy, j_best=float(J[best_idx]),
+        best_schedule=Schedule(topology, alphabet.masks[best_schedule], ell),
+        greedy_schedule=Schedule(topology, alphabet.masks[greedy_schedule], ell),
+        num_schedules=len(J),
         prefixes_kept=tuple(nc ** (s + 1) for s in range(intervals)))
 
 
@@ -135,6 +141,19 @@ class TestAlphabet:
         assert len(admissible_break_sets(topo, 2)) == 22
         assert len(admissible_break_sets(PATH3, 1)) == 3
 
+    @pytest.mark.parametrize("topo, ell", [
+        *((paper_k4_scenario("link").topology, ell) for ell in (0, 1, 2, 3, 6, 7)),
+        (NetworkTopology(n=2, edges=()), 1),
+    ], ids=["K4-0", "K4-1", "K4-2", "K4-3", "K4-6", "K4-7", "edgeless"])
+    def test_rows_by_size_then_edge_index(self, topo, ell):
+        # the order that fixes ties: by the number of links broken, then
+        # lexicographically by broken edge index
+        masks = admissible_break_sets(topo, ell)
+        assert masks.dtype == np.uint8 and masks.shape[1] == topo.m
+        pairs = [tuple(topo.pairs[e] for e in np.flatnonzero(row)) for row in masks]
+        assert pairs == [b for k in range(min(ell, topo.m) + 1)
+                         for b in itertools.combinations(topo.pairs, k)]
+
     def test_catalog_is_connected(self):
         for n in (3, 4):
             for edges in connected_graph_catalog(n):
@@ -155,7 +174,7 @@ class TestExhaustiveBest:
         # enumerated optimum as well
         config = paper_k4_scenario("link")
         result = exhaustive_best(config.topology, config.x0, config.T, 2, intervals=4)
-        assert result.greedy_schedule == (((0, 2), (0, 3)),) * 4
+        assert broken_pairs(config.topology, result.greedy_schedule) == (((0, 2), (0, 3)),) * 4
         assert result.j_best <= result.j_greedy * (1.0 + 1e-9)
 
     def test_budget_monotonicity(self):
@@ -235,8 +254,10 @@ class TestPruning:
         for topology, x0, ell in cases:
             full = unpruned_oracle(topology, x0, DOMINANCE_T, ell, DOMINANCE_INTERVALS)
             result = exhaustive_best(topology, x0, DOMINANCE_T, ell, DOMINANCE_INTERVALS)
-            assert result.best_schedule == full.best_schedule
-            assert result.greedy_schedule == full.greedy_schedule
+            assert broken_pairs(topology, result.best_schedule) == broken_pairs(
+                topology, full.best_schedule)
+            assert broken_pairs(topology, result.greedy_schedule) == broken_pairs(
+                topology, full.greedy_schedule)
             assert result.j_greedy == full.j_greedy
             assert result.num_schedules == full.num_schedules
             assert abs(result.j_best - full.j_best) <= 1e-15 * full.j_best
@@ -267,7 +288,8 @@ class TestPruning:
     def test_stiff_graphs_match_unpruned_oracle(self, case):
         full = unpruned_oracle(*case)
         result = exhaustive_best(*case)
-        assert result.best_schedule == full.best_schedule
+        assert broken_pairs(case[0], result.best_schedule) == broken_pairs(
+            case[0], full.best_schedule)
         assert abs(result.j_best - full.j_best) <= 1e-15 * full.j_best
 
     def test_stiff_decay_settles_prefixes(self):
@@ -291,7 +313,7 @@ class TestPruning:
         # level keeps only the first extension, and the first schedule wins
         result = exhaustive_best(topology, x0, 2.0, ell, intervals=16)
         assert result.j_best == 0.0 and result.j_greedy == 0.0
-        assert result.best_schedule == ((),) * 16
+        assert broken_pairs(topology, result.best_schedule) == ((),) * 16
         assert result.prefixes_kept == (1,) * 16
         assert type(result.num_schedules) is int and result.num_schedules == nc ** 16
 
@@ -318,11 +340,14 @@ def oracle_inputs(draw):
 def reference_oracle(topology, x0, T, ell, intervals):
     """Every schedule's J in index order (step s is digit s in base nc, so
     step 0 varies fastest), one schedule at a time, and the greedy schedule
-    with its J, from per-control Spectrum operators. x0 is centred first, as
-    the oracle does, so both sides round alike and break ties alike."""
+    with its J, from per-control Spectrum operators. The alphabet is built
+    here from the edge pairs, by size and then lexicographically, and a
+    schedule is its broken pairs per interval. x0 is centred first, as the
+    oracle does, so both sides round alike and break ties alike."""
     x0 = x0 - np.mean(x0)
     h = T / intervals
-    sets = admissible_break_sets(topology, ell)
+    sets = [b for k in range(min(ell, topology.m) + 1)
+            for b in itertools.combinations(topology.pairs, k)]
     spectra = [Spectrum(build_system_matrix(
                    topology, LinkControl.breaking(topology, b, len(b)).bits)) for b in sets]
     props = [spectrum.exp(h) for spectrum in spectra]
@@ -388,19 +413,20 @@ class TestAgainstPerScheduleReference:
     def test_matches_schedule_by_schedule_enumeration(self, case):
         schedules, J, greedy, j_greedy = reference_oracle(*case)
         result = exhaustive_best(*case)
+        best = broken_pairs(case[0], result.best_schedule)
         assert result.num_schedules == len(schedules)
-        assert result.greedy_schedule == greedy
+        assert broken_pairs(case[0], result.greedy_schedule) == greedy
         assert result.j_greedy == j_greedy
         j_max = J.max()
         assert abs(result.j_best - j_max) <= 1e-13 * j_max
         first = int(np.argmax(J))
         runner_up = np.delete(J, first).max(initial=-np.inf)
         if j_max - runner_up > 1e-12 * j_max:
-            assert result.best_schedule == schedules[first]
+            assert best == schedules[first]
         else:
-            assert j_max - J[schedules.index(result.best_schedule)] <= 1e-12 * j_max
+            assert j_max - J[schedules.index(best)] <= 1e-12 * j_max
         # both picks against 60-digit arithmetic
-        for schedule, j in ((result.best_schedule, result.j_best), (schedules[first], j_max)):
+        for schedule, j in ((best, result.j_best), (schedules[first], j_max)):
             exact = exact_objective(case[0], case[1], case[2], schedule)
             assert abs(j - exact) <= 1e-13 * exact
 

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
                                           Schedule, TopologyError,
@@ -170,3 +174,32 @@ class TestCutsAndComponents:
         star = NetworkTopology(n=4, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
         control = LinkControl.breaking(star, [(0, 3)], 1)
         assert (3,) in connected_components(star, control.bits)
+
+
+@st.composite
+def graphs_and_rows(draw):
+    """A graph on 1 to 8 nodes with any subset of the node pairs as edges
+    (so isolated nodes and m = 0 occur), and a random 0/1 row over them."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    topo = NetworkTopology(n=n, edges=tuple((i, j, 1.0) for (i, j) in chosen))
+    bits = draw(st.lists(st.integers(0, 1), min_size=topo.m, max_size=topo.m))
+    return topo, np.array(bits, dtype=np.uint8)
+
+
+def csgraph_labels(topo, keep):
+    i, j, _ = topo.arrays
+    graph = coo_matrix((np.ones(int(keep.sum())), (i[keep], j[keep])), shape=(topo.n, topo.n))
+    return csgraph_components(graph, directed=False)
+
+
+class TestComponentsAgainstCsgraph:
+    @settings(max_examples=200, deadline=None)
+    @given(case=graphs_and_rows())
+    def test_components_and_connectivity(self, case):
+        topo, bits = case
+        count, labels = csgraph_labels(topo, bits == 0)
+        expected = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(count))
+        assert connected_components(topo, bits) == expected
+        assert topo.is_connected() == (csgraph_labels(topo, np.ones(topo.m, bool))[0] == 1)
