@@ -5,10 +5,12 @@ two attacks' `simulate_attack1` and `simulate_attack2`.
 The system matrix is always symmetric with zero row sums, so matrix
 exponentials are computed through one eigendecomposition per matrix
 (`Spectrum`): exact for this class and free of Pade/squaring tuning. Controls
-are piecewise constant on the grid, so per-step propagation by the exact
-exponential leaves control-switching granularity as the only discretization
-error of the trajectory. The objective J adds a second one: it integrates the
-grid samples by composite trapezoid, an O(h^2) quadrature error.
+are piecewise constant on the grid, so the system matrix is constant over each
+run of equal rows, and every state of a run is its first state moved by the
+exact exponential of the run's modes (`Spectrum.evolve`), with no step-by-step
+rounding; control-switching granularity is the only discretization error of
+the trajectory. The objective J adds a second one: it integrates the grid
+samples by composite trapezoid, an O(h^2) quadrature error.
 """
 
 from __future__ import annotations
@@ -138,6 +140,16 @@ class Spectrum:
             raise DynamicsError(f"matrix exponential requires t >= 0, got {t}")
         return (self.vecs * np.exp(self.vals * t)[..., None, :]) @ self.vecs.swapaxes(-1, -2)
 
+    def evolve(self, d: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+        """exp(A t_i) d for each time t_i >= 0, written into the rows of `out`:
+        vecs (e^{vals t_i} * vecs' d). Each row is its own matrix-vector
+        product, so its value does not depend on which other times come in
+        the same call (a matrix-matrix product's rows can differ in the last
+        bit with the row count)."""
+        z = np.exp(np.multiply.outer(t, self.vals))
+        z *= d @ self.vecs
+        np.matmul(z[:, None, :], self.vecs.T, out=out[:, None, :])
+
     def interval_form(self, h: float) -> np.ndarray:
         """W with y' W y = int_0^h |exp(A tau) y - M y|^2 dtau, M = 11'/n."""
         vals, vecs = self.vals, self.vecs
@@ -195,9 +207,11 @@ class _ModeRecurrence:
 class PropagatorCache:
     """One `Spectrum` per distinct break-mask row, keyed by the row's bytes.
 
-    Only the decomposition is stored: `step` rebuilds exp(A h) from it on
-    every call, so callers ask for it once per run of equal rows. One cache
-    shared by several propagations decomposes each distinct row once.
+    Only the decompositions are stored: the propagations ask for one
+    `spectrum` per run of equal rows and move the run's states in its modes.
+    `step` builds exp(A h) of a row, not stored, for checks that want the
+    matrix itself. One cache shared by several propagations decomposes each
+    distinct row once.
     """
 
     def __init__(self, topology: NetworkTopology, h: float):
@@ -239,21 +253,26 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
               grid: TimeGrid, *, cache: PropagatorCache | None = None) -> Trajectory:
     """Propagate x' = A(t) x with a piecewise-constant link schedule.
 
-    One mask row per grid step. Each run of equal rows builds its exact
-    exponential E once and applies x[k+1] = E @ x[k] per step, written in
-    place into the trajectory (the same gemv as `E @ x[k]`, without a
-    temporary). A shared `cache` keeps the decompositions for later calls;
-    without one, a fresh cache serves this call.
+    One mask row per grid step. The pass keeps the deviation d = x - xbar
+    from the consensus value xbar = mean(x0), which every A(t) fixes. A run
+    of equal rows starting at step s gives d[s + j] = exp(A j h) d[s] for
+    j = 1..L from the run's first state, in one `Spectrum.evolve` call, so
+    rounding grows with the number of runs, not of steps. xbar is added once
+    at the end, and x[0] is x0 exactly. A shared `cache` keeps the
+    decompositions for later calls; without one, a fresh cache serves this
+    call.
     """
     x0 = np.asarray(x0, dtype=float)
     check_schedule_and_state(schedule, grid, x0, topology)
     cache = PropagatorCache(topology, grid.h) if cache is None else cache
+    xbar = np.mean(x0)
     x = np.empty((grid.steps + 1, topology.n))
-    x[0] = x0
+    x[0] = x0 - xbar
     for start, stop in schedule.runs():
-        E = cache.step(schedule.masks[start])
-        for k in range(start, stop):
-            np.dot(E, x[k], out=x[k + 1])
+        cache.spectrum(schedule.masks[start]).evolve(
+            x[start], np.arange(1, stop - start + 1) * grid.h, out=x[start + 1:stop + 1])
+    x += xbar
+    x[0] = x0
     return Trajectory(grid=grid, x=x)
 
 

@@ -117,20 +117,22 @@ def classify(topology: NetworkTopology, schedule: Schedule,
 
 def simulate_attack1(config) -> Attack1Outcome:
     """Closed-loop greedy attack: the control at every grid step is the
-    greedy row of that step's state, and each step is one exact-exponential
-    step x[k+1] = E @ x[k], written in place.
+    greedy row of that step's state, and the state follows `propagate`'s
+    arithmetic under the rows so chosen.
 
-    Ranking goes a block of steps at a time: the current E advances the state
-    some steps ahead, one greedy_control call ranks those states, and every
-    step up to the first row that differs from the current one is kept. The
-    state from there on is recomputed under the new row's E, which is built
-    only when the row changes. The look-ahead starts at one step after each
-    change and doubles after every block the row survives, up to
-    RANK_BLOCK // m steps, so the discarded states of a run never outnumber
-    its kept ones: the attack ranks at most 2 * steps states, however often
-    the row changes. Each kept state is the same E @ x of the same E as when
-    re-ranking every step, so the trajectory, schedule and J are
-    bit-identical to that.
+    Ranking goes a block of steps at a time: the current row's modes move
+    the state some steps ahead, one greedy_control call ranks those states,
+    and every step up to the first row that differs from the current one is
+    kept. The state from there on is recomputed under the new row, whose
+    decomposition is looked up only when the row changes. The look-ahead
+    starts at one step after each change and doubles after every block the
+    row survives, up to RANK_BLOCK // m steps, so the discarded states of a
+    run never outnumber its kept ones: the attack ranks at most 2 * steps
+    states, however often the row changes. Every block is computed from its
+    run's first deviation from the consensus value, at offsets from the
+    run's start (`Spectrum.evolve`), one state at a time within the call,
+    so the trajectory and J are bit-identical to `propagate` under the
+    schedule, and the schedule to re-ranking every step.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell, steps = config.attack.ell, grid.steps
@@ -139,26 +141,29 @@ def simulate_attack1(config) -> Attack1Outcome:
     longest = max(1, RANK_BLOCK // max(topology.m, 1))
     cache = PropagatorCache(topology, grid.h)
     masks = np.empty((steps, topology.m), dtype=np.uint8)
-    x = np.empty((steps + 1, topology.n))
-    x[0] = x0
+    xbar = np.mean(x0)
+    x = np.empty((steps + 1, topology.n))       # the deviation x - xbar until the end
+    x[0] = x0 - xbar
     k, block, row = 0, 1, greedy_control(x0, topology, ell)
-    E = cache.step(row)
+    run, spectrum = 0, cache.spectrum(row)
     while k < steps:
-        # x[k] is final, row is its greedy control and E its step
+        # x[k] is final, row is its greedy control, and its run began at run
         stop = min(k + block, steps)
-        for s in range(k, stop):
-            np.dot(E, x[s], out=x[s + 1])
-        ahead = greedy_control(x[k + 1:min(stop + 1, steps)], topology, ell)
+        spectrum.evolve(x[run], np.arange(k + 1 - run, stop + 1 - run) * grid.h,
+                        out=x[k + 1:stop + 1])
+        ahead = greedy_control(x[k + 1:min(stop + 1, steps)] + xbar, topology, ell)
         differ = np.flatnonzero((ahead != row).any(axis=-1))
         if differ.size:
             kept = k + 1 + int(differ[0])
             masks[k:kept] = row
             row = ahead[differ[0]]
-            E = cache.step(row)
+            run, spectrum = kept, cache.spectrum(row)
             k, block = kept, 1
         else:
             masks[k:stop] = row
             k, block = stop, min(2 * block, longest)
+    x += xbar
+    x[0] = x0
     traj = Trajectory(grid=grid, x=x)
     schedule = Schedule(topology, masks, ell)
     return Attack1Outcome(

@@ -210,18 +210,23 @@ def propagate_forced(spectrum: Spectrum, x0: np.ndarray, u: np.ndarray,
     trapezoid approximation of the forcing convolution:
     x[k+1] = E x[k] + h/2 (E u[k] + u[k+1]).
 
-    The forcing of every step comes first, from one stacked matmul whose
-    slices are the same gemv as `E @ u[k]`; each step then writes E x[k] in
-    place and adds its forcing."""
-    E = spectrum.exp(grid.h)
-    forcing = np.matmul(E, u[:grid.steps, :, None])[..., 0]
-    forcing += u[1:grid.steps + 1]
-    forcing *= 0.5 * grid.h
-    x = np.empty((grid.steps + 1, len(x0)))
-    x[0] = np.asarray(x0, dtype=float)
-    for k in range(grid.steps):
-        np.dot(E, x[k], out=x[k + 1])
-        x[k + 1] += forcing[k]
+    E = exp(A h) is diagonal in A's modes (rate r = e^{lam h} per mode), and
+    A fixes the consensus value xbar = mean(x0), so the modes
+    y = vecs' (x - xbar) of the deviation and v = vecs' u of the forcing
+    follow y[k+1] = r y[k] + h/2 (r v[k] + v[k+1]) from y[0] = vecs' (x0 - xbar):
+    one `_ModeRecurrence.run` for every mode and step. xbar is added once at
+    the end, and x[0] is x0 exactly."""
+    x0 = np.asarray(x0, dtype=float)
+    xbar = np.mean(x0)
+    vecs = spectrum.vecs
+    r = np.exp(spectrum.vals * grid.h)
+    v = u @ vecs
+    f = np.empty_like(v)
+    f[0] = (x0 - xbar) @ vecs
+    f[1:] = 0.5 * grid.h * (r * v[:-1] + v[1:])
+    x = _ModeRecurrence(r, grid.steps + 1).run(f) @ vecs.T
+    x += xbar
+    x[0] = x0
     return Trajectory(grid=grid, x=x)
 
 

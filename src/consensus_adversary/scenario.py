@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
@@ -23,7 +24,7 @@ from .noise_attack import Attack2Outcome, contraction_setup
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
-CSV_BLOCK = 512   # most values the CSV writer formats at a time
+CSV_BLOCK = 2048  # most values the CSV writer formats at a time
 
 
 class ScenarioError(ValueError):
@@ -91,6 +92,15 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _parse_edge(i, j, w, n: int, field: str) -> tuple[int, int, float]:
+    """One edge [i, j, weight] with 1-based node ids, as a 0-based triple."""
+    i = _integer(i, f"{field} node id")
+    j = _integer(j, f"{field} node id")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ScenarioError(f"{field} node id outside 1..{n}")
+    return (i - 1, j - 1, _number(w, f"{field} weight"))
+
+
 def _parse_topology(doc, where: str) -> NetworkTopology:
     n = _integer(doc.get("n"), f"{where}: field 'n'")
     edges = doc.get("edges")
@@ -101,11 +111,12 @@ def _parse_topology(doc, where: str) -> NetworkTopology:
         if not (isinstance(e, list) and len(e) == 3):
             raise ScenarioError(f"{where}: edges[{idx}] must be [i, j, weight]")
         i, j, w = e
-        i = _integer(i, f"{where}: edges[{idx}] node id")
-        j = _integer(j, f"{where}: edges[{idx}] node id")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ScenarioError(f"{where}: edges[{idx}] node id outside 1..{n}")
-        parsed.append((i - 1, j - 1, _number(w, f"{where}: edges[{idx}] weight")))
+        # the common case in one test; anything else gets the named checks
+        if (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n
+                and (type(w) is float or type(w) is int) and math.isfinite(w)):
+            parsed.append((i - 1, j - 1, float(w)))
+        else:
+            parsed.append(_parse_edge(i, j, w, n, f"{where}: edges[{idx}]"))
     try:
         return NetworkTopology(n=n, edges=tuple(parsed))
     except ValueError as exc:
@@ -449,8 +460,11 @@ def write_report(outcome, directory) -> list[Path]:
 
     Always writes trajectory.csv and summary.json; link attacks add
     broken_edges.csv, noise attacks add control.csv. A non-finite summary
-    value, J say, raises DynamicsError naming it before any file is written;
-    a file that cannot be written raises ScenarioError naming its path.
+    value, J say, raises DynamicsError naming it before any file is written.
+    Each file is written under a temporary name in the directory and renamed
+    into place only once every file is written; a file that cannot be
+    written or renamed raises ScenarioError naming its path and leaves none
+    of the report's files behind.
     """
     directory = Path(directory)
     traj = outcome.trajectory
@@ -499,11 +513,17 @@ def write_report(outcome, directory) -> list[Path]:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot create output directory {directory}: {exc}") from exc
-    written = []
-    for name, write in {**csv_writers, "summary.json": lambda path: path.write_text(text)}.items():
-        written.append(directory / name)
-        try:
-            write(written[-1])
-        except OSError as exc:
-            raise ScenarioError(f"cannot write {written[-1]}: {exc}") from exc
-    return written
+    staged, moved = {}, []    # file -> its temporary; files already in place
+    try:
+        for name, write in {**csv_writers, "summary.json": lambda p: p.write_text(text)}.items():
+            path = directory / name
+            staged[path] = directory / f".{name}.{os.getpid()}.tmp"
+            write(staged[path])
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+            moved.append(path)
+    except OSError as exc:
+        for leftover in [*staged.values(), *moved]:
+            leftover.unlink(missing_ok=True)
+        raise ScenarioError(f"cannot write {path}: {exc}") from exc
+    return list(staged)

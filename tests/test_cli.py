@@ -58,12 +58,15 @@ class TestExitCodes:
         assert "--steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command,kind,name", [
+    # (command, scenario kind, report file made a directory)
+    UNWRITABLE = pytest.mark.parametrize("command,kind,name", [
         ("attack1", "link", "trajectory.csv"),
         ("attack1", "link", "broken_edges.csv"),
         ("attack2", "noise", "control.csv"),
         ("attack1", "link", "summary.json"),
     ], ids=["trajectory", "broken-edges", "control", "summary"])
+
+    @UNWRITABLE
     def test_unwritable_output_file_exits_2(self, scenarios, tmp_path, capsys,
                                             command, kind, name):
         # a directory where a report file goes: every file exits 2 and names its path
@@ -71,6 +74,16 @@ class TestExitCodes:
         (out / name).mkdir(parents=True)
         assert main([command, "--scenario", str(scenarios[kind]), "--out", str(out)]) == 2
         assert f"error: cannot write {out / name}: " in capsys.readouterr().err
+
+    @UNWRITABLE
+    def test_unwritable_output_file_leaves_no_report_file(self, scenarios, tmp_path,
+                                                          command, kind, name):
+        # the files written before the failing one, and every temporary, are gone
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([command, "--scenario", str(scenarios[kind]), "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == [name]
+        assert not any((out / name).iterdir())
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):

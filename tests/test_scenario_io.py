@@ -197,7 +197,10 @@ class TestCsvBytes:
         (0, 3), (1, 3), (1, 9), (1, CSV_BLOCK + 3), (3, CSV_BLOCK + 3),
         (CSV_BLOCK // 9 - 1, 9), (CSV_BLOCK // 9, 9), (CSV_BLOCK // 9 + 1, 9),
         (CSV_BLOCK // 3 - 1, 3), (CSV_BLOCK // 3, 3), (CSV_BLOCK // 3 + 1, 3),
-        (5 * (CSV_BLOCK // 5) + 1, 5), (2001, 9), (1, 1), (CSV_BLOCK + 1, 1)])
+        (5 * (CSV_BLOCK // 5) + 1, 5), (2001, 9), (1, 1), (CSV_BLOCK + 1, 1),
+        # the boundaries of a 512-value block, kept as further table shapes
+        (1, 515), (3, 515), (55, 9), (56, 9), (57, 9), (169, 3), (170, 3), (171, 3),
+        (511, 5), (513, 1)])
     def test_write_csv_matches_savetxt(self, tmp_path, rows, width):
         columns = table_columns(rows, width, seed=rows * 1000 + width)
         header = [f"c{k}" for k in range(width)]
