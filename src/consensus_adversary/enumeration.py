@@ -87,7 +87,9 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     # rounding of the system matrices' row sums out of a J near consensus
     # (at consensus the mean's own rounding may leave a multiple of 1 behind)
     x0 = x0 - np.mean(x0) if np.ptp(x0) > 0 else np.zeros(n)
-    alphabet = Schedule(topology, admissible_break_sets(topology, ell), ell)
+    masks = admissible_break_sets(topology, ell)
+    masks.flags.writeable = False
+    alphabet = Schedule(topology, masks, ell)
     nc = len(alphabet)
     spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
@@ -143,11 +145,14 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     for c, parent in zip(reversed(controls), reversed(parents)):
         best_schedule.append(c[r])
         r = parent[r]
+    best_rows, greedy_rows = alphabet.masks[best_schedule[::-1]], alphabet.masks[greedy_schedule]
+    for rows in (best_rows, greedy_rows):     # read-only, so the Schedules keep them
+        rows.flags.writeable = False
     return EnumerationResult(
         j_greedy=j_greedy,
         j_best=float(J[best]),
-        best_schedule=Schedule(topology, alphabet.masks[best_schedule[::-1]], ell),
-        greedy_schedule=Schedule(topology, alphabet.masks[greedy_schedule], ell),
+        best_schedule=Schedule(topology, best_rows, ell),
+        greedy_schedule=Schedule(topology, greedy_rows, ell),
         num_schedules=nc ** intervals,
         prefixes_kept=tuple(len(c) for c in controls),
     )

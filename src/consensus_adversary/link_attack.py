@@ -6,9 +6,11 @@ A control is one uint8 break-mask row over topology.edges, and a schedule
 is one (steps, m) break-mask `Schedule`. The greedy rule returns one row per
 state of a stack, breaking the budgeted number of links of highest dissipated
 power w_ij = a_ij (x_j - x_i)^2, found by linear-time selection of the cut
-value rather than a sort. The attack ranks a block of upcoming states in one
-call, and looks further ahead the longer the row holds; its result is
-bit-identical to re-ranking every step. The sweep ranks edges by the
+value rather than a sort. The attack computes the powers of a block of
+upcoming states in one call and ranks none of them while the current row
+still holds, which a comparison across the row's cut shows; it looks
+further ahead the longer the row holds, and its result is bit-identical to
+re-ranking every step. The sweep ranks edges by the
 switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole
 trajectory in one call, through the same top-ell cut (`switching_control`).
 On the reference K4 both give the same schedule, but the greedy rule is
@@ -30,7 +32,7 @@ from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
-RANK_BLOCK = 2**15     # most edge powers (steps x edges) the greedy attack ranks per greedy_control call
+RANK_BLOCK = 2**15     # most edge powers (steps x edges) per greedy look-ahead block
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,11 @@ def edge_power(x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :]."""
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
-    return a * (x[..., j] - x[..., i]) ** 2
+    w = x[..., j]            # a fresh array: the same doubles as a * (x_j - x_i) ** 2
+    w -= x[..., i]
+    w *= w
+    w *= a
+    return w
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
@@ -120,19 +126,21 @@ def simulate_attack1(config) -> Attack1Outcome:
     greedy row of that step's state, and the state follows `propagate`'s
     arithmetic under the rows so chosen.
 
-    Ranking goes a block of steps at a time: the current row's modes move
-    the state some steps ahead, one greedy_control call ranks those states,
-    and every step up to the first row that differs from the current one is
-    kept. The state from there on is recomputed under the new row, whose
-    decomposition is looked up only when the row changes. The look-ahead
-    starts at one step after each change and doubles after every block the
-    row survives, up to RANK_BLOCK // m steps, so the discarded states of a
-    run never outnumber its kept ones: the attack ranks at most 2 * steps
-    states, however often the row changes. Every block is computed from its
-    run's first deviation from the consensus value, at offsets from the
-    run's start (`Spectrum.evolve`), one state at a time within the call,
-    so the trajectory and J are bit-identical to `propagate` under the
-    schedule, and the schedule to re-ranking every step.
+    The look-ahead goes a block of steps at a time: the current row's modes
+    move the state some steps ahead, and `_first_change` finds the first of
+    those states whose greedy row differs from the current one, by testing
+    whether the row still holds rather than ranking every state. Every step
+    before it is kept; the state from there on is recomputed under the new
+    row, whose decomposition is looked up only when the row changes. The
+    look-ahead starts at one step after each change and doubles after every
+    block the row survives, up to RANK_BLOCK // m steps, so the discarded
+    states of a run never outnumber its kept ones: the attack computes the
+    powers of at most 2 * steps states, however often the row changes.
+    Every block is computed from its run's first deviation from the
+    consensus value, at offsets from the run's start (`Spectrum.evolve`),
+    one state at a time within the call, so the trajectory and J are
+    bit-identical to `propagate` under the schedule, and the schedule to
+    re-ranking every step with `greedy_control`.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell, steps = config.attack.ell, grid.steps
@@ -151,12 +159,12 @@ def simulate_attack1(config) -> Attack1Outcome:
         stop = min(k + block, steps)
         spectrum.evolve(x[run], np.arange(k + 1 - run, stop + 1 - run) * grid.h,
                         out=x[k + 1:stop + 1])
-        ahead = greedy_control(x[k + 1:min(stop + 1, steps)] + xbar, topology, ell)
-        differ = np.flatnonzero((ahead != row).any(axis=-1))
-        if differ.size:
-            kept = k + 1 + int(differ[0])
+        w = edge_power(x[k + 1:min(stop + 1, steps)] + xbar, topology)
+        change = _first_change(w, row, ell)
+        if change is not None:
+            kept = k + 1 + change[0]
             masks[k:kept] = row
-            row = ahead[differ[0]]
+            row = change[1]
             run, spectrum = kept, cache.spectrum(row)
             k, block = kept, 1
         else:
@@ -164,6 +172,7 @@ def simulate_attack1(config) -> Attack1Outcome:
             k, block = stop, min(2 * block, longest)
     x += xbar
     x[0] = x0
+    masks.flags.writeable = False
     traj = Trajectory(grid=grid, x=x)
     schedule = Schedule(topology, masks, ell)
     return Attack1Outcome(
@@ -173,6 +182,30 @@ def simulate_attack1(config) -> Attack1Outcome:
         classification=classify(topology, schedule, x[-1], x0),
         topology=topology,
     )
+
+
+def _first_change(w: np.ndarray, row: np.ndarray, ell: int) -> tuple[int, np.ndarray] | None:
+    """The first state of the powers w[s, :] whose greedy row is not `row`
+    (a top-ell row), with that greedy row; None if row holds for all of them.
+
+    The row holds for a state when the least power among its broken edges
+    exceeds the largest among the others, and differs when it falls short.
+    Only the states in between, exact ties or NaN, and the first state that
+    differs, which needs its new row, are ranked by `_top_ell`.
+    """
+    lo = w[:, np.flatnonzero(row)].min(axis=-1, initial=np.inf)
+    hi = np.max(w, axis=-1, where=row == 0, initial=-np.inf)
+    maybe = np.flatnonzero(~(lo > hi))
+    if not maybe.size:
+        return None
+    differs = np.flatnonzero(lo[maybe] < hi[maybe])
+    if differs.size:
+        maybe = maybe[:differs[0] + 1]
+    ranked = _top_ell(w[maybe], ell)
+    new = np.flatnonzero((ranked != row).any(axis=-1))
+    if not new.size:
+        return None
+    return int(maybe[new[0]]), ranked[new[0]]
 
 
 def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopology,

@@ -8,6 +8,7 @@ summary with sorted keys.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
 from .link_attack import Attack1Outcome, SweepResult
 from .noise_attack import Attack2Outcome, contraction_setup
-from .topology import NetworkTopology
+from .topology import ARRAY_EDGES, NetworkTopology
 
 DEFAULT_STEPS = 400
 CSV_BLOCK = 2048  # most values the CSV writer formats at a time
@@ -78,9 +79,19 @@ class ScenarioConfig:
         return replace(self, steps=int(steps))
 
 
+def _finite(value: int | float) -> bool:
+    """Whether a JSON number is a finite double; an integer beyond the
+    double range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(value, field: str) -> float:
-    """A finite JSON number; booleans and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A finite JSON number; booleans, strings and integers too large for a
+    double are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
         raise ScenarioError(f"{field}: must be a finite number, got {value!r}")
     return float(value)
 
@@ -101,24 +112,47 @@ def _parse_edge(i, j, w, n: int, field: str) -> tuple[int, int, float]:
     return (i - 1, j - 1, _number(w, f"{field} weight"))
 
 
+def _edge_array(edges: list, n: int) -> np.ndarray | None:
+    """The edges as an (m, 3) float array of 0-based (i, j, weight) rows when
+    every one is [int, int, number] with node ids in 1..n and a finite
+    weight: one type pass over the edges, the rest on the array. None
+    otherwise, for the per-edge checks to name the first bad edge."""
+    if not all(type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
+               and (type(e[2]) is float or type(e[2]) is int) for e in edges):
+        return None
+    try:
+        e = np.fromiter(itertools.chain.from_iterable(edges), dtype=float,
+                        count=3 * len(edges)).reshape(-1, 3)
+    except OverflowError:        # an integer beyond the double range
+        return None
+    ids = e[:, :2]
+    # n is compared in Python, exactly, whatever its size
+    if not (ids.min(initial=1) >= 1 and ids.max(initial=1) <= n and np.isfinite(e[:, 2]).all()):
+        return None
+    ids -= 1
+    return e
+
+
 def _parse_topology(doc, where: str) -> NetworkTopology:
     n = _integer(doc.get("n"), f"{where}: field 'n'")
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise ScenarioError(f"{where}: field 'edges' must be an array of [i, j, weight]")
-    parsed = []
-    for idx, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 3):
-            raise ScenarioError(f"{where}: edges[{idx}] must be [i, j, weight]")
-        i, j, w = e
-        # the common case in one test; anything else gets the named checks
-        if (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n
-                and (type(w) is float or type(w) is int) and math.isfinite(w)):
-            parsed.append((i - 1, j - 1, float(w)))
-        else:
-            parsed.append(_parse_edge(i, j, w, n, f"{where}: edges[{idx}]"))
+    parsed = _edge_array(edges, n) if len(edges) >= ARRAY_EDGES else None
+    if parsed is None:
+        parsed = []
+        for idx, e in enumerate(edges):
+            if not (isinstance(e, list) and len(e) == 3):
+                raise ScenarioError(f"{where}: edges[{idx}] must be [i, j, weight]")
+            i, j, w = e
+            # the common case in one test; anything else gets the named checks
+            if (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n
+                    and (type(w) is float or type(w) is int) and _finite(w)):
+                parsed.append((i - 1, j - 1, float(w)))
+            else:
+                parsed.append(_parse_edge(i, j, w, n, f"{where}: edges[{idx}]"))
     try:
-        return NetworkTopology(n=n, edges=tuple(parsed))
+        return NetworkTopology(n=n, edges=parsed)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -450,7 +484,8 @@ def write_broken_edges_csv(outcome, path: Path) -> None:
     """One `t,edge_i,edge_j` line per broken edge and step, in step then edge
     order, with 1-based node ids."""
     i, j, _ = outcome.topology.arrays
-    k, e = np.nonzero(outcome.schedule.masks)
+    masks = outcome.schedule.masks
+    k, e = np.divmod(np.flatnonzero(masks.view(bool)), max(masks.shape[1], 1))
     _write_csv(path, ["t", "edge_i", "edge_j"],
                [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
 

@@ -13,6 +13,9 @@ from functools import cached_property
 import numpy as np
 
 
+ARRAY_EDGES = 64   # fewest edges checked as arrays; fewer are faster one at a time
+
+
 class TopologyError(ValueError):
     """Raised for malformed topologies or controls that do not fit them."""
 
@@ -22,9 +25,10 @@ class NetworkTopology:
     """Undirected weighted graph on nodes 0..n-1.
 
     edges are (i, j, weight) with i < j and weight > 0, kept sorted; a
-    control is one 0/1 break-mask row in this edge order. Connectivity is a computed
-    property, not an assumption; disconnected inputs are legal and flagged
-    downstream.
+    control is one 0/1 break-mask row in this edge order. `arrays` holds the
+    same edges as read-only endpoint arrays i, j and weight array w.
+    Connectivity is a computed property, not an assumption; disconnected
+    inputs are legal and flagged downstream.
     """
 
     n: int
@@ -33,6 +37,23 @@ class NetworkTopology:
     def __post_init__(self):
         if self.n < 1:
             raise TopologyError(f"node count must be positive, got {self.n}")
+        arrays = _valid_edges(self.edges, self.n) if len(self.edges) >= ARRAY_EDGES else None
+        if arrays is None:
+            # few edges, or name the first bad edge, or accept what only the
+            # per-edge rules allow
+            edges = tuple(self._checked_edges())
+            e = np.array(edges, dtype=float).reshape(-1, 3)
+            arrays = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2].copy()
+        else:
+            edges = tuple(zip(*(a.tolist() for a in arrays)))
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "arrays", arrays)
+
+    def _checked_edges(self) -> list[tuple[int, int, float]]:
+        """The edges one at a time, each normalised to i < j, sorted; raises
+        naming the first edge, in input order, that breaks a rule."""
         seen = set()
         norm = []   # the edges before this one, in input order: edges[len(norm)] is this one
         for (i, j, w) in self.edges:
@@ -51,8 +72,7 @@ class NetworkTopology:
                 raise TopologyError(f"edges[{len(norm)}] has non-positive weight {w}")
             seen.add((i, j))
             norm.append((i, j, float(w)))
-        norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
+        return sorted(norm)
 
     @property
     def m(self) -> int:
@@ -63,17 +83,40 @@ class NetworkTopology:
         """Endpoints (i, j) of each edge, in edge order."""
         return tuple((i, j) for (i, j, _) in self.edges)
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only endpoint arrays i, j and weight array w, in edge order."""
-        e = np.array(self.edges, dtype=float).reshape(-1, 3)
-        i, j, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2]
-        for a in (i, j, w):
-            a.flags.writeable = False
-        return i, j, w
-
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         return len(connected_components(self, np.zeros(self.m, dtype=np.uint8))) == 1
+
+
+def _valid_edges(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Endpoint arrays i < j and weight array w of the edges, sorted by
+    (i, j), when every edge is a triple of integral node ids in 0..n-1 and a
+    positive weight, with no self-loop or duplicate; else None, and the
+    per-edge rules decide. Node ids past 2**31 also take the per-edge rules."""
+    try:
+        e = np.asarray(edges)
+    except ValueError:           # ragged
+        return None
+    if e.shape == (0,):
+        e = np.zeros((0, 3))
+    if e.ndim != 2 or e.shape[1] != 3 or e.dtype.kind not in "biuf" or n > 2**31:
+        return None
+    a, b, w = e.astype(float, copy=False).T
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    # n is compared in Python, exactly
+    if not (((i == np.floor(i)) & (j == np.floor(j)) & (0 <= i) & (i < j) & (w > 0)).all()
+            and j.max(initial=-1) < n):
+        return None
+    i, j = i.astype(np.int64), j.astype(np.int64)
+    key = i * n + j
+    order = np.argsort(key)
+    key = key[order]
+    if (key[1:] == key[:-1]).any():
+        return None
+    return i[order], j[order], w[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +165,10 @@ class LinkControl:
 
 class Schedule:
     """Link schedule with budget ell: a read-only (steps, m) uint8 break mask
-    over topology.edges, one row per grid step, validated once. Code that
-    computes with a schedule reads `masks`."""
+    over topology.edges, one row per grid step, validated once. A read-only
+    uint8 mask is kept as given, without a copy, as `LinkControl` keeps a
+    row; any other is copied. Code that computes with a schedule reads
+    `masks`."""
 
     def __init__(self, topology: NetworkTopology, masks, ell: int):
         if ell < 0:
@@ -131,17 +176,25 @@ class Schedule:
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != topology.m:
             raise TopologyError(f"schedule shape {masks.shape} is not (steps, {topology.m})")
-        _edge_mask(topology, masks)
-        most = int(masks.sum(axis=1).max(initial=0))
+        if masks.dtype != np.uint8:
+            masks = _edge_mask(topology, masks).astype(np.uint8)
+        elif masks.max(initial=0) > 1:
+            raise TopologyError("control bits must be 0 or 1")
+        elif masks.flags.writeable:
+            masks = masks.copy()
+        # uint8 in, no full-size temporary: the row sums cast through a small buffer
+        most = int(masks.sum(axis=1, dtype=np.uint32).max(initial=0))
         if most > ell:
             raise TopologyError(f"schedule breaks up to {most} links per step, budget is {ell}")
-        self.masks = masks.astype(np.uint8)
-        self.masks.flags.writeable = False
+        masks.flags.writeable = False
+        self.masks = masks
         self.ell = ell
 
     @classmethod
     def none(cls, topology: NetworkTopology, steps: int) -> "Schedule":
-        return cls(topology, np.zeros((steps, topology.m)), 0)
+        masks = np.zeros((steps, topology.m), dtype=np.uint8)
+        masks.flags.writeable = False
+        return cls(topology, masks, 0)
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -113,6 +113,13 @@ class TestExitCodes:
         (("topology", "edges"), [[2, 2, 1.0]], "error: topology: edges[0] is a self-loop"),
         (("topology", "edges"), [[1, 3, 0.0]],
          "error: topology: edges[0] has non-positive weight 0.0"),
+        # an integer beyond the double range is not a finite number
+        (("topology", "edges", 0, 2), 10 ** 400,
+         "error: topology: edges[0] weight: must be a finite number, got 1000"),
+        (("x0", 0), 10 ** 400, "error: x0[0]: must be a finite number, got 1000"),
+        (("T",), 10 ** 400, "error: T: must be a finite number, got 1000"),
+        (("kernel",), {"constant": 10 ** 400},
+         "error: kernel.constant: must be a finite number, got 1000"),
     ]
 
     @pytest.mark.parametrize("path,value,field", MALFORMED,

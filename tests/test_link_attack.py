@@ -101,10 +101,11 @@ class TestSimulateAttack1:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """States per greedy_control call and masks per PropagatorCache.spectrum."""
+        """States per edge_power call (x0's greedy row and each look-ahead
+        block) and masks per PropagatorCache.spectrum."""
         ranked, spectra = [], []
-        monkeypatch.setattr(link_attack, "greedy_control", lambda x, *args:
-                            ranked.append(len(np.atleast_2d(x))) or greedy_control(x, *args))
+        monkeypatch.setattr(link_attack, "edge_power", lambda x, *args:
+                            ranked.append(len(np.atleast_2d(x))) or edge_power(x, *args))
         spectrum = PropagatorCache.spectrum
         monkeypatch.setattr(PropagatorCache, "spectrum", lambda self, mask:
                             spectra.append(mask) or spectrum(self, mask))
@@ -112,7 +113,8 @@ class TestSimulateAttack1:
 
     def test_one_step_per_run_and_doubling_look_ahead(self, monkeypatch):
         # the K4 run is stationary: one decomposition, and after x0 the
-        # states are ranked in blocks of 1, 2, 4, ... steps, not once per step
+        # states' powers are computed in blocks of 1, 2, 4, ... steps, not
+        # once per step
         config = paper_k4_scenario("link", steps=2000)
         ranked, spectra = self.count_calls(monkeypatch)
         outcome = simulate_attack1(config)
@@ -123,7 +125,8 @@ class TestSimulateAttack1:
 
     def test_ranked_states_bounded_when_the_row_changes_often(self, monkeypatch):
         # each change discards the rest of its block, and the look-ahead
-        # restarts at one step after it: at most 2 * steps states are ranked
+        # restarts at one step after it: the powers of at most 2 * steps
+        # states are computed
         rng = np.random.default_rng(3)
         n = 20
         topology = NetworkTopology(n=n, edges=tuple(
@@ -467,6 +470,63 @@ class TestGreedyAgainstPerStepReference:
         assert outcome.J == objective(outcome.trajectory, config.kernel)
         reference = per_step_trajectory(topology, masks, config.x0, grid.h)
         assert np.max(np.abs(x - reference)) <= 2e-12 * max(1.0, np.max(np.abs(config.x0)))
+
+
+@st.composite
+def tied_greedy_runs(draw):
+    """A complete graph, cycle or path on 2 to 8 nodes with one weight, 1 or
+    50, or an edgeless graph, with an integer state and a budget from 0 to
+    the edge count, so that powers tie exactly at the greedy cut. On the
+    stiff graphs the state reaches consensus exactly within the horizon,
+    where every power is 0 and the ties go to the lowest edge indices."""
+    n = draw(st.integers(2, 8))
+    weight = draw(st.sampled_from([1.0, 50.0]))
+    shape = draw(st.sampled_from(["complete", "cycle", "path", "edgeless"]))
+    if shape == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif shape == "edgeless":
+        pairs = []
+    else:
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        if shape == "cycle" and n > 2:
+            pairs.append((0, n - 1))
+    topology = NetworkTopology(n=n, edges=tuple((i, j, weight) for (i, j) in pairs))
+    x0 = [float(draw(st.integers(-3, 3))) for _ in range(n)]
+    return link_config(topology, x0, ell=draw(st.integers(0, topology.m)),
+                       T=draw(st.floats(0.5, 3.0)), steps=draw(st.integers(1, 300)))
+
+
+class TestGreedyTies:
+    """The look-ahead decides most states by comparing powers across the
+    current row's cut and ranks only exact ties there (and each change's
+    first state) with `_top_ell`; on unit weights and integer states ties are
+    common, and the rows must still be greedy_control's."""
+
+    def test_rows_are_greedy_rows_of_their_states(self):
+        tie_ranked = []     # per example: did _top_ell rank a state that is no change?
+
+        @settings(max_examples=150, deadline=None)
+        @given(config=tied_greedy_runs())
+        @example(config=link_config(PATH3, [0.0, 1.0, 2.0], ell=1, steps=20))
+        @example(config=link_config(   # exact consensus: the row moves to edge 0
+            NetworkTopology(n=3, edges=((0, 1, 50.0), (0, 2, 50.0), (1, 2, 50.0))),
+            [0.0, 1.0, 3.0], ell=1, steps=100))
+        def check(config):
+            ranked = []
+            top_ell = link_attack._top_ell
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(link_attack, "_top_ell", lambda w, ell:
+                              ranked.append(len(np.atleast_2d(w))) or top_ell(w, ell))
+                outcome = simulate_attack1(config)
+            topology, ell = config.topology, config.attack.ell
+            x, masks = outcome.trajectory.x, outcome.schedule.masks
+            assert np.array_equal(masks, greedy_control(x[:-1], topology, ell))
+            # x0's row and each change's first state account for one ranked
+            # state per run; any more were states tied at the cut
+            tie_ranked.append(sum(ranked) > len(outcome.schedule.runs()))
+
+        check()
+        assert any(tie_ranked)
 
 
 MP_SCHEDULE_CUTS = (0, 1, 57, 200, 400)      # four runs, the first of one step

@@ -96,6 +96,70 @@ class TestParsing:
             load_scenario(path)
 
 
+def per_edge_topology(doc):
+    """The topology of a JSON topology object by the per-edge checks alone,
+    which name the first bad edge: the parser without its array pass."""
+    n, parsed = doc["n"], []
+    for idx, e in enumerate(doc["edges"]):
+        if not (isinstance(e, list) and len(e) == 3):
+            raise ScenarioError(f"topology: edges[{idx}] must be [i, j, weight]")
+        parsed.append(scenario._parse_edge(*e, n, f"topology: edges[{idx}]"))
+    try:
+        return NetworkTopology(n=n, edges=tuple(parsed))
+    except ValueError as exc:
+        raise ScenarioError(f"topology: {exc}") from exc
+
+
+@st.composite
+def json_edge_lists(draw):
+    """Up to 8 well-formed edges on 2 to 5 nodes as a JSON document has them,
+    and in half the lists one entry replaced by a bad one: a node id out of
+    range, a boolean, float, string or integer beyond the double range, a
+    weight that is not a finite positive number, or an edge of the wrong
+    size."""
+    n = draw(st.integers(2, 5))
+    node = st.integers(1, n)
+    edge = st.tuples(node, node, st.sampled_from([0.5, 2.0, 1, 10 ** 300])).map(list)
+    edges = draw(st.lists(edge, max_size=8))
+    if edges and draw(st.booleans()):
+        k, slot = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 3))
+        if slot == 3:
+            edges[k] = draw(st.sampled_from([edges[k][:2], edges[k] + [1]]))
+        else:
+            bad = (st.sampled_from([0, n + 1, True, 1.0, "1", 10 ** 400]) if slot < 2 else
+                   st.sampled_from([0.0, -1.0, float("nan"), float("inf"), True, "heavy",
+                                    None, 10 ** 400]))
+            edges[k][slot] = draw(bad)
+    return n, edges
+
+
+class TestEdgeArrayPass:
+    """`_parse_topology` checks the edges' types in one pass and the rest on
+    arrays (here for every edge list, not only from ARRAY_EDGES edges on);
+    only a failure runs the per-edge checks, which name the first bad edge.
+    Either way the topology and the message are those of the per-edge
+    checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=json_edge_lists())
+    def test_same_topology_or_same_message(self, case):
+        n, edges = case
+        doc = {"n": n, "edges": edges}
+        try:
+            want = per_edge_topology(doc)
+        except ScenarioError as exc:
+            with pytest.MonkeyPatch.context() as patch, pytest.raises(ScenarioError) as got:
+                patch.setattr(scenario, "ARRAY_EDGES", 0)
+                scenario._parse_topology(doc, "topology")
+            assert str(got.value) == str(exc)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "ARRAY_EDGES", 0)
+            got = scenario._parse_topology(doc, "topology")
+        assert got.edges == want.edges
+        assert all(np.array_equal(a, b) for a, b in zip(got.arrays, want.arrays))
+
+
 class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         config = paper_k4_scenario("noise")
@@ -249,6 +313,35 @@ class TestCsvBytes:
         want = self.check_broken_edges(outcome, tmp_path)
         if ell == 0:
             assert want == b"t,edge_i,edge_j\n"
+
+
+class TestBrokenEdgesWriter:
+    """`write_broken_edges_csv` takes (k, e) from one flat nonzero and a
+    divmod by m; the reference is the 2-D nonzero of the masks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 6), steps=st.integers(1, 40), data=st.data())
+    def test_matches_two_d_nonzero(self, tmp_path_factory, m, steps, data):
+        topology = NetworkTopology(n=4, edges=tuple(
+            [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)][:m]))
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=steps * m, max_size=steps * m))
+        masks = np.array(bits, dtype=np.uint8).reshape(steps, m)
+        grid = TimeGrid(T=0.7, steps=steps)
+        outcome = SimpleNamespace(topology=topology, schedule=Schedule(topology, masks, m),
+                                  trajectory=Trajectory(grid=grid, x=np.zeros((steps + 1, 4))))
+        tmp_path = tmp_path_factory.mktemp("broken")
+        TestCsvBytes().check_broken_edges(outcome, tmp_path)
+
+    def test_edgeless_topology(self, tmp_path):
+        # m = 0: no edge to break, and no division by zero
+        topology = NetworkTopology(n=3, edges=())
+        outcome = simulate_attack1(ScenarioConfig(
+            name="edgeless", topology=topology, x0=np.array([0.0, 1.0, 2.0]), T=1.0,
+            steps=5, kernel=Kernel.constant(1.0), attack=LinkAttackSpec(ell=0)))
+        assert outcome.schedule.masks.shape == (5, 0)
+        with np.errstate(all="raise"):
+            write_broken_edges_csv(outcome, tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == b"t,edge_i,edge_j\n"
 
 
 def percent_bytes(values, width=1) -> bytes:

@@ -1,5 +1,8 @@
 """Unit tests for topology validation, break masks, and system matrices."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
+import consensus_adversary.topology as topology_module
 from consensus_adversary.topology import (LinkControl, NetworkTopology,
                                           Schedule, TopologyError,
                                           build_system_matrix,
@@ -56,6 +60,68 @@ class TestNetworkTopology:
         assert k4().is_connected()
         two_parts = NetworkTopology(n=4, edges=((0, 1, 1.0), (2, 3, 1.0)))
         assert not two_parts.is_connected()
+
+    def test_connectivity_computed_once(self, monkeypatch):
+        calls = []
+        components = topology_module.connected_components
+        monkeypatch.setattr(topology_module, "connected_components",
+                            lambda *args: calls.append(1) or components(*args))
+        topo = k4()
+        assert topo.is_connected() and topo.is_connected()
+        assert len(calls) == 1
+
+
+@st.composite
+def edge_lists(draw):
+    """Up to 12 edges on 2 to 6 nodes, each given either way round, so that
+    duplicates occur, and in half the lists one entry replaced by a bad
+    value: a node id out of range on either side, fractional or making a
+    self-loop, or a non-positive weight."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edge = st.tuples(st.sampled_from(pairs), st.booleans(), st.sampled_from([0.5, 1.0, 2.0, 3]))
+    edges = [(j, i, w) if flip else (i, j, w)
+             for (i, j), flip, w in draw(st.lists(edge, max_size=12))]
+    if edges and draw(st.booleans()):
+        k, slot = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 2))
+        bad = (st.sampled_from([-1, n, 0.5, 1.0, edges[k][1 - slot]]) if slot < 2
+               else st.sampled_from([0.0, -1.0]))
+        edges[k] = tuple(draw(bad) if s == slot else v for s, v in enumerate(edges[k]))
+    return n, edges
+
+
+class TestEdgeArrays:
+    """The constructor's array pass, taken here by every edge list, against
+    its per-edge rules (`_checked_edges`), which name the first bad edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_lists())
+    def test_same_edges_or_same_error(self, case):
+        n, edges = case
+        try:
+            want = NetworkTopology._checked_edges(SimpleNamespace(n=n, edges=edges))
+        except TopologyError as exc:
+            with pytest.MonkeyPatch.context() as patch, pytest.raises(TopologyError) as got:
+                patch.setattr(topology_module, "ARRAY_EDGES", 0)
+                NetworkTopology(n=n, edges=tuple(edges))
+            assert str(got.value) == str(exc)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology_module, "ARRAY_EDGES", 0)
+            topo = NetworkTopology(n=n, edges=tuple(edges))
+        assert topo.edges == tuple(want)
+        i, j, w = topo.arrays
+        assert i.dtype == j.dtype == np.int64 and w.dtype == np.float64
+        assert list(zip(i.tolist(), j.tolist(), w.tolist())) == want
+        assert not any(a.flags.writeable for a in topo.arrays)
+
+    @pytest.mark.parametrize("array_edges", [0, topology_module.ARRAY_EDGES])
+    def test_array_input(self, monkeypatch, array_edges):
+        # the scenario parser passes an (m, 3) float array
+        monkeypatch.setattr(topology_module, "ARRAY_EDGES", array_edges)
+        topo = NetworkTopology(n=3, edges=np.array([[2.0, 0.0, 1.5], [1.0, 0.0, 0.5]]))
+        assert topo.edges == ((0, 1, 0.5), (0, 2, 1.5))
+        assert all(type(v) is int for e in topo.edges for v in e[:2])
 
 
 class TestLinkControl:
@@ -109,6 +175,52 @@ class TestSchedule:
         assert schedule.masks.dtype == np.uint8 and not schedule.masks.flags.writeable
         masks[0, 1] = 0                 # the schedule holds its own copy
         assert schedule.masks[0, 1] == 1
+
+    def test_read_only_uint8_kept_without_copy(self):
+        masks = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        masks.flags.writeable = False
+        schedule = Schedule(self.PATH3, masks, 1)
+        assert np.shares_memory(schedule.masks, masks)
+
+    @pytest.mark.parametrize("value,dtype", [(2, np.uint8), (255, np.uint8), (0.5, float),
+                                             (-1, np.int64), (-1, np.int8)],
+                             ids=["2", "255", "0.5", "-1", "-1-int8"])
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_entries_other_than_0_and_1_rejected(self, value, dtype, writeable):
+        masks = np.array([[0, 0], [0, value]], dtype=dtype)
+        masks.flags.writeable = writeable
+        with pytest.raises(TopologyError, match="0 or 1"):
+            Schedule(self.PATH3, masks, 2)
+
+    def test_read_only_row_over_budget_rejected(self):
+        masks = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        masks.flags.writeable = False
+        with pytest.raises(TopologyError, match="budget is 1"):
+            Schedule(self.PATH3, masks, 1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    def test_empty_schedule_accepted(self, dtype):
+        schedule = Schedule(self.PATH3, np.zeros((0, 2), dtype=dtype), 0)
+        assert len(schedule) == 0 and schedule.masks.shape == (0, 2)
+
+    def test_no_full_size_temporary(self):
+        # a (400, 1518) read-only mask, the size of the largest greedy run
+        # in the benchmark: validating it allocates a small buffer, no copy
+        n = 100
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)][:1518]
+        topo = NetworkTopology(n=n, edges=tuple((i, j, 1.0) for (i, j) in pairs))
+        masks = np.zeros((400, topo.m), dtype=np.uint8)
+        masks[np.arange(400), np.arange(400) * 3] = 1
+        masks.flags.writeable = False
+        Schedule(topo, masks, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            Schedule(topo, masks, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_none_breaks_nothing(self):
         schedule = Schedule.none(self.PATH3, 4)
