@@ -179,9 +179,13 @@ class _ModeRecurrence:
     def __init__(self, rate: np.ndarray, samples: int):
         self.rate = rate
         self.samples = samples
-        sub = np.repeat(-rate, samples)
-        sub[samples - 1::samples] = 0.0
-        self.band = np.asfortranarray(np.stack([np.ones_like(sub), sub]))
+        # LAPACK's band storage, written in place: row 0 the unit diagonal,
+        # row 1 the sub-diagonal, one block of `samples` entries per mode
+        self.band = np.empty((2, rate.shape[0] * samples), order="F")
+        self.band[0] = 1.0
+        sub = self.band[1].reshape(-1, samples)
+        np.negative(rate[:, None], out=sub)
+        sub[:, -1] = 0.0
 
     def run(self, f: np.ndarray, reverse: bool = False) -> np.ndarray:
         """Solution for a forcing f of shape (samples, n); reverse=True gives

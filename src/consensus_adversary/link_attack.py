@@ -238,11 +238,27 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
 
 def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) per edge of each
-    state x[..., :] and co-state p[..., :]."""
+    state x[..., :] and co-state p[..., :].
+
+    The differences are two products with the signed incidence matrix B
+    (`NetworkTopology.incidence`): f = (a * pB) * -(xB). Each column of B
+    holds one +1 and one -1, so every entry of pB is the single rounding of
+    p_j - p_i however BLAS orders or blocks the sum, and -(xB) is x_i - x_j
+    exactly: on finite input f equals the per-edge formula, save the sign
+    of an exact zero, which neither `switching_control` nor a sign test
+    sees. A non-finite x or p differs: 0 * inf is NaN, so an inf or NaN in
+    one state or co-state makes that state's whole row of f non-finite, NaN
+    on every edge away from its node, where the per-edge formula spoils
+    only the node's own edges.
+    """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    i, j, a = topology.arrays
-    return a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
+    b = topology.incidence
+    dx = x @ b
+    f = p @ b
+    f *= topology.arrays[2]
+    f *= dx
+    return np.negative(f, out=f)
 
 
 def switching_control(f: np.ndarray, ell: int) -> np.ndarray:

@@ -98,7 +98,7 @@ def g_term(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel, nu: float,
 def _normalized(p: np.ndarray) -> np.ndarray:
     """Rows of p scaled to unit norm; rows at or below SINGULAR_FRACTION of
     the largest norm (singular arc) become zero."""
-    norms = np.linalg.norm(p, axis=1)
+    norms = np.sqrt(np.add.reduce(p * p, axis=1))     # np.linalg.norm, without its copy
     guard = np.maximum(norms, 1e-300)
     unit = p / guard[:, None]
     unit[norms <= SINGULAR_FRACTION * float(np.max(norms))] = 0.0
@@ -132,15 +132,20 @@ class CostateMap:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """One application of the map to a co-state trace (steps+1, n)."""
-        pbar = _normalized(p)
-        y = (pbar @ self.vecs) * self.weights[:, None]  # weighted mode coefficients
+        y = _normalized(p) @ self.vecs
+        y *= self.weights[:, None]                      # weighted mode coefficients
         # sum_j Q[a, j] y[j] = R[a] L[a] + U[a]: L sums j <= a, U sums j > a
-        lower = self.decay.run(y)
-        upper = np.zeros_like(y)
-        upper[:-1] = self.decay.rate * self.decay.run(self.R * y, reverse=True)[1:]
-        integral = self.R * lower + upper
-        coeff = 2.0 * self.setup.nu * np.sqrt(self.setup.p_max)
-        return self.g + coeff * (integral @ self.vecs.T)
+        integral = self.decay.run(y)
+        integral *= self.R
+        y *= self.R
+        upper = self.decay.run(y, reverse=True)[1:]
+        upper *= self.decay.rate
+        integral[:-1] += upper
+        integral[-1] += 0.0                             # U[last] = 0: a -0 becomes 0
+        out = integral @ self.vecs.T
+        out *= 2.0 * self.setup.nu * np.sqrt(self.setup.p_max)
+        out += self.g
+        return out
 
 
 def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:

@@ -55,6 +55,15 @@ class ScenarioConfig:
     attack: LinkAttackSpec | NoiseAttackSpec | None
 
     def __post_init__(self):
+        # a grid of steps + 1 samples per node must have a step size and fit
+        # in one numpy array; checked before anything builds the grid
+        try:
+            self.T / self.steps
+        except OverflowError:
+            raise ScenarioError("steps: too large to give the step size T / steps") from None
+        if (self.steps + 1) * self.topology.n * 8 > np.iinfo(np.intp).max:
+            raise ScenarioError(f"steps: a trajectory of steps + 1 samples of "
+                                f"{self.topology.n} nodes exceeds numpy's largest array")
         # nu_max depends on the grid, so check nu against every grid a config
         # gets, including a --steps override
         if isinstance(self.attack, NoiseAttackSpec) and self.attack.nu is not None:
@@ -222,11 +231,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
         path = (base_dir or Path(".")) / topo_doc
         if not path.exists():
             raise ScenarioError(f"topology: referenced file not found: {path}")
-        try:
-            topo_doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"topology: {path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+        topo_doc = _read_json(path, f"topology: {path}")
     if not isinstance(topo_doc, dict):
         raise ScenarioError("topology: must be an object or a file reference")
     topology = _parse_topology(topo_doc, "topology")
@@ -252,14 +257,23 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
     )
 
 
+def _read_json(path: Path, where: str):
+    """The JSON document in a file; malformed text, or an integer past
+    Python's digit limit for int conversion, raises ScenarioError naming
+    `where`."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{where}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path, str(path))
     return parse_scenario(doc, base_dir=path.parent, where=str(path))
 
 

@@ -83,6 +83,18 @@ class NetworkTopology:
         """Endpoints (i, j) of each edge, in edge order."""
         return tuple((i, j) for (i, j, _) in self.edges)
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only signed incidence matrix B (n, m): column e holds +1 in
+        row j and -1 in row i of edge e = (i, j), so (y @ B)[e] = y_j - y_i."""
+        i, j, _ = self.arrays
+        b = np.zeros((self.n, self.m))
+        e = np.arange(self.m)
+        b[j, e] = 1.0
+        b[i, e] = -1.0
+        b.flags.writeable = False
+        return b
+
     def is_connected(self) -> bool:
         return self._connected
 
@@ -189,6 +201,7 @@ class Schedule:
         masks.flags.writeable = False
         self.masks = masks
         self.ell = ell
+        self._runs = None
 
     @classmethod
     def none(cls, topology: NetworkTopology, steps: int) -> "Schedule":
@@ -203,11 +216,15 @@ class Schedule:
         """Step k as a LinkControl viewing its row, for callers outside the package."""
         return LinkControl(bits=self.masks[k], ell=self.ell)
 
-    def runs(self) -> list[tuple[int, int]]:
-        """(start, stop) steps of each maximal run of equal rows, in order."""
-        cuts = np.flatnonzero((self.masks[1:] != self.masks[:-1]).any(axis=1)) + 1
-        bounds = [0, *cuts.tolist(), len(self.masks)]
-        return list(zip(bounds[:-1], bounds[1:]))
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(start, stop) steps of each maximal run of equal rows, in order.
+        The masks are read-only, so the runs are found on the first call and
+        kept."""
+        if self._runs is None:
+            cuts = np.flatnonzero((self.masks[1:] != self.masks[:-1]).any(axis=1)) + 1
+            bounds = [0, *cuts.tolist(), len(self.masks)]
+            self._runs = tuple(zip(bounds[:-1], bounds[1:]))
+        return self._runs
 
 
 def _edge_mask(topology: NetworkTopology, bits) -> np.ndarray:

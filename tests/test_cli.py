@@ -162,6 +162,48 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert "attack.noise.nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["scenario", "topology"])
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys, where):
+        # json.loads refuses an integer of more than 4,300 digits with a plain
+        # ValueError, in the scenario file or in a topology file it names
+        doc = scenario_to_doc(paper_k4_scenario("none", steps=5))
+        ones = "1" * 5000
+        bad = tmp_path / f"{where}.json"
+        if where == "topology":
+            doc["topology"]["n"] = "N"
+            (tmp_path / "topo.json").write_text(json.dumps(doc["topology"]).replace('"N"', ones))
+            doc["topology"] = "topo.json"
+            bad.write_text(json.dumps(doc))
+        else:
+            doc["T"] = "T"
+            bad.write_text(json.dumps(doc).replace('"T": "T"', '"T": ' + ones))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("topo.json" if where == "topology"
+                                              else str(bad)) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("steps", [10 ** 400, 2 ** 62], ids=["1e400", "2^62"])
+    def test_steps_that_cannot_be_held_exit_2(self, tmp_path, capsys, steps):
+        doc = scenario_to_doc(paper_k4_scenario("none", steps=5))
+        doc["steps"] = steps
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: steps: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "reproduce-paper"])
+    def test_steps_override_that_cannot_be_held_exits_2(self, scenarios, tmp_path, capsys,
+                                                        command):
+        args = [command, "--steps", str(10 ** 400), "--out", str(tmp_path / "o")]
+        if command == "simulate":
+            args += ["--scenario", str(scenarios["none"])]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: steps: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSubcommands:
     def test_simulate_writes_report(self, scenarios, tmp_path, capsys):

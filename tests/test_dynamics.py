@@ -9,8 +9,8 @@ from scipy.linalg import expm
 
 from consensus_adversary.dynamics import (DynamicsError, Kernel, PlainOutcome,
                                           Spectrum, TimeGrid, Trajectory,
-                                          matrix_exponential, objective,
-                                          propagate, simulate)
+                                          _ModeRecurrence, matrix_exponential,
+                                          objective, propagate, simulate)
 from consensus_adversary.scenario import paper_k4_scenario
 from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix)
@@ -151,6 +151,22 @@ class TestMatrixExponential:
         exact, _ = quad(integrand, 0.0, h, epsabs=1e-14, epsrel=1e-11, limit=200)
         form = y @ Spectrum(A).interval_form(h) @ y
         assert abs(form - exact) <= 1e-9 * exact + 1e-13
+
+
+class TestModeRecurrence:
+    @settings(max_examples=100, deadline=None)
+    @given(rate=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           samples=st.integers(1, 9))
+    def test_band_is_the_stacked_band(self, rate, samples):
+        # the band written in place against the one stacked from copies
+        rate = np.array(rate)
+        sub = np.repeat(-rate, samples)
+        sub[samples - 1::samples] = 0.0
+        want = np.asfortranarray(np.stack([np.ones_like(sub), sub]))
+        band = _ModeRecurrence(rate, samples).band
+        assert band.flags.f_contiguous and band.shape == want.shape
+        assert np.array_equal(band, want)
+        assert np.array_equal(np.signbit(band), np.signbit(want))
 
 
 class TestPropagation:

@@ -334,6 +334,70 @@ class TestSwitchingAgainstArgsort:
         assert np.array_equal(np.argsort(f, axis=-1, kind="stable"), order)
 
 
+def gather_switching(x, p, topology):
+    """The per-edge gather formula a (p_j - p_i)(x_i - x_j), four fancy
+    indexings: the reference for the incidence-matrix products."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    i, j, a = topology.arrays
+    return a * (p[..., j] - p[..., i]) * (x[..., i] - x[..., j])
+
+
+def assert_same_but_zero_sign(got, want):
+    """Equal doubles, and equal signs wherever the value is not zero."""
+    assert got.shape == want.shape and np.array_equal(got, want)
+    nonzero = want != 0
+    assert np.array_equal(np.signbit(got[nonzero]), np.signbit(want[nonzero]))
+
+
+@st.composite
+def path_switching(draw):
+    """A weighted path on 300 to 330 nodes, long enough that BLAS blocks the
+    inner dimension of the products, with a stack of states and co-states
+    whose neighbouring entries are often equal."""
+    n = draw(st.integers(300, 330))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    topology = NetworkTopology(
+        n=n, edges=tuple((k, k + 1, w) for k, w in enumerate(rng.uniform(0.2, 2.0, n - 1))))
+    rows = draw(st.integers(1, 5))
+    x, p = rng.uniform(-2.0, 2.0, (2, rows, n))
+    x[rng.random((rows, n)) < 0.3] = 1.0
+    p[rng.random((rows, n)) < 0.3] = -1.0
+    return topology, x, p, draw(st.integers(0, n - 1))
+
+
+class TestIncidenceSwitching:
+    """`switching_functions` as products with the signed incidence matrix
+    against the per-edge gather formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(attack_inputs(), tie_heavy_switching(), path_switching()))
+    def test_equals_gather_formula_on_finite_input(self, case):
+        topology, x, p, _ = case
+        assert_same_but_zero_sign(switching_functions(x, p, topology),
+                                  gather_switching(x, p, topology))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["x", "p"])
+    def test_non_finite_entry_spoils_its_whole_row(self, bad, where):
+        # 0 * inf is NaN inside the products: the row of the state holding
+        # the bad entry is non-finite on every edge, NaN on those away from
+        # its node; the other rows are untouched
+        topology = NetworkTopology(n=5, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5),
+                                               (3, 4, 1.5), (0, 4, 1.0)))
+        rng = np.random.default_rng(5)
+        x, p = rng.uniform(-1.0, 1.0, (2, 3, 5))
+        (x if where == "x" else p)[1, 2] = bad
+        with np.errstate(invalid="ignore"):
+            f = switching_functions(x, p, topology)
+            ref = gather_switching(x, p, topology)
+        assert not np.isfinite(f[1]).any()
+        away = [e for e, (i, j) in enumerate(topology.pairs) if 2 not in (i, j)]
+        assert np.isnan(f[1, away]).all()
+        assert np.isfinite(ref[1, away]).all()
+        assert_same_but_zero_sign(f[[0, 2]], ref[[0, 2]])
+
+
 @st.composite
 def run_schedules(draw):
     """A random connected graph on 2 to 8 nodes (weights scaled by 50 when
@@ -710,6 +774,60 @@ class TestForwardBackwardSweep:
         greedy = simulate_attack1(config)
         assert greedy.J == pytest.approx(0.45428969487967075, rel=1e-12)
         assert (greedy.schedule.masks == [0, 0, 1]).all()
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A sweep scenario: a random connected graph on 2 to 8 nodes (weights
+    scaled by 50 when stiff), or a weighted path on 300 nodes; a start whose
+    values come from a two-value set, or are all equal, giving exact-zero
+    differences, or are uniform; and a budget from 0 to the edge count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        # two steps: with a budget near m, longer runs cycle for up to 100 passes
+        n, steps = 300, 2
+        edges = tuple((k, k + 1, w) for k, w in enumerate(rng.uniform(0.2, 2.0, n - 1)))
+    else:
+        n, steps = draw(st.integers(2, 8)), draw(st.integers(2, 60))
+        pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+        pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+        scale = 50.0 if draw(st.booleans()) else 1.0
+        edges = tuple((i, j, scale * w) for (i, j), w in zip(sorted(pairs),
+                                                            rng.uniform(0.2, 2.0, len(pairs))))
+    topology = NetworkTopology(n=n, edges=edges)
+    start = draw(st.sampled_from(["two-valued", "equal", "uniform"]))
+    if start == "two-valued":
+        x0 = rng.choice([0.0, 1.0], n)
+    elif start == "equal":
+        x0 = np.full(n, rng.uniform(-1.0, 1.0))
+    else:
+        x0 = rng.uniform(-1.0, 1.0, n)
+    return link_config(topology, x0, draw(st.integers(0, topology.m)),
+                       T=draw(st.sampled_from([0.5, 2.0])), steps=steps)
+
+
+class TestSweepUnderIncidenceProducts:
+    """The sweep with `switching_functions` as incidence-matrix products
+    against the same sweep with the gather formula: a zero's sign is all the
+    two can differ in, and the control cannot see it, so every pass is the
+    same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=sweep_inputs())
+    @example(config=weighted_path_config())
+    @example(config=paper_k4_scenario("link", steps=40))
+    def test_same_sweep_as_the_gather_formula(self, config):
+        sweep = forward_backward_sweep(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(link_attack, "switching_functions", gather_switching)
+            ref = forward_backward_sweep(config)
+        assert (sweep.J, sweep.iterations, sweep.converged) == (
+            ref.J, ref.iterations, ref.converged)
+        assert np.array_equal(sweep.schedule.masks, ref.schedule.masks)
+        for got, want in ((sweep.trajectory.x, ref.trajectory.x),
+                          (sweep.trajectory.p, ref.trajectory.p)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestVerificationOps:

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 import mp_reference
 from consensus_adversary.dynamics import DynamicsError, Kernel, Spectrum, TimeGrid
 from consensus_adversary.noise_attack import (FIXED_POINT_MAX_ITER, FIXED_POINT_TOL,
+                                              SINGULAR_FRACTION,
                                               CostateMap, _simpson,
                                               baseline_constant_control,
                                               contraction_setup,
@@ -408,3 +409,33 @@ class TestAgainstDenseReference:
         integral = np.einsum("daj,jd->ad", Q, modes)
         ref = g_ref + 2.0 * setup.nu * np.sqrt(setup.p_max) * integral @ vecs.T
         assert np.max(np.abs(fmap.apply(p) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def out_of_place_apply(fmap, p):
+    """The map's arithmetic one fresh array per operation, with
+    np.linalg.norm for the row norms: the reference for the in-place apply."""
+    norms = np.linalg.norm(p, axis=1)
+    unit = p / np.maximum(norms, 1e-300)[:, None]
+    unit[norms <= SINGULAR_FRACTION * float(np.max(norms))] = 0.0
+    y = (unit @ fmap.vecs) * fmap.weights[:, None]
+    lower = fmap.decay.run(y)
+    upper = np.zeros_like(y)
+    upper[:-1] = fmap.decay.rate * fmap.decay.run(fmap.R * y, reverse=True)[1:]
+    integral = fmap.R * lower + upper
+    coeff = 2.0 * fmap.setup.nu * np.sqrt(fmap.setup.p_max)
+    return fmap.g + coeff * (integral @ fmap.vecs.T)
+
+
+class TestInPlaceApply:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=map_inputs(), singular=st.integers(0, 3))
+    def test_same_doubles_and_signs_as_out_of_place(self, inputs, singular):
+        # rows of zero co-state (a singular arc) give zero modes, and the
+        # last row's -0 must still come out as 0
+        topology, kernel, grid, x0, p, _ = inputs
+        p[:singular] = 0.0
+        spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
+        fmap = CostateMap(spectrum, x0, kernel, grid, contraction_setup(kernel, grid, 1.0))
+        got, want = fmap.apply(p), out_of_place_apply(fmap, p)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

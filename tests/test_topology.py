@@ -25,6 +25,20 @@ def k4(weights=None):
 
 
 class TestNetworkTopology:
+    def test_incidence_matrix(self):
+        # column e holds +1 at node j and -1 at node i of edge e = (i, j),
+        # so y @ B is y_j - y_i per edge, exactly
+        topo = NetworkTopology(n=5, edges=((3, 1, 0.5), (0, 4, 2.0), (1, 2, 1.0)))
+        b = topo.incidence
+        assert b.shape == (5, 3) and not b.flags.writeable and topo.incidence is b
+        want = np.zeros((5, 3))
+        for e, (i, j) in enumerate(topo.pairs):
+            want[i, e], want[j, e] = -1.0, 1.0
+        assert np.array_equal(b, want)
+        y = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 5))
+        i, j, _ = topo.arrays
+        assert np.array_equal(y @ b, y[:, j] - y[:, i])
+
     def test_edges_normalized_and_sorted(self):
         topo = NetworkTopology(n=3, edges=((2, 0, 1.5), (1, 0, 0.5)))
         assert topo.edges == ((0, 1, 0.5), (0, 2, 1.5))
@@ -221,6 +235,21 @@ class TestSchedule:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0)]), max_size=12))
+    def test_runs_found_once(self, rows):
+        # the maximal runs of equal rows, compared one row at a time; the
+        # masks are compared on the first call only
+        bounds = [k for k in range(1, len(rows)) if rows[k] != rows[k - 1]]
+        want = list(zip([0, *bounds], [*bounds, len(rows)]))
+        schedule = Schedule(self.PATH3, np.array(rows, dtype=np.uint8).reshape(-1, 2), 1)
+        calls, flatnonzero = [], np.flatnonzero
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "flatnonzero", lambda a: calls.append(a) or flatnonzero(a))
+            first = schedule.runs()
+            assert schedule.runs() is first
+        assert list(first) == want and len(calls) == 1
 
     def test_none_breaks_nothing(self):
         schedule = Schedule.none(self.PATH3, 4)
