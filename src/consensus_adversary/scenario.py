@@ -22,10 +22,11 @@ import numpy as np
 from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
 from .link_attack import Attack1Outcome, SweepResult
 from .noise_attack import Attack2Outcome, contraction_setup
-from .topology import ARRAY_EDGES, NetworkTopology
+from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
 CSV_BLOCK = 2048  # most values the CSV writer formats at a time
+_ONE_BASED = np.array([1.0, 1.0, 0.0])   # an edge row's offset from the 0-based convention
 
 
 class ScenarioError(ValueError):
@@ -112,56 +113,38 @@ def _integer(value, field: str) -> int:
     return value
 
 
-def _parse_edge(i, j, w, n: int, field: str) -> tuple[int, int, float]:
-    """One edge [i, j, weight] with 1-based node ids, as a 0-based triple."""
-    i = _integer(i, f"{field} node id")
-    j = _integer(j, f"{field} node id")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ScenarioError(f"{field} node id outside 1..{n}")
-    return (i - 1, j - 1, _number(w, f"{field} weight"))
-
-
-def _edge_array(edges: list, n: int) -> np.ndarray | None:
-    """The edges as an (m, 3) float array of 0-based (i, j, weight) rows when
-    every one is [int, int, number] with node ids in 1..n and a finite
-    weight: one type pass over the edges, the rest on the array. None
-    otherwise, for the per-edge checks to name the first bad edge."""
-    if not all(type(e) is list and len(e) == 3 and type(e[0]) is int and type(e[1]) is int
-               and (type(e[2]) is float or type(e[2]) is int) for e in edges):
-        return None
-    try:
-        e = np.fromiter(itertools.chain.from_iterable(edges), dtype=float,
-                        count=3 * len(edges)).reshape(-1, 3)
-    except OverflowError:        # an integer beyond the double range
-        return None
-    ids = e[:, :2]
-    # n is compared in Python, exactly, whatever its size
-    if not (ids.min(initial=1) >= 1 and ids.max(initial=1) <= n and np.isfinite(e[:, 2]).all()):
-        return None
-    ids -= 1
-    return e
-
-
 def _parse_topology(doc, where: str) -> NetworkTopology:
+    """The graph of a JSON topology object. Only JSON types are checked
+    here, the graph rules are NetworkTopology's: each edge is a list
+    [i, j, weight] of two integers and a number, none past the double range,
+    and the edges go to NetworkTopology as an (m, 3) float array of 0-based
+    rows. One pass tests the types; only a failure checks the edges one at a
+    time, to name the first bad one."""
     n = _integer(doc.get("n"), f"{where}: field 'n'")
     edges = doc.get("edges")
     if not isinstance(edges, list):
         raise ScenarioError(f"{where}: field 'edges' must be an array of [i, j, weight]")
-    parsed = _edge_array(edges, n) if len(edges) >= ARRAY_EDGES else None
-    if parsed is None:
-        parsed = []
-        for idx, e in enumerate(edges):
-            if not (isinstance(e, list) and len(e) == 3):
-                raise ScenarioError(f"{where}: edges[{idx}] must be [i, j, weight]")
-            i, j, w = e
-            # the common case in one test; anything else gets the named checks
-            if (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n
-                    and (type(w) is float or type(w) is int) and _finite(w)):
-                parsed.append((i - 1, j - 1, float(w)))
-            else:
-                parsed.append(_parse_edge(i, j, w, n, f"{where}: edges[{idx}]"))
+    rows = None
     try:
-        return NetworkTopology(n=n, edges=parsed)
+        if all(type(i) is int and type(j) is int and (type(w) is float or type(w) is int)
+               for i, j, w in edges):
+            rows = np.fromiter(itertools.chain.from_iterable(edges), dtype=float,
+                               count=3 * len(edges)).reshape(-1, 3) - _ONE_BASED
+    except (TypeError, ValueError, OverflowError):   # not three items, or past the double range
+        pass
+    if rows is None:   # name the first edge that is not [int, int, number]
+        for k, e in enumerate(edges):
+            field = f"{where}: edges[{k}]"
+            if not (isinstance(e, list) and len(e) == 3):
+                raise ScenarioError(f"{field} must be [i, j, weight]")
+            for v in e[:2]:
+                if type(v) is not int or not _finite(v):
+                    raise ScenarioError(f"{field} node id: must be an integer within the "
+                                        f"double range, got {v!r}")
+            if not (type(e[2]) is float or type(e[2]) is int and _finite(e[2])):
+                raise ScenarioError(f"{field} weight: must be a finite number, got {e[2]!r}")
+    try:
+        return NetworkTopology(n=n, edges=rows)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -229,8 +212,6 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
     topo_doc = doc.get("topology")
     if isinstance(topo_doc, str):
         path = (base_dir or Path(".")) / topo_doc
-        if not path.exists():
-            raise ScenarioError(f"topology: referenced file not found: {path}")
         topo_doc = _read_json(path, f"topology: {path}")
     if not isinstance(topo_doc, dict):
         raise ScenarioError("topology: must be an object or a file reference")
@@ -258,11 +239,15 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
 
 
 def _read_json(path: Path, where: str):
-    """The JSON document in a file; malformed text, or an integer past
-    Python's digit limit for int conversion, raises ScenarioError naming
-    `where`."""
+    """The JSON document in a file; a missing file, one that cannot be read
+    (a directory, say), malformed text, or an integer past Python's digit
+    limit for int conversion raises ScenarioError naming `where`."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise ScenarioError(f"{where}: file not found") from None
+    except OSError as exc:
+        raise ScenarioError(f"{where}: cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{where}: parse error at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:
@@ -271,8 +256,6 @@ def _read_json(path: Path, where: str):
 
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     doc = _read_json(path, str(path))
     return parse_scenario(doc, base_dir=path.parent, where=str(path))
 

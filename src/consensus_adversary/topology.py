@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 
-ARRAY_EDGES = 64   # fewest edges checked as arrays; fewer are faster one at a time
+ARRAY_EDGES = 32   # fewest edges checked as arrays; fewer are faster one at a time
 
 
 class TopologyError(ValueError):
@@ -37,42 +37,21 @@ class NetworkTopology:
     def __post_init__(self):
         if self.n < 1:
             raise TopologyError(f"node count must be positive, got {self.n}")
-        arrays = _valid_edges(self.edges, self.n) if len(self.edges) >= ARRAY_EDGES else None
-        if arrays is None:
-            # few edges, or name the first bad edge, or accept what only the
-            # per-edge rules allow
-            edges = tuple(self._checked_edges())
-            e = np.array(edges, dtype=float).reshape(-1, 3)
-            arrays = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2].copy()
+        # the array pass keys each pair by i * n + j in an int64
+        if len(self.edges) < ARRAY_EDGES or self.n > 2**31:
+            edges = _checked_edges(self.edges, self.n)
+            i, j, w = zip(*edges) if edges else ((), (), ())
+            arrays = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.array(w)
         else:
+            arrays = _edge_arrays(self.edges, self.n)
+            if arrays is None:
+                _checked_edges(self.edges, self.n)   # raises, naming the first bad edge
+                raise AssertionError("the array pass refused edges the per-edge pass accepts")
             edges = tuple(zip(*(a.tolist() for a in arrays)))
         for a in arrays:
             a.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "arrays", arrays)
-
-    def _checked_edges(self) -> list[tuple[int, int, float]]:
-        """The edges one at a time, each normalised to i < j, sorted; raises
-        naming the first edge, in input order, that breaks a rule."""
-        seen = set()
-        norm = []   # the edges before this one, in input order: edges[len(norm)] is this one
-        for (i, j, w) in self.edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise TopologyError(f"edges[{len(norm)}] is a self-loop")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise TopologyError(
-                    f"edges[{len(norm)}] references a node outside 0..{self.n - 1}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                first = [e[:2] for e in norm].index((i, j))
-                raise TopologyError(f"edges[{len(norm)}] duplicates edges[{first}]")
-            if not w > 0:
-                raise TopologyError(f"edges[{len(norm)}] has non-positive weight {w}")
-            seen.add((i, j))
-            norm.append((i, j, float(w)))
-        return sorted(norm)
 
     @property
     def m(self) -> int:
@@ -103,24 +82,58 @@ class NetworkTopology:
         return len(connected_components(self, np.zeros(self.m, dtype=np.uint8))) == 1
 
 
-def _valid_edges(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _checked_edges(edges, n: int) -> tuple[tuple[int, int, float], ...]:
+    """The edges one at a time, each normalised to i < j, sorted; raises
+    naming the first edge, in input order, that breaks a rule: each is three
+    numbers (i, j, weight) as numpy reads them, with integral node ids in
+    0..n-1, i != j, no pair twice, and a finite positive weight."""
+    # a numeric table's entries come out of tolist() as Python numbers
+    typed = isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.dtype.kind in "biuf"
+    inf, seen, norm = np.inf, {}, []   # seen: (i, j) -> its input position
+    for k, edge in enumerate(edges.tolist() if isinstance(edges, np.ndarray) else edges):
+        try:
+            i, j, w = edge
+            if not typed and not all((a := np.asarray(v)).ndim == 0 and a.dtype.kind in "biuf"
+                                     for v in (i, j, w)):
+                raise TypeError
+        except (TypeError, ValueError):
+            raise TopologyError(f"edges[{k}] is {edge!r}, not three numbers") from None
+        if i % 1 or j % 1:   # nonzero or nan unless integral
+            raise TopologyError(f"edges[{k}] has node ids {i!r} and {j!r}, not two integers")
+        i, j = int(i), int(j)
+        if i > j:
+            i, j = j, i
+        if not 0 <= i < j < n:
+            raise TopologyError(f"edges[{k}] is a self-loop" if i == j else
+                                f"edges[{k}] has a node id out of range for {n} nodes")
+        first = seen.setdefault((i, j), k)
+        if first != k:
+            raise TopologyError(f"edges[{k}] duplicates edges[{first}]")
+        weight = float(w)
+        if not 0 < weight < inf:
+            raise TopologyError(f"edges[{k}] has non-positive weight {weight}" if weight <= 0
+                                else f"edges[{k}] has weight {w!r}, not a finite number")
+        norm.append((i, j, weight))
+    return tuple(sorted(norm))
+
+
+def _edge_arrays(edges, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Endpoint arrays i < j and weight array w of the edges, sorted by
-    (i, j), when every edge is a triple of integral node ids in 0..n-1 and a
-    positive weight, with no self-loop or duplicate; else None, and the
-    per-edge rules decide. Node ids past 2**31 also take the per-edge rules."""
+    (i, j), by the rules of `_checked_edges` checked on arrays; None when
+    an edge breaks one, for `_checked_edges` to name it."""
     try:
         e = np.asarray(edges)
     except ValueError:           # ragged
         return None
     if e.shape == (0,):
         e = np.zeros((0, 3))
-    if e.ndim != 2 or e.shape[1] != 3 or e.dtype.kind not in "biuf" or n > 2**31:
+    if e.ndim != 2 or e.shape[1] != 3 or e.dtype.kind not in "biuf":
         return None
     a, b, w = e.astype(float, copy=False).T
     i, j = np.minimum(a, b), np.maximum(a, b)
     # n is compared in Python, exactly
-    if not (((i == np.floor(i)) & (j == np.floor(j)) & (0 <= i) & (i < j) & (w > 0)).all()
-            and j.max(initial=-1) < n):
+    if not (((i == np.floor(i)) & (j == np.floor(j)) & (0 <= i) & (i < j)
+             & (0 < w) & (w < np.inf)).all() and j.max(initial=-1) < n):
         return None
     i, j = i.astype(np.int64), j.astype(np.int64)
     key = i * n + j

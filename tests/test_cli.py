@@ -183,6 +183,24 @@ class TestExitCodes:
                                               else str(bad)) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("where", ["scenario", "topology"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, where):
+        # a directory where a file is named used to exit 1 with
+        # "runtime failure: [Errno 21] Is a directory"
+        (tmp_path / "dir.json").mkdir()
+        if where == "topology":
+            doc = scenario_to_doc(paper_k4_scenario("none", steps=5))
+            doc["topology"] = "dir.json"
+            scenario = tmp_path / "s.json"
+            scenario.write_text(json.dumps(doc))
+        else:
+            scenario = tmp_path / "dir.json"
+        assert main(["attack1", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "runtime failure" not in err
+        assert f"{tmp_path / 'dir.json'}: cannot read: " in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("steps", [10 ** 400, 2 ** 62], ids=["1e400", "2^62"])
     def test_steps_that_cannot_be_held_exit_2(self, tmp_path, capsys, steps):
         doc = scenario_to_doc(paper_k4_scenario("none", steps=5))

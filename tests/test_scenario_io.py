@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import consensus_adversary.topology as topology_module
 from consensus_adversary import scenario
 from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, simulate
 from consensus_adversary.link_attack import simulate_attack1
@@ -53,7 +54,7 @@ class TestParsing:
         cases = [
             (minimal_doc(topology={"edges": []}), "'n'"),
             (minimal_doc(topology={"n": 2, "edges": [[1, 2]]}), "edges[0]"),
-            (minimal_doc(topology={"n": 2, "edges": [[1, 3, 1.0]]}), "outside 1..2"),
+            (minimal_doc(topology={"n": 2, "edges": [[1, 3, 1.0]]}), "out of range for 2 nodes"),
             (minimal_doc(x0=[0.0]), "x0"),
             (minimal_doc(T=-1.0), "T"),
             (minimal_doc(steps=0), "steps"),
@@ -86,8 +87,11 @@ class TestParsing:
         assert config.topology.n == 2
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ScenarioError, match="not found"):
+        with pytest.raises(ScenarioError, match="absent.json: file not found"):
             load_scenario(tmp_path / "absent.json")
+        (tmp_path / "scenario.json").write_text(json.dumps(minimal_doc(topology="absent.json")))
+        with pytest.raises(ScenarioError, match="topology: .*absent.json: file not found"):
+            load_scenario(tmp_path / "scenario.json")
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -97,17 +101,44 @@ class TestParsing:
 
 
 def per_edge_topology(doc):
-    """The topology of a JSON topology object by the per-edge checks alone,
-    which name the first bad edge: the parser without its array pass."""
-    n, parsed = doc["n"], []
-    for idx, e in enumerate(doc["edges"]):
+    """The topology of a JSON topology object by the rules written out here
+    one edge at a time: first the JSON types of every edge, then the graph
+    rules; each error names the first edge, in input order, that breaks one."""
+    n, edges = doc["n"], doc["edges"]
+
+    def has_double(v):
+        try:
+            float(v)
+        except OverflowError:
+            return False
+        return True
+
+    for k, e in enumerate(edges):
+        field = f"topology: edges[{k}]"
         if not (isinstance(e, list) and len(e) == 3):
-            raise ScenarioError(f"topology: edges[{idx}] must be [i, j, weight]")
-        parsed.append(scenario._parse_edge(*e, n, f"topology: edges[{idx}]"))
-    try:
-        return NetworkTopology(n=n, edges=tuple(parsed))
-    except ValueError as exc:
-        raise ScenarioError(f"topology: {exc}") from exc
+            raise ScenarioError(f"{field} must be [i, j, weight]")
+        for v in e[:2]:
+            if type(v) is not int or not has_double(v):
+                raise ScenarioError(
+                    f"{field} node id: must be an integer within the double range, got {v!r}")
+        if type(e[2]) not in (int, float) or not has_double(e[2]):
+            raise ScenarioError(f"{field} weight: must be a finite number, got {e[2]!r}")
+    seen, parsed = {}, []
+    for k, (i, j, w) in enumerate(edges):
+        i, j, w = sorted((i - 1, j - 1)) + [float(w)]
+        if i == j:
+            raise ScenarioError(f"topology: edges[{k}] is a self-loop")
+        if not (0 <= i and j < n):
+            raise ScenarioError(f"topology: edges[{k}] has a node id out of range for {n} nodes")
+        if (i, j) in seen:
+            raise ScenarioError(f"topology: edges[{k}] duplicates edges[{seen[i, j]}]")
+        if w <= 0:
+            raise ScenarioError(f"topology: edges[{k}] has non-positive weight {w}")
+        if not math.isfinite(w):
+            raise ScenarioError(f"topology: edges[{k}] has weight {w!r}, not a finite number")
+        seen[i, j] = k
+        parsed.append((i, j, w))
+    return NetworkTopology(n=n, edges=tuple(parsed))
 
 
 @st.composite
@@ -134,11 +165,11 @@ def json_edge_lists(draw):
 
 
 class TestEdgeArrayPass:
-    """`_parse_topology` checks the edges' types in one pass and the rest on
-    arrays (here for every edge list, not only from ARRAY_EDGES edges on);
-    only a failure runs the per-edge checks, which name the first bad edge.
-    Either way the topology and the message are those of the per-edge
-    checks."""
+    """`_parse_topology` checks the edges' JSON types and hands them to
+    NetworkTopology as an array of 0-based rows, where the graph rules are
+    checked one edge at a time for short lists and as arrays for long ones
+    (here both for every edge list). Either way the topology and the message
+    are those of the rules written out in `per_edge_topology`."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=json_edge_lists())
@@ -148,16 +179,18 @@ class TestEdgeArrayPass:
         try:
             want = per_edge_topology(doc)
         except ScenarioError as exc:
-            with pytest.MonkeyPatch.context() as patch, pytest.raises(ScenarioError) as got:
-                patch.setattr(scenario, "ARRAY_EDGES", 0)
-                scenario._parse_topology(doc, "topology")
-            assert str(got.value) == str(exc)
-            return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scenario, "ARRAY_EDGES", 0)
-            got = scenario._parse_topology(doc, "topology")
-        assert got.edges == want.edges
-        assert all(np.array_equal(a, b) for a, b in zip(got.arrays, want.arrays))
+            want = exc
+        for array_edges in (0, len(edges) + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(topology_module, "ARRAY_EDGES", array_edges)
+                if isinstance(want, ScenarioError):
+                    with pytest.raises(ScenarioError) as got:
+                        scenario._parse_topology(doc, "topology")
+                    assert str(got.value) == str(want)
+                    continue
+                got = scenario._parse_topology(doc, "topology")
+            assert got.edges == want.edges
+            assert all(np.array_equal(a, b) for a, b in zip(got.arrays, want.arrays))
 
 
 class TestSerialization:

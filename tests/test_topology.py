@@ -1,7 +1,7 @@
 """Unit tests for topology validation, break masks, and system matrices."""
 
+import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,8 +89,9 @@ class TestNetworkTopology:
 def edge_lists(draw):
     """Up to 12 edges on 2 to 6 nodes, each given either way round, so that
     duplicates occur, and in half the lists one entry replaced by a bad
-    value: a node id out of range on either side, fractional or making a
-    self-loop, or a non-positive weight."""
+    value: a node id out of range on either side, fractional (truncating to
+    a node), nan or infinite, or making a self-loop; or a weight that is
+    non-positive, infinite, nan or a string."""
     n = draw(st.integers(2, 6))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edge = st.tuples(st.sampled_from(pairs), st.booleans(), st.sampled_from([0.5, 1.0, 2.0, 3]))
@@ -98,43 +99,106 @@ def edge_lists(draw):
              for (i, j), flip, w in draw(st.lists(edge, max_size=12))]
     if edges and draw(st.booleans()):
         k, slot = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 2))
-        bad = (st.sampled_from([-1, n, 0.5, 1.0, edges[k][1 - slot]]) if slot < 2
-               else st.sampled_from([0.0, -1.0]))
+        bad = (st.sampled_from([-1, n, 0.5, 1.0, edges[k][slot] + 0.7, math.nan, math.inf,
+                                edges[k][1 - slot]]) if slot < 2
+               else st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan, "1.0"]))
         edges[k] = tuple(draw(bad) if s == slot else v for s, v in enumerate(edges[k]))
     return n, edges
 
 
-class TestEdgeArrays:
-    """The constructor's array pass, taken here by every edge list, against
-    its per-edge rules (`_checked_edges`), which name the first bad edge."""
+def per_edge_reference(n, edges):
+    """The sorted, normalised edges by the graph rules written out one edge
+    at a time, or the message naming the first edge that breaks one."""
+    seen, norm = {}, []
+    for k, (i, j, w) in enumerate(edges):
+        # a number as numpy holds one: a Python int only within int64 or uint64
+        if not all(isinstance(v, float) or isinstance(v, int) and -2 ** 63 <= v < 2 ** 64
+                   for v in (i, j, w)):
+            return f"edges[{k}] is {(i, j, w)!r}, not three numbers"
+        if not all(math.isfinite(v) and v == int(v) for v in (i, j)):
+            return f"edges[{k}] has node ids {i!r} and {j!r}, not two integers"
+        i, j = sorted((int(i), int(j)))
+        if i == j:
+            return f"edges[{k}] is a self-loop"
+        if not (0 <= i and j < n):
+            return f"edges[{k}] has a node id out of range for {n} nodes"
+        if (i, j) in seen:
+            return f"edges[{k}] duplicates edges[{seen[i, j]}]"
+        if w <= 0:
+            return f"edges[{k}] has non-positive weight {float(w)}"
+        if not math.isfinite(w):
+            return f"edges[{k}] has weight {w!r}, not a finite number"
+        seen[i, j] = k
+        norm.append((i, j, float(w)))
+    return tuple(sorted(norm))
 
-    @settings(max_examples=300, deadline=None)
+
+def construct(n, edges, array_edges):
+    """NetworkTopology(n, edges) with its array pass from `array_edges`
+    edges on: 0 takes it for every list, a larger count than the list's
+    length the per-edge pass. The topology, or the message it raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology_module, "ARRAY_EDGES", array_edges)
+        try:
+            return NetworkTopology(n=n, edges=edges)
+        except TopologyError as exc:
+            return str(exc)
+
+
+class TestEdgeArrays:
+    """Both passes of the constructor, the per-edge pass of short lists and
+    the array pass of long ones, against the rules written out here: the
+    same lists are accepted, to the same edges and arrays, and the others
+    refused with the same message, naming the first bad edge."""
+
+    @settings(max_examples=400, deadline=None)
     @given(case=edge_lists())
     def test_same_edges_or_same_error(self, case):
         n, edges = case
-        try:
-            want = NetworkTopology._checked_edges(SimpleNamespace(n=n, edges=edges))
-        except TopologyError as exc:
-            with pytest.MonkeyPatch.context() as patch, pytest.raises(TopologyError) as got:
-                patch.setattr(topology_module, "ARRAY_EDGES", 0)
-                NetworkTopology(n=n, edges=tuple(edges))
-            assert str(got.value) == str(exc)
-            return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(topology_module, "ARRAY_EDGES", 0)
-            topo = NetworkTopology(n=n, edges=tuple(edges))
-        assert topo.edges == tuple(want)
-        i, j, w = topo.arrays
-        assert i.dtype == j.dtype == np.int64 and w.dtype == np.float64
-        assert list(zip(i.tolist(), j.tolist(), w.tolist())) == want
-        assert not any(a.flags.writeable for a in topo.arrays)
+        want = per_edge_reference(n, edges)
+        for array_edges in (0, len(edges) + 1):
+            got = construct(n, tuple(edges), array_edges)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got.edges == want
+            i, j, w = got.arrays
+            assert i.dtype == j.dtype == np.int64 and w.dtype == np.float64
+            assert list(zip(i.tolist(), j.tolist(), w.tolist())) == list(want)
+            assert all(type(v) is int for e in got.edges for v in e[:2])
+            assert not any(a.flags.writeable for a in got.arrays)
 
     @pytest.mark.parametrize("array_edges", [0, topology_module.ARRAY_EDGES])
-    def test_array_input(self, monkeypatch, array_edges):
+    @pytest.mark.parametrize("edges,message", [
+        (((0.5, 1.7, 1.0),), "edges[0] has node ids 0.5 and 1.7, not two integers"),
+        (((0, 1, 1.0), (1, 2.5, 1.0)), "edges[1] has node ids 1 and 2.5, not two integers"),
+        (((0, 1, math.inf),), "edges[0] has weight inf, not a finite number"),
+        (((0, 1, math.nan),), "edges[0] has weight nan, not a finite number"),
+        (((0, 1, 2 ** 64),), "edges[0] is (0, 1, 18446744073709551616), not three numbers"),
+        (((0, 1, "1.5"),), "edges[0] is (0, 1, '1.5'), not three numbers"),
+        (((0, 1, None),), "edges[0] is (0, 1, None), not three numbers"),
+        (((0, 1),), "edges[0] is (0, 1), not three numbers"),
+    ], ids=["fractional", "fractional-second", "inf", "nan", "past-uint64", "str", "none",
+            "pair"])
+    def test_python_api_names_the_edge(self, edges, message, array_edges):
+        # the per-edge pass used to load (0.5, 1.7) as edge (0, 1), accept an
+        # infinite weight and raise TypeError on a string
+        got = construct(3, edges, array_edges)
+        assert isinstance(got, str) and got.startswith(message)
+
+    @pytest.mark.parametrize("array_edges", [0, topology_module.ARRAY_EDGES])
+    def test_array_input(self, array_edges):
         # the scenario parser passes an (m, 3) float array
-        monkeypatch.setattr(topology_module, "ARRAY_EDGES", array_edges)
-        topo = NetworkTopology(n=3, edges=np.array([[2.0, 0.0, 1.5], [1.0, 0.0, 0.5]]))
+        topo = construct(3, np.array([[2.0, 0.0, 1.5], [1.0, 0.0, 0.5]]), array_edges)
         assert topo.edges == ((0, 1, 0.5), (0, 2, 1.5))
+        assert all(type(v) is int for e in topo.edges for v in e[:2])
+
+    @pytest.mark.parametrize("array_edges", [0, topology_module.ARRAY_EDGES])
+    def test_numpy_scalars_and_booleans(self, array_edges):
+        # numbers as numpy reads them, each kept exactly
+        edges = ((np.int64(2), np.float32(0.0), np.float64(1.5)), (True, 0, 2 ** 63))
+        topo = construct(3, edges, array_edges)
+        assert topo.edges == ((0, 1, 2.0 ** 63), (0, 2, 1.5))
         assert all(type(v) is int for e in topo.edges for v in e[:2])
 
 
