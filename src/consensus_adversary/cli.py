@@ -16,6 +16,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def _load(args):
         raise ScenarioError("missing required --scenario <path>")
     config = load_scenario(args.scenario)
     if args.steps is not None:
-        config = config.with_steps(args.steps)
+        config = replace(config, steps=args.steps)
     return config
 
 
@@ -68,7 +69,7 @@ def run_pipeline(args) -> int:
     config = _load(args)
     if not isinstance(config.attack, spec):
         raise ScenarioError(f"{args.command} requires a scenario with {named}")
-    if not config.connected:
+    if not config.topology.is_connected():
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
     outcome = pipeline(config)
     files = write_report(outcome, _out_dir(args, config.name))
@@ -116,7 +117,7 @@ def run_reproduce_paper(args) -> int:
 
     ok = verify.report_checks(checks, printer=functools.partial(_diag, args))
     _diag(args, f"outputs under {out} (noise attack uses artifact defaults "
-                f"p_max=1, safety=0.9)")
+                f"p_max=1, safety={NoiseAttackSpec.safety})")
     return 0 if ok else 1
 
 

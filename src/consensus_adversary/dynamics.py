@@ -16,6 +16,7 @@ samples by composite trapezoid, an O(h^2) quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -28,18 +29,25 @@ class DynamicsError(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, T] with `steps` intervals (steps+1 samples)."""
+    """Uniform grid on [0, T] with `steps` intervals (steps+1 samples).
+    Each error names its field first (`T: ...`, `steps: ...`)."""
 
     T: float
     steps: int
 
     def __post_init__(self):
         if not self.T > 0:
-            raise DynamicsError(f"horizon must be positive, got {self.T}")
+            raise DynamicsError(f"T: horizon must be positive, got {self.T}")
         if not np.isfinite(self.T):
-            raise DynamicsError(f"horizon must be finite, got {self.T}")
+            raise DynamicsError(f"T: horizon must be finite, got {self.T}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, Integral):
+            raise DynamicsError(f"steps: must be an integer, got {self.steps!r}")
         if self.steps < 1:
-            raise DynamicsError(f"steps must be positive, got {self.steps}")
+            raise DynamicsError(f"steps: must be positive, got {self.steps}")
+        try:
+            self.T / self.steps
+        except OverflowError:
+            raise DynamicsError("steps: too large to give the step size T / steps") from None
 
     @property
     def h(self) -> float:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (Kernel, PropagatorCache, Trajectory, _ModeRecurrence,
-                       check_schedule_and_state, check_state, objective,
-                       propagate)
+                       check_schedule_and_state, objective, propagate)
 from .topology import NetworkTopology, Schedule, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
@@ -144,8 +143,7 @@ def simulate_attack1(config) -> Attack1Outcome:
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell, steps = config.attack.ell, grid.steps
-    x0 = np.asarray(config.x0, dtype=float)
-    check_state(x0, topology)
+    x0 = config.x0
     longest = max(1, RANK_BLOCK // max(topology.m, 1))
     cache = PropagatorCache(topology, grid.h)
     masks = np.empty((steps, topology.m), dtype=np.uint8)

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
-                       _ModeRecurrence, check_state, objective)
+                       _ModeRecurrence, objective)
 from .topology import build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
 FIXED_POINT_TOL = 1e-8      # co-state iteration stops below this residual relative to the iterate
 FIXED_POINT_MAX_ITER = 200  # co-state map applications before the result is flagged unconverged
+SAFETY = 0.9                # default safety fraction: nu = SAFETY * nu_max
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,24 @@ class Attack2Outcome:
 
 
 def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
-                      safety: float = 0.9, nu: float | None = None) -> ContractionSetup:
+                      safety: float = SAFETY, nu: float | None = None) -> ContractionSetup:
     """Pick the objective scaling below the contraction threshold.
 
     nu_max = 1 / (2 sqrt(P_max) (k_check + k_hat)); by default nu is the
     safety fraction of it, so the contraction factor equals the safety.
+    The safety fraction is checked even when nu is given. Each error names
+    its parameter first (`p_max: ...`, `safety: ...`, `nu: ...`).
     """
     if not p_max > 0:
-        raise DynamicsError(f"power budget must be positive, got {p_max}")
+        raise DynamicsError(f"p_max: must be positive, got {p_max}")
+    if not 0 < safety < 1:
+        raise DynamicsError(f"safety: must be in (0, 1), got {safety}")
     k_check, k_hat = kernel.constants(grid)
     nu_max = 1.0 / (2.0 * np.sqrt(p_max) * (k_check + k_hat))
     if nu is None:
-        if not 0 < safety < 1:
-            raise DynamicsError(f"safety fraction must be in (0,1), got {safety}")
         nu = safety * nu_max
     elif not 0 < nu < nu_max:
-        raise DynamicsError(f"nu={nu} outside (0, nu_max={nu_max})")
+        raise DynamicsError(f"nu: {nu} outside (0, nu_max={nu_max})")
     q = 2.0 * nu * np.sqrt(p_max) * (k_check + k_hat)
     return ContractionSetup(nu=float(nu), q=float(q), nu_max=float(nu_max),
                             k_check=k_check, k_hat=k_hat, p_max=float(p_max))
@@ -240,8 +243,7 @@ def simulate_attack2(config) -> Attack2Outcome:
     control synthesis, and forward propagation."""
     topology, grid, kernel = config.topology, config.grid, config.kernel
     spec = config.attack
-    x0 = np.asarray(config.x0, dtype=float)
-    check_state(x0, topology)
+    x0 = config.x0
     spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
     setup = contraction_setup(kernel, grid, spec.p_max, safety=spec.safety, nu=spec.nu)
     fixed = costate_fixed_point(spectrum, x0, kernel, grid, setup)
@@ -296,8 +298,7 @@ def baseline_constant_control(config) -> dict:
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     p_max = config.attack.p_max
-    x0 = np.asarray(config.x0, dtype=float)
-    check_state(x0, topology)
+    x0 = config.x0
     spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
     vals, vecs = spectrum.vals, spectrum.vecs
     n = topology.n

@@ -12,16 +12,16 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory
+from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory, check_state
 from .link_attack import Attack1Outcome, SweepResult
-from .noise_attack import Attack2Outcome, contraction_setup
+from .noise_attack import SAFETY, Attack2Outcome, contraction_setup
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
@@ -41,12 +41,17 @@ class LinkAttackSpec:
 @dataclass(frozen=True)
 class NoiseAttackSpec:
     p_max: float
-    safety: float = 0.9
+    safety: float = SAFETY
     nu: float | None = None
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One run's inputs, checked however they are built (a file, the
+    constructor, `replace`); each error names its field first. T and steps
+    are TimeGrid's rules, p_max, safety and nu contraction_setup's; x0 (kept
+    as a read-only float copy), ell, kernel coverage and array size are here."""
+
     name: str
     topology: NetworkTopology
     x0: np.ndarray
@@ -54,39 +59,38 @@ class ScenarioConfig:
     steps: int
     kernel: Kernel
     attack: LinkAttackSpec | NoiseAttackSpec | None
+    grid: TimeGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a grid of steps + 1 samples per node must have a step size and fit
-        # in one numpy array; checked before anything builds the grid
+        topology, attack = self.topology, self.attack
+        x0 = np.array(self.x0, dtype=float)
+        x0.flags.writeable = False
+        object.__setattr__(self, "x0", x0)
         try:
-            self.T / self.steps
-        except OverflowError:
-            raise ScenarioError("steps: too large to give the step size T / steps") from None
-        if (self.steps + 1) * self.topology.n * 8 > np.iinfo(np.intp).max:
+            check_state(x0, topology)
+            object.__setattr__(self, "grid", TimeGrid(T=self.T, steps=self.steps))
+        except DynamicsError as exc:   # its text starts with the field
+            raise ScenarioError(str(exc)) from exc
+        # steps + 1 samples per node must fit in one numpy array
+        if (self.steps + 1) * topology.n * 8 > np.iinfo(np.intp).max:
             raise ScenarioError(f"steps: a trajectory of steps + 1 samples of "
-                                f"{self.topology.n} nodes exceeds numpy's largest array")
-        # nu_max depends on the grid, so check nu against every grid a config
-        # gets, including a --steps override
-        if isinstance(self.attack, NoiseAttackSpec) and self.attack.nu is not None:
+                                f"{topology.n} nodes exceeds numpy's largest array")
+        if self.kernel.kind == "table":
+            first, last = self.kernel.table[0][0], self.kernel.table[-1][0]
+            if first > 0 or last < self.T:
+                raise ScenarioError(
+                    f"kernel.table: samples cover [{first}, {last}], not [0, {self.T}]")
+        if isinstance(attack, LinkAttackSpec) and not 0 <= attack.ell <= topology.m:
+            raise ScenarioError(
+                f"attack.link.ell: budget {attack.ell} outside 0..{topology.m} (edge count)")
+        # nu_max depends on the grid, so nu is checked against every grid a
+        # config gets, including a --steps override
+        if isinstance(attack, NoiseAttackSpec):
             try:
-                contraction_setup(self.kernel, self.grid, self.attack.p_max,
-                                  nu=self.attack.nu)
+                contraction_setup(self.kernel, self.grid, attack.p_max,
+                                  safety=attack.safety, nu=attack.nu)
             except DynamicsError as exc:
-                raise ScenarioError(f"attack.noise.nu: {exc}") from exc
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(T=self.T, steps=self.steps)
-
-    @property
-    def connected(self) -> bool:
-        return self.topology.is_connected()
-
-    def with_x0(self, x0) -> "ScenarioConfig":
-        return replace(self, x0=np.asarray(x0, dtype=float))
-
-    def with_steps(self, steps: int) -> "ScenarioConfig":
-        return replace(self, steps=int(steps))
+                raise ScenarioError(f"attack.noise.{exc}") from exc
 
 
 def _finite(value: int | float) -> bool:
@@ -157,7 +161,7 @@ def _one_kind(doc, kinds: tuple[str, ...], field: str) -> str | None:
     return named[0] if named else None
 
 
-def _parse_kernel(doc, T: float) -> Kernel:
+def _parse_kernel(doc) -> Kernel:
     if doc is None:
         return Kernel.constant(1.0)
     kind = _one_kind(doc, ("constant", "table"), "kernel")
@@ -175,13 +179,10 @@ def _parse_kernel(doc, T: float) -> Kernel:
                                     for idx, (t, k) in enumerate(table)])
     except DynamicsError as exc:
         raise ScenarioError(f"kernel.table: {exc}") from exc
-    first, last = kernel.table[0][0], kernel.table[-1][0]
-    if first > 0 or last < T:
-        raise ScenarioError(f"kernel.table: samples cover [{first}, {last}], not [0, {T}]")
     return kernel
 
 
-def _parse_attack(doc, topology: NetworkTopology):
+def _parse_attack(doc):
     kind = _one_kind(doc, ("none", "link", "noise"), "attack")
     if doc is None or kind == "none":
         return None
@@ -189,17 +190,9 @@ def _parse_attack(doc, topology: NetworkTopology):
     if not isinstance(spec, dict):
         raise ScenarioError("attack: expected one of {'none'}, {'link': ...}, {'noise': ...}")
     if kind == "link":
-        ell = _integer(spec.get("ell"), "attack.link.ell")
-        if not 0 <= ell <= topology.m:
-            raise ScenarioError(
-                f"attack.link.ell: budget {ell} outside 0..{topology.m} (edge count)")
-        return LinkAttackSpec(ell=ell)
+        return LinkAttackSpec(ell=_integer(spec.get("ell"), "attack.link.ell"))
     p_max = _number(spec.get("p_max"), "attack.noise.p_max")
-    if not p_max > 0:
-        raise ScenarioError(f"attack.noise.p_max: must be positive, got {p_max}")
-    safety = _number(spec.get("safety", 0.9), "attack.noise.safety")
-    if not 0 < safety < 1:
-        raise ScenarioError(f"attack.noise.safety: must be in (0, 1), got {safety}")
+    safety = _number(spec.get("safety", NoiseAttackSpec.safety), "attack.noise.safety")
     nu = spec.get("nu")
     return NoiseAttackSpec(p_max=p_max, safety=safety,
                            nu=None if nu is None else _number(nu, "attack.noise.nu"))
@@ -217,24 +210,16 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
         raise ScenarioError("topology: must be an object or a file reference")
     topology = _parse_topology(topo_doc, "topology")
     x0 = doc.get("x0")
-    if not isinstance(x0, list) or len(x0) != topology.n:
-        raise ScenarioError(f"x0: must be an array of length n={topology.n}")
-    x0 = [_number(v, f"x0[{idx}]") for idx, v in enumerate(x0)]
-    T = _number(doc.get("T"), "T")
-    if not T > 0:
-        raise ScenarioError(f"T: horizon must be positive, got {T}")
-    steps = _integer(doc.get("steps", DEFAULT_STEPS), "steps")
-    if steps < 1:
-        raise ScenarioError(f"steps: must be positive, got {steps}")
-    kernel = _parse_kernel(doc.get("kernel"), T)
+    if not isinstance(x0, list):
+        raise ScenarioError("x0: must be an array of numbers")
     return ScenarioConfig(
         name=str(doc.get("name", "unnamed")),
         topology=topology,
-        x0=np.array(x0, dtype=float),
-        T=T,
-        steps=steps,
-        kernel=kernel,
-        attack=_parse_attack(doc.get("attack"), topology),
+        x0=[_number(v, f"x0[{idx}]") for idx, v in enumerate(x0)],
+        T=_number(doc.get("T"), "T"),
+        steps=_integer(doc.get("steps", DEFAULT_STEPS), "steps"),
+        kernel=_parse_kernel(doc.get("kernel")),
+        attack=_parse_attack(doc.get("attack")),
     )
 
 
@@ -300,8 +285,8 @@ def paper_k4_scenario(attack: str = "link", steps: int = DEFAULT_STEPS) -> Scena
     """The reference K4 scenario of the bundled `paper_k4` fixture: ell=2, T=2,
     x0=[1,2,3,4], constant kernel.
 
-    The noise variant's power budget p_max = 1 and safety fraction 0.9 are
-    artifact defaults, not reference values.
+    The noise variant's power budget p_max = 1 and default safety fraction
+    are artifact defaults, not reference values.
     """
     k4 = load_scenario(fixture_path("paper_k4"))
     specs = {"link": k4.attack, "noise": NoiseAttackSpec(p_max=1.0), "none": None}

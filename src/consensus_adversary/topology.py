@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,8 @@ class NetworkTopology:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
+            raise TopologyError(f"node count n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise TopologyError(f"node count must be positive, got {self.n}")
         # the array pass keys each pair by i * n + j in an int64

@@ -14,7 +14,7 @@ scale the grid-sensitive tolerances by (default_h / h)^-2, i.e. (400/steps)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def check_lemma1_scale_invariance(config, greedy) -> CheckResult:
     base_signs = _switching_signs(config, greedy)
     failures = []
     for c in (-3.0, 0.5, 10.0):
-        scaled = link_attack.simulate_attack1(config.with_x0(np.asarray(config.x0) * c))
+        scaled = link_attack.simulate_attack1(replace(config, x0=config.x0 * c))
         if not (np.array_equal(greedy.schedule.masks, scaled.schedule.masks)
                 and np.array_equal(base_signs, _switching_signs(config, scaled))):
             failures.append(c)

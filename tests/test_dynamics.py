@@ -36,6 +36,19 @@ class TestTimeGrid:
         with pytest.raises(DynamicsError):
             TimeGrid(T=1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "10", None])
+    def test_steps_must_be_an_integer(self, steps):
+        # 2.5 used to construct and fail later in times(); True passed as 1
+        with pytest.raises(DynamicsError, match=r"^steps: must be an integer, got "):
+            TimeGrid(T=1.0, steps=steps)
+
+    def test_numpy_integer_steps(self):
+        assert TimeGrid(T=1.0, steps=np.int64(4)).h == 0.25
+
+    def test_step_size_overflow_named(self):
+        with pytest.raises(DynamicsError, match=r"^steps: too large to give the step size"):
+            TimeGrid(T=1.0, steps=10 ** 400)
+
 
 class TestKernel:
     def test_constant_sampling(self):

@@ -212,11 +212,11 @@ class TestExhaustiveBest:
         assert sum(np.asarray(A)[..., 0, 0].size for A in calls) == 22
 
     @pytest.mark.parametrize("change, error, match", [
-        ({"intervals": 0}, DynamicsError, "steps must be positive, got 0"),
-        ({"intervals": -1}, DynamicsError, "steps must be positive, got -1"),
-        ({"T": -1.0}, DynamicsError, "horizon must be positive, got -1.0"),
-        ({"T": 0.0}, DynamicsError, "horizon must be positive, got 0.0"),
-        ({"T": np.inf}, DynamicsError, "horizon must be finite, got inf"),
+        ({"intervals": 0}, DynamicsError, "^steps: must be positive, got 0"),
+        ({"intervals": -1}, DynamicsError, "^steps: must be positive, got -1"),
+        ({"T": -1.0}, DynamicsError, "^T: horizon must be positive, got -1.0"),
+        ({"T": 0.0}, DynamicsError, "^T: horizon must be positive, got 0.0"),
+        ({"T": np.inf}, DynamicsError, "^T: horizon must be finite, got inf"),
         ({"ell": -1}, TopologyError, "budget must be nonnegative, got -1"),
         ({"x0": np.zeros(4)}, DynamicsError, r"x0 has shape \(4,\), expected \(3,\)"),
         ({"x0": np.array([np.nan, 0.0, 1.0])}, DynamicsError, r"x0\[0\] must be finite, got nan"),

@@ -17,7 +17,7 @@ from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              switching_control,
                                              switching_functions)
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
-                                          paper_k4_scenario)
+                                          ScenarioError, paper_k4_scenario)
 from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix)
 from consensus_adversary.verify import (check_lemma1_scale_invariance,
@@ -95,9 +95,9 @@ class TestSimulateAttack1:
         assert outcome.classification == "losing"
 
     def test_non_finite_x0_named(self):
-        config = link_config(PATH3, [0.0, np.nan, 1.0], ell=1)
-        with pytest.raises(DynamicsError, match=r"x0\[1\] must be finite, got nan"):
-            simulate_attack1(config)
+        # the config refuses the state, so the pipeline never sees it
+        with pytest.raises(ScenarioError, match=r"^x0\[1\] must be finite, got nan"):
+            simulate_attack1(link_config(PATH3, [0.0, np.nan, 1.0], ell=1))
 
     @staticmethod
     def count_calls(monkeypatch):

@@ -21,7 +21,7 @@ from consensus_adversary.noise_attack import (FIXED_POINT_MAX_ITER, FIXED_POINT_
                                               optimal_noise, propagate_forced,
                                               simulate_attack2)
 from consensus_adversary.scenario import (NoiseAttackSpec, ScenarioConfig,
-                                          paper_k4_scenario)
+                                          ScenarioError, paper_k4_scenario)
 from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix)
 from consensus_adversary.verify import check_contraction
@@ -53,11 +53,13 @@ class TestContractionSetup:
     def test_invalid_inputs(self):
         grid = TimeGrid(T=2.0, steps=100)
         k = Kernel.constant(1.0)
-        with pytest.raises(DynamicsError):
+        with pytest.raises(DynamicsError, match="^p_max: "):
             contraction_setup(k, grid, 0.0)
-        with pytest.raises(DynamicsError):
+        with pytest.raises(DynamicsError, match="^safety: "):
             contraction_setup(k, grid, 1.0, safety=1.5)
-        with pytest.raises(DynamicsError):
+        with pytest.raises(DynamicsError, match="^safety: "):   # checked when nu is given too
+            contraction_setup(k, grid, 1.0, safety=1.5, nu=0.01)
+        with pytest.raises(DynamicsError, match="^nu: "):
             contraction_setup(k, grid, 1.0, nu=0.2)  # above nu_max
 
 
@@ -276,9 +278,10 @@ class TestSpectrumReuse:
 class TestSimulateAttack2:
     @pytest.mark.parametrize("run", [simulate_attack2, baseline_constant_control])
     def test_non_finite_x0_named(self, run):
-        config = paper_k4_scenario("noise", steps=50).with_x0([1.0, np.nan, 3.0, 4.0])
-        with pytest.raises(DynamicsError, match=r"x0\[1\] must be finite, got nan"):
-            run(config)
+        # the config refuses the state, so the pipeline never sees it
+        config = paper_k4_scenario("noise", steps=50)
+        with pytest.raises(ScenarioError, match=r"^x0\[1\] must be finite, got nan"):
+            run(replace(config, x0=[1.0, np.nan, 3.0, 4.0]))
 
     def test_reference_run(self):
         outcome = simulate_attack2(paper_k4_scenario("noise"))

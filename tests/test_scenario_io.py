@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -98,6 +99,70 @@ class TestParsing:
         path.write_text("{\n  broken\n}")
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(path)
+
+
+NOISE = {"p_max": 1.0}
+# (id, scenario document fields, ScenarioConfig fields, leading field of the
+# error); minimal_doc has n = 2, one edge, T = 2 and a constant kernel, so
+# nu_max = 1 / 8
+INVALID = [
+    ("T-0", {"T": 0.0}, {"T": 0.0}, "T: "),
+    ("T-neg", {"T": -1.0}, {"T": -1.0}, "T: "),
+    ("T-inf", {"T": math.inf}, {"T": math.inf}, "T: "),
+    ("steps-0", {"steps": 0}, {"steps": 0}, "steps: "),
+    ("steps-neg", {"steps": -3}, {"steps": -3}, "steps: "),
+    ("steps-1e400", {"steps": 10 ** 400}, {"steps": 10 ** 400}, "steps: "),
+    ("steps-true", {"steps": True}, {"steps": True}, "steps: "),
+    ("steps-2.5", {"steps": 2.5}, {"steps": 2.5}, "steps: "),
+    ("x0-length", {"x0": [0.0, 1.0, 2.0]}, {"x0": [0.0, 1.0, 2.0]}, "x0 "),
+    ("x0-nan", {"x0": [0.0, math.nan]}, {"x0": [0.0, math.nan]}, "x0[1]"),
+    ("ell-neg", {"attack": {"link": {"ell": -1}}}, {"attack": LinkAttackSpec(ell=-1)},
+     "attack.link.ell: "),
+    ("ell-m+1", {"attack": {"link": {"ell": 2}}}, {"attack": LinkAttackSpec(ell=2)},
+     "attack.link.ell: "),
+    ("p_max-0", {"attack": {"noise": {"p_max": 0.0}}}, {"attack": NoiseAttackSpec(p_max=0.0)},
+     "attack.noise.p_max: "),
+    ("safety", {"attack": {"noise": NOISE | {"safety": 1.5}}},
+     {"attack": NoiseAttackSpec(p_max=1.0, safety=1.5)}, "attack.noise.safety: "),
+    ("safety-with-nu", {"attack": {"noise": NOISE | {"safety": 1.5, "nu": 0.01}}},
+     {"attack": NoiseAttackSpec(p_max=1.0, safety=1.5, nu=0.01)}, "attack.noise.safety: "),
+    ("nu-max", {"attack": {"noise": NOISE | {"nu": 0.125}}},
+     {"attack": NoiseAttackSpec(p_max=1.0, nu=0.125)}, "attack.noise.nu: "),
+    ("nu-above", {"attack": {"noise": NOISE | {"nu": 0.5}}},
+     {"attack": NoiseAttackSpec(p_max=1.0, nu=0.5)}, "attack.noise.nu: "),
+    ("kernel-short", {"kernel": {"table": [[0.0, 1.0], [1.5, 1.0]]}},
+     {"kernel": Kernel.from_table([(0.0, 1.0), (1.5, 1.0)])}, "kernel.table: "),
+]
+
+
+class TestValueRules:
+    """ScenarioConfig holds every value rule, so a value is refused with the
+    same leading field whether it comes from a file or from Python."""
+
+    @pytest.mark.parametrize("doc_fields,config_fields,field",
+                             [pytest.param(*case[1:], id=case[0]) for case in INVALID])
+    def test_document_and_python_name_the_same_field(self, doc_fields, config_fields, field):
+        valid = parse_scenario(minimal_doc())
+        with pytest.raises(ScenarioError) as from_doc:
+            parse_scenario(minimal_doc(**doc_fields))
+        with pytest.raises(ScenarioError) as from_python:
+            replace(valid, **config_fields)
+        assert str(from_doc.value).startswith(field), from_doc.value
+        assert str(from_python.value).startswith(field), from_python.value
+
+    def test_bundled_scenario_steps_checked(self):
+        # used to raise ZeroDivisionError
+        with pytest.raises(ScenarioError, match="^steps: must be positive, got 0"):
+            paper_k4_scenario("link", steps=0)
+
+    def test_x0_is_a_read_only_copy(self):
+        x0 = np.array([0.0, 2.0])
+        config = replace(parse_scenario(minimal_doc()), x0=x0)
+        x0[0] = 5.0
+        assert config.x0.tolist() == [0.0, 2.0] and config.x0.dtype == float
+        with pytest.raises(ValueError):
+            config.x0[0] = 1.0
+        assert config.grid is config.grid and config.grid.steps == 50
 
 
 def per_edge_topology(doc):

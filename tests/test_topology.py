@@ -44,6 +44,15 @@ class TestNetworkTopology:
         assert topo.edges == ((0, 1, 0.5), (0, 2, 1.5))
         assert topo.m == 2
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+    def test_node_count_must_be_an_integer(self, n):
+        # 2.5 used to construct and fail later in build_system_matrix
+        with pytest.raises(TopologyError, match=r"^node count n must be an integer, got "):
+            NetworkTopology(n=n, edges=((0, 1, 1.0),) if n else ())
+
+    def test_numpy_integer_node_count(self):
+        assert NetworkTopology(n=np.int64(2), edges=((0, 1, 1.0),)).m == 1
+
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyError, match="self-loop"):
             NetworkTopology(n=3, edges=((1, 1, 1.0),))
