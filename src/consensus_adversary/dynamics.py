@@ -15,6 +15,7 @@ samples by composite trapezoid, an O(h^2) quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -25,6 +26,15 @@ from .topology import NetworkTopology, Schedule, build_system_matrix
 
 class DynamicsError(ValueError):
     pass
+
+
+def finite(value: int | float) -> bool:
+    """Whether a number is a finite double; an integer beyond the double
+    range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -38,7 +48,7 @@ class TimeGrid:
     def __post_init__(self):
         if not self.T > 0:
             raise DynamicsError(f"T: horizon must be positive, got {self.T}")
-        if not np.isfinite(self.T):
+        if not finite(self.T):
             raise DynamicsError(f"T: horizon must be finite, got {self.T}")
         if isinstance(self.steps, bool) or not isinstance(self.steps, Integral):
             raise DynamicsError(f"steps: must be an integer, got {self.steps!r}")

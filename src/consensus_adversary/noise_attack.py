@@ -46,7 +46,6 @@ class FixedPointResult:
 class Attack2Outcome:
     trajectory: Trajectory       # state with co-state columns
     control: np.ndarray          # (steps+1, n)
-    p_max: float
     J: float
     J_scaled: float
     setup: ContractionSetup
@@ -80,20 +79,17 @@ def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
                             k_check=k_check, k_hat=k_hat, p_max=float(p_max))
 
 
-def g_term(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel, nu: float,
-           grid: TimeGrid) -> np.ndarray:
-    """Inhomogeneous part of the co-state equation on the grid:
+def g_term(spectrum: Spectrum, x0: np.ndarray, R: np.ndarray, nu: float,
+           t: np.ndarray) -> np.ndarray:
+    """Inhomogeneous part of the co-state equation at the grid times t:
     g(t) = 2 nu int_t^T P(tau-t) k(tau) (P(tau) x0 - xbar) dtau.
 
     P(tau) fixes xbar, so the integrand is P(tau-t) k(tau) P(tau) (x0 - xbar)
     and per eigenmode g_d(t) = 2 nu e^{lam t} R_d(t) e_d, with e the modes of
-    x0 - xbar and R_d the trapezoid tail of k(tau) e^{2 lam (tau-t)}: O(n steps)
-    in all, and both factors are at most 1, so stiff modes cannot overflow.
+    x0 - xbar and R the co-state map's tails: O(n steps) in all, and both
+    factors are at most 1, so stiff modes cannot overflow.
     """
     vals, vecs = spectrum.vals, spectrum.vecs
-    x0 = np.asarray(x0, dtype=float)
-    t = grid.times()
-    R = _ModeRecurrence(np.exp(2.0 * vals * grid.h), t.shape[0]).tail(kernel.sample(t), grid.h)
     e = vecs.T @ (x0 - np.mean(x0))                # modes of the deviation
     return (2.0 * nu * np.exp(np.outer(t, vals)) * R * e) @ vecs.T
 
@@ -123,10 +119,11 @@ class CostateMap:
         self.grid = grid
         self.setup = setup
         self.vecs = spectrum.vecs
-        self.g = g_term(spectrum, x0, kernel, setup.nu, grid)
+        self.t = grid.times()
+        self.k = kernel.sample(self.t)
         m = grid.steps + 1
-        k = kernel.sample(grid.times())
-        self.R = _ModeRecurrence(np.exp(2.0 * spectrum.vals * grid.h), m).tail(k, grid.h)
+        self.R = _ModeRecurrence(np.exp(2.0 * spectrum.vals * grid.h), m).tail(self.k, grid.h)
+        self.g = g_term(spectrum, x0, self.R, setup.nu, self.t)
         self.decay = _ModeRecurrence(np.exp(spectrum.vals * grid.h), m)
         # trapezoid weights for the s integral over [0, T]
         w = np.full(m, grid.h)
@@ -151,7 +148,7 @@ class CostateMap:
         return out
 
 
-def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:
+def default_seed(fmap: CostateMap) -> np.ndarray:
     """Starting co-state for the fixed-point iteration: the map's image of the
     constant full-power direction, g(t) + 2 nu sqrt(P/n) 1 int_t^T k tau dtau.
 
@@ -161,17 +158,15 @@ def default_seed(fmap: CostateMap, kernel: Kernel) -> np.ndarray:
     fixed point whose control pumps the average. The augmented seed carries a
     mean component the map is free to keep or shed.
     """
-    grid, setup = fmap.grid, fmap.setup
-    t = grid.times()
+    setup, t = fmap.setup, fmap.t
     # the trapezoid tail of k(tau) tau, a recurrence at rate 1
-    tail = _ModeRecurrence(np.ones(1), t.shape[0]).tail(kernel.sample(t) * t, grid.h)
+    tail = _ModeRecurrence(np.ones(1), t.shape[0]).tail(fmap.k * t, fmap.grid.h)
     n = fmap.g.shape[1]
     coeff = 2.0 * setup.nu * np.sqrt(setup.p_max / n)
     return fmap.g + coeff * tail
 
 
-def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
-                        grid: TimeGrid, setup: ContractionSetup) -> FixedPointResult:
+def costate_fixed_point(fmap: CostateMap) -> FixedPointResult:
     """Iterate the co-state map from the default seed until
     the sup-norm residual falls below FIXED_POINT_TOL relative to the
     iterate's norm, for at most FIXED_POINT_MAX_ITER applications.
@@ -179,8 +174,7 @@ def costate_fixed_point(spectrum: Spectrum, x0: np.ndarray, kernel: Kernel,
     Non-convergence should be impossible for q < 1 and signals a quadrature
     resolution problem; the result is then flagged rather than raised.
     """
-    fmap = CostateMap(spectrum, x0, kernel, grid, setup)
-    p = default_seed(fmap, kernel)
+    p = default_seed(fmap)
     residuals = []
     converged = False
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -239,28 +233,24 @@ def propagate_forced(spectrum: Spectrum, x0: np.ndarray, u: np.ndarray,
 
 
 def simulate_attack2(config) -> Attack2Outcome:
-    """Full noise-attack pipeline: contraction setup, co-state fixed point,
-    control synthesis, and forward propagation."""
-    topology, grid, kernel = config.topology, config.grid, config.kernel
-    spec = config.attack
-    x0 = config.x0
+    """Full noise-attack pipeline on the config's contraction setup: co-state
+    fixed point, control synthesis, and forward propagation."""
+    topology, x0, setup = config.topology, config.x0, config.setup
     spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
-    setup = contraction_setup(kernel, grid, spec.p_max, safety=spec.safety, nu=spec.nu)
-    fixed = costate_fixed_point(spectrum, x0, kernel, grid, setup)
-    u = optimal_noise(fixed.p, spec.p_max)
-    traj = propagate_forced(spectrum, x0, u, grid)
-    J = objective(traj, kernel)
+    fixed = costate_fixed_point(CostateMap(spectrum, x0, config.kernel, config.grid, setup))
+    u = optimal_noise(fixed.p, setup.p_max)
+    traj = propagate_forced(spectrum, x0, u, config.grid)
+    J = objective(traj, config.kernel)
     return Attack2Outcome(
         trajectory=traj.with_costate(fixed.p),
         control=u,
-        p_max=spec.p_max,
         J=J,
         J_scaled=setup.nu * J,
         setup=setup,
         iterations=fixed.iterations,
         residuals=fixed.residuals,
         converged=fixed.converged,
-        lam=lagrange_multiplier(u, fixed.p, spec.p_max),
+        lam=lagrange_multiplier(u, fixed.p, setup.p_max),
     )
 
 

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory, check_state
+from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory, check_state, finite
 from .link_attack import Attack1Outcome, SweepResult
-from .noise_attack import SAFETY, Attack2Outcome, contraction_setup
+from .noise_attack import SAFETY, Attack2Outcome, ContractionSetup, contraction_setup
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
@@ -50,7 +50,9 @@ class ScenarioConfig:
     """One run's inputs, checked however they are built (a file, the
     constructor, `replace`); each error names its field first. T and steps
     are TimeGrid's rules, p_max, safety and nu contraction_setup's; x0 (kept
-    as a read-only float copy), ell, kernel coverage and array size are here."""
+    as a read-only float copy), ell, kernel coverage and array size are here.
+    The grid and a noise attack's ContractionSetup are kept (`setup`, None
+    without a noise attack) and derived again by `replace`."""
 
     name: str
     topology: NetworkTopology
@@ -60,10 +62,14 @@ class ScenarioConfig:
     kernel: Kernel
     attack: LinkAttackSpec | NoiseAttackSpec | None
     grid: TimeGrid = field(init=False, repr=False, compare=False)
+    setup: ContractionSetup | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         topology, attack = self.topology, self.attack
-        x0 = np.array(self.x0, dtype=float)
+        try:
+            x0 = np.array(self.x0, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ScenarioError(f"x0: must be one number per node, got {self.x0!r}") from None
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
         try:
@@ -80,39 +86,33 @@ class ScenarioConfig:
             if first > 0 or last < self.T:
                 raise ScenarioError(
                     f"kernel.table: samples cover [{first}, {last}], not [0, {self.T}]")
-        if isinstance(attack, LinkAttackSpec) and not 0 <= attack.ell <= topology.m:
-            raise ScenarioError(
-                f"attack.link.ell: budget {attack.ell} outside 0..{topology.m} (edge count)")
+        if isinstance(attack, LinkAttackSpec):
+            if not 0 <= _integer(attack.ell, "attack.link.ell") <= topology.m:
+                raise ScenarioError(
+                    f"attack.link.ell: budget {attack.ell} outside 0..{topology.m} (edge count)")
         # nu_max depends on the grid, so nu is checked against every grid a
         # config gets, including a --steps override
+        setup = None
         if isinstance(attack, NoiseAttackSpec):
             try:
-                contraction_setup(self.kernel, self.grid, attack.p_max,
-                                  safety=attack.safety, nu=attack.nu)
+                setup = contraction_setup(self.kernel, self.grid, attack.p_max,
+                                          safety=attack.safety, nu=attack.nu)
             except DynamicsError as exc:
                 raise ScenarioError(f"attack.noise.{exc}") from exc
-
-
-def _finite(value: int | float) -> bool:
-    """Whether a JSON number is a finite double; an integer beyond the
-    double range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        object.__setattr__(self, "setup", setup)
 
 
 def _number(value, field: str) -> float:
     """A finite JSON number; booleans, strings and integers too large for a
     double are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not finite(value):
         raise ScenarioError(f"{field}: must be a finite number, got {value!r}")
     return float(value)
 
 
 def _integer(value, field: str) -> int:
-    """A JSON integer; booleans and fractional numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """An integer; booleans and fractional numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ScenarioError(f"{field}: must be an integer, got {value!r}")
     return value
 
@@ -142,10 +142,10 @@ def _parse_topology(doc, where: str) -> NetworkTopology:
             if not (isinstance(e, list) and len(e) == 3):
                 raise ScenarioError(f"{field} must be [i, j, weight]")
             for v in e[:2]:
-                if type(v) is not int or not _finite(v):
+                if type(v) is not int or not finite(v):
                     raise ScenarioError(f"{field} node id: must be an integer within the "
                                         f"double range, got {v!r}")
-            if not (type(e[2]) is float or type(e[2]) is int and _finite(e[2])):
+            if not (type(e[2]) is float or type(e[2]) is int and finite(e[2])):
                 raise ScenarioError(f"{field} weight: must be a finite number, got {e[2]!r}")
     try:
         return NetworkTopology(n=n, edges=rows)
@@ -190,7 +190,7 @@ def _parse_attack(doc):
     if not isinstance(spec, dict):
         raise ScenarioError("attack: expected one of {'none'}, {'link': ...}, {'noise': ...}")
     if kind == "link":
-        return LinkAttackSpec(ell=_integer(spec.get("ell"), "attack.link.ell"))
+        return LinkAttackSpec(ell=spec.get("ell"))
     p_max = _number(spec.get("p_max"), "attack.noise.p_max")
     safety = _number(spec.get("safety", NoiseAttackSpec.safety), "attack.noise.safety")
     nu = spec.get("nu")
@@ -503,7 +503,7 @@ def write_report(outcome, directory) -> list[Path]:
             "J_scaled": outcome.J_scaled,
             "nu": outcome.setup.nu,
             "q": outcome.setup.q,
-            "p_max": outcome.p_max,
+            "p_max": outcome.setup.p_max,
             "iterations": outcome.iterations,
             "residuals": list(outcome.residuals),
             "converged": outcome.converged,
@@ -522,7 +522,7 @@ def write_report(outcome, directory) -> list[Path]:
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         bad = [key for key, value in sorted(summary.items())
-               if any(isinstance(v, float) and not math.isfinite(v)
+               if any(isinstance(v, float) and not finite(v)
                       for v in (value if isinstance(value, list) else [value]))]
         raise DynamicsError(f"non-finite {', '.join(bad)} in the summary of {directory}") from None
 

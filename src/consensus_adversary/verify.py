@@ -166,13 +166,13 @@ def check_conservation(config, outcome) -> CheckResult:
 
 
 def check_attack2_optimality(config, outcome, base) -> CheckResult:
-    u, p = outcome.control, outcome.trajectory.p
+    u, p, p_max = outcome.control, outcome.trajectory.p, outcome.setup.p_max
     norms = np.linalg.norm(p, axis=1)
     nonsingular = norms > noise_attack.SINGULAR_FRACTION * norms.max()
-    cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(outcome.p_max) * norms[nonsingular])
+    cosine = np.sum(u * p, axis=1)[nonsingular] / (np.sqrt(p_max) * norms[nonsingular])
     j0 = simulate(config).J
     j2 = base["j2_closed_form"]
-    values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - outcome.p_max),
+    values = {"power_error": np.abs(np.sum(u * u, axis=1)[nonsingular] - p_max),
               "cosine_error": np.abs(cosine - 1.0), "lam": outcome.lam,
               "J": outcome.J, "j0": j0, "j2": j2}
     passed = (bool(np.all(values["power_error"] < 1e-12))

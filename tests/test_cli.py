@@ -1,8 +1,12 @@
 """Command-line interface tests: exit codes, outputs, and diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -358,3 +362,22 @@ class TestReproducePaper:
         assert "[PASS] stationary control breaking (1,3),(1,4)" in err
         for sub in ("no_attack", "attack1", "attack2"):
             assert (out / sub / "summary.json").exists()
+
+
+def test_simulate_and_attack1_load_no_scipy(tmp_path):
+    # neither pipeline reaches the banded solver that imports scipy.linalg,
+    # so a process that runs only them never pays scipy's import
+    code = """import sys
+from consensus_adversary.cli import main
+from consensus_adversary.scenario import fixture_path, paper_k4_scenario, save_scenario
+out = sys.argv[1]
+save_scenario(paper_k4_scenario("none"), out + "/none.json")
+codes = [main(["simulate", "--scenario", out + "/none.json", "--out", out + "/s", "--quiet"]),
+         main(["attack1", "--scenario", str(fixture_path("paper_k4")), "--out", out + "/a",
+               "--quiet"])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(dynamics.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.strip() == "[0, 0] []"

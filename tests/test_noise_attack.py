@@ -10,6 +10,7 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 import mp_reference
+from consensus_adversary import noise_attack
 from consensus_adversary.dynamics import DynamicsError, Kernel, Spectrum, TimeGrid
 from consensus_adversary.noise_attack import (FIXED_POINT_MAX_ITER, FIXED_POINT_TOL,
                                               SINGULAR_FRACTION,
@@ -40,6 +41,11 @@ def two_node_system():
     return Spectrum(build_system_matrix(TWO_NODE, np.zeros(TWO_NODE.m)))
 
 
+def unit_power_map(spectrum, x0, kernel, grid):
+    """The co-state map at P_max = 1 and the default safety."""
+    return CostateMap(spectrum, x0, kernel, grid, contraction_setup(kernel, grid, 1.0))
+
+
 class TestContractionSetup:
     def test_unit_kernel_constants(self):
         # k == 1, T = 2, P = 1: k_check = k_hat = 2, nu_max = 1/8
@@ -68,18 +74,19 @@ class TestGTerm:
         # g(t) = nu (e^{-2t} - e^{2t-4T}) / 2 * (-1, 1) for x0 = [0, 2]
         T, steps = 2.0, 2000
         grid = TimeGrid(T=T, steps=steps)
-        setup = contraction_setup(Kernel.constant(1.0), grid, 1.0)
-        g = g_term(two_node_system(), np.array([0.0, 2.0]), Kernel.constant(1.0),
-                   setup.nu, grid)
-        t = grid.times()
+        spectrum, x0 = two_node_system(), np.array([0.0, 2.0])
+        fmap = unit_power_map(spectrum, x0, Kernel.constant(1.0), grid)
+        setup, t = fmap.setup, fmap.t
+        g = g_term(spectrum, x0, fmap.R, setup.nu, t)
         pi = setup.nu * 0.5 * (np.exp(-2.0 * t) - np.exp(2.0 * t - 4.0 * T))
         assert np.max(np.abs(g[:, 0] + pi)) < 1e-6
         assert np.max(np.abs(g[:, 1] - pi)) < 1e-6
 
     def test_consensus_start_vanishes(self):
         grid = TimeGrid(T=2.0, steps=50)
-        g = g_term(two_node_system(), np.array([3.0, 3.0]), Kernel.constant(1.0),
-                   0.1, grid)
+        spectrum, x0 = two_node_system(), np.array([3.0, 3.0])
+        fmap = unit_power_map(spectrum, x0, Kernel.constant(1.0), grid)
+        g = g_term(spectrum, x0, fmap.R, 0.1, fmap.t)
         assert np.max(np.abs(g)) == 0.0
 
     def test_orthogonal_to_ones(self):
@@ -88,7 +95,8 @@ class TestGTerm:
         grid = TimeGrid(T=2.0, steps=100)
         config = paper_k4_scenario("noise", steps=100)
         spectrum = Spectrum(build_system_matrix(config.topology, np.zeros(config.topology.m)))
-        g = g_term(spectrum, config.x0, config.kernel, 0.1, grid)
+        fmap = unit_power_map(spectrum, config.x0, config.kernel, grid)
+        g = g_term(spectrum, config.x0, fmap.R, 0.1, fmap.t)
         assert np.max(np.abs(g.sum(axis=1))) < 1e-12
 
 
@@ -97,7 +105,8 @@ class TestFixedPoint:
         config = paper_k4_scenario("noise")
         spectrum = Spectrum(build_system_matrix(config.topology, np.zeros(config.topology.m)))
         setup = contraction_setup(config.kernel, config.grid, 1.0)
-        fixed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
+        fixed = costate_fixed_point(
+            CostateMap(spectrum, config.x0, config.kernel, config.grid, setup))
         assert fixed.converged
         assert np.all(fixed.p[-1] == 0.0) or np.max(np.abs(fixed.p[-1])) < 1e-10
         res = np.array(fixed.residuals)
@@ -115,7 +124,7 @@ class TestFixedPoint:
             from_g, previous = fmap.apply(from_g), from_g
             if np.max(np.abs(from_g - previous)) <= FIXED_POINT_TOL * np.max(np.abs(from_g)):
                 break
-        from_seed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
+        from_seed = costate_fixed_point(fmap)
         # the g-start fixed point has zero mean at every sample
         assert np.max(np.abs(from_g.sum(axis=1))) < 1e-10
         assert np.max(np.abs(from_seed.p.sum(axis=1))) > 1e-3
@@ -126,10 +135,10 @@ class TestFixedPoint:
         config = noise_config(TWO_NODE, [1.0, 1.0], steps=100)
         spectrum = two_node_system()
         setup = contraction_setup(config.kernel, config.grid, 1.0)
-        fixed = costate_fixed_point(spectrum, config.x0, config.kernel, config.grid, setup)
-        assert fixed.converged and fixed.iterations == 1
         fmap = CostateMap(spectrum, config.x0, config.kernel, config.grid, setup)
-        seed = default_seed(fmap, config.kernel)
+        fixed = costate_fixed_point(fmap)
+        assert fixed.converged and fixed.iterations == 1
+        seed = default_seed(fmap)
         assert np.max(np.abs(fixed.p - seed)) < 1e-12
 
 
@@ -283,6 +292,19 @@ class TestSimulateAttack2:
         with pytest.raises(ScenarioError, match=r"^x0\[1\] must be finite, got nan"):
             run(replace(config, x0=[1.0, np.nan, 3.0, 4.0]))
 
+    def test_runs_on_the_config_setup(self, monkeypatch):
+        # the config derives the contraction setup once; the pipeline reuses
+        # it, and the outcome reads P_max from it alone
+        config = paper_k4_scenario("noise", steps=50)
+
+        def second_setup(*args, **kwargs):
+            raise AssertionError("contraction_setup ran again")
+
+        monkeypatch.setattr(noise_attack, "contraction_setup", second_setup)
+        outcome = simulate_attack2(config)
+        assert outcome.setup is config.setup
+        assert not hasattr(outcome, "p_max")
+
     def test_reference_run(self):
         outcome = simulate_attack2(paper_k4_scenario("noise"))
         base = baseline_constant_control(paper_k4_scenario("noise"))
@@ -402,10 +424,10 @@ class TestAgainstDenseReference:
         # g_d(t_a) = 2 nu int_{t_a}^T k e^{lam (2 tau - t_a)} e_d = 2 nu e^{lam t_a} R_d[a] e_d
         e = vecs.T @ (x0 - np.mean(x0))
         g_ref = 2.0 * setup.nu * (np.exp(np.outer(t, vals)) * R.T * e) @ vecs.T
-        g = g_term(spectrum, x0, kernel, setup.nu, grid)
+        fmap = CostateMap(spectrum, x0, kernel, grid, setup)
+        g = g_term(spectrum, x0, fmap.R, setup.nu, fmap.t)
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
         # map: g + 2 nu sqrt(P) sum_j w_j Q[a, j] pbar_j, trapezoid weights w
-        fmap = CostateMap(spectrum, x0, kernel, grid, setup)
         norms = np.linalg.norm(p, axis=1)
         w = np.full(t.shape[0], grid.h)
         w[0] = w[-1] = 0.5 * grid.h

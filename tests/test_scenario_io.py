@@ -19,7 +19,7 @@ import consensus_adversary.topology as topology_module
 from consensus_adversary import scenario
 from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, simulate
 from consensus_adversary.link_attack import simulate_attack1
-from consensus_adversary.noise_attack import simulate_attack2
+from consensus_adversary.noise_attack import contraction_setup, simulate_attack2
 from consensus_adversary.scenario import (CSV_BLOCK, LinkAttackSpec,
                                           NoiseAttackSpec, ScenarioConfig,
                                           ScenarioError, fixture_path,
@@ -109,6 +109,7 @@ INVALID = [
     ("T-0", {"T": 0.0}, {"T": 0.0}, "T: "),
     ("T-neg", {"T": -1.0}, {"T": -1.0}, "T: "),
     ("T-inf", {"T": math.inf}, {"T": math.inf}, "T: "),
+    ("T-1e400", {"T": 10 ** 400}, {"T": 10 ** 400}, "T: "),
     ("steps-0", {"steps": 0}, {"steps": 0}, "steps: "),
     ("steps-neg", {"steps": -3}, {"steps": -3}, "steps: "),
     ("steps-1e400", {"steps": 10 ** 400}, {"steps": 10 ** 400}, "steps: "),
@@ -119,6 +120,10 @@ INVALID = [
     ("ell-neg", {"attack": {"link": {"ell": -1}}}, {"attack": LinkAttackSpec(ell=-1)},
      "attack.link.ell: "),
     ("ell-m+1", {"attack": {"link": {"ell": 2}}}, {"attack": LinkAttackSpec(ell=2)},
+     "attack.link.ell: "),
+    ("ell-0.5", {"attack": {"link": {"ell": 0.5}}}, {"attack": LinkAttackSpec(ell=0.5)},
+     "attack.link.ell: "),
+    ("ell-true", {"attack": {"link": {"ell": True}}}, {"attack": LinkAttackSpec(ell=True)},
      "attack.link.ell: "),
     ("p_max-0", {"attack": {"noise": {"p_max": 0.0}}}, {"attack": NoiseAttackSpec(p_max=0.0)},
      "attack.noise.p_max: "),
@@ -155,6 +160,11 @@ class TestValueRules:
         with pytest.raises(ScenarioError, match="^steps: must be positive, got 0"):
             paper_k4_scenario("link", steps=0)
 
+    def test_ragged_x0_names_its_field(self):
+        # a file gives one number per entry, so only Python can pass this
+        with pytest.raises(ScenarioError, match="^x0: "):
+            replace(paper_k4_scenario("link"), x0=[1, [2, 3], 3, 4])
+
     def test_x0_is_a_read_only_copy(self):
         x0 = np.array([0.0, 2.0])
         config = replace(parse_scenario(minimal_doc()), x0=x0)
@@ -163,6 +173,21 @@ class TestValueRules:
         with pytest.raises(ValueError):
             config.x0[0] = 1.0
         assert config.grid is config.grid and config.grid.steps == 50
+
+    def test_noise_setup_derived_again_by_replace(self):
+        # a table kernel's constants, and so nu_max, depend on the grid
+        kernel = Kernel.from_table([(0.0, 1.0), (1.0, 3.0), (2.0, 0.5)])
+        config = replace(paper_k4_scenario("noise", steps=100), kernel=kernel)
+        spec = NoiseAttackSpec(p_max=2.0, safety=0.5)
+        for changed in (replace(config, steps=7), replace(config, attack=spec)):
+            attack = changed.attack
+            assert changed.setup == contraction_setup(kernel, changed.grid, attack.p_max,
+                                                      safety=attack.safety, nu=attack.nu)
+            assert changed.setup != config.setup
+
+    @pytest.mark.parametrize("kind", ["link", "none"])
+    def test_no_setup_without_a_noise_attack(self, kind):
+        assert paper_k4_scenario(kind).setup is None
 
 
 def per_edge_topology(doc):
