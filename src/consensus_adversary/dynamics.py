@@ -172,10 +172,8 @@ class Spectrum:
         """W with y' W y = int_0^h |exp(A tau) y - M y|^2 dtau, M = 11'/n."""
         vals, vecs = self.vals, self.vecs
         # int_0^h e^{2 lam tau} dtau per mode, minus the consensus projector part
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mode_int = np.where(np.abs(vals) > 1e-12,
-                                np.expm1(2.0 * vals * h) / (2.0 * vals),
-                                h)
+        mode_int = np.divide(np.expm1(2.0 * vals * h), 2.0 * vals,
+                             out=np.full_like(vals, h), where=np.abs(vals) > 1e-12)
         return (vecs * mode_int[..., None, :]) @ vecs.swapaxes(-1, -2) - h * (1.0 / vals.shape[-1])
 
 

@@ -34,23 +34,44 @@ class EnumerationResult:
     prefixes_kept: tuple[int, ...]     # surviving prefixes after each level
 
 
+# (m, ell) -> `_alphabet`'s result, filled on first use
+_ALPHABETS: dict[tuple[int, int], tuple[Schedule, dict[bytes, int]]] = {}
+
+
+def _alphabet(topology: NetworkTopology, ell: int) -> tuple[Schedule, dict[bytes, int]]:
+    """The control alphabet as a `Schedule`, one row per control, and each
+    row's index by its bytes. The rows depend only on (m, ell), so they are
+    built and checked on the first call for that pair and shared by every
+    later one; a cached alphabet is smaller than the (nc, n, n) forms of each
+    run on it."""
+    key = (topology.m, ell)
+    cached = _ALPHABETS.get(key)
+    if cached is None:
+        m = topology.m
+        broken = [c for k in range(min(ell, m) + 1) for c in itertools.combinations(range(m), k)]
+        masks = np.zeros((len(broken), m), dtype=np.uint8)
+        masks[[r for r, c in enumerate(broken) for _ in c], [e for c in broken for e in c]] = 1
+        masks.flags.writeable = False
+        cached = _ALPHABETS[key] = (Schedule(topology, masks, ell),
+                                    {row.tobytes(): c for c, row in enumerate(masks)})
+    return cached
+
+
 def admissible_break_sets(topology: NetworkTopology, ell: int) -> np.ndarray:
     """The bang-bang control alphabet: every break-mask row that breaks at
-    most ell links, as an (nc, m) uint8 array, ordered by the number of
-    links broken, then lexicographically by broken edge index."""
-    broken = [c for k in range(min(ell, topology.m) + 1)
-              for c in itertools.combinations(range(topology.m), k)]
-    masks = np.zeros((len(broken), topology.m), dtype=np.uint8)
-    masks[[r for r, c in enumerate(broken) for _ in c], [e for c in broken for e in c]] = 1
-    return masks
+    most ell links, as a read-only (nc, m) uint8 array, ordered by the
+    number of links broken, then lexicographically by broken edge index.
+    Every topology with m edges shares the one array of its (m, ell)."""
+    return _alphabet(topology, ell)[0].masks
 
 
 def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
                     ell: int, intervals: int = 4) -> EnumerationResult:
     """Best objective over all admissible schedules vs. the greedy schedule.
 
-    The nc admissible break sets are one (nc, m) mask array, decomposed in
-    one stacked call into each control's propagator exp(A_c h) and form W_c,
+    The nc admissible break sets are one (nc, m) mask array, built and
+    checked once per (m, ell), decomposed in one stacked call into each
+    control's propagator exp(A_c h) and form W_c,
     y' W_c y = int_0^h |exp(A_c tau) y - M y|^2 dtau (constant kernel k == 1).
     Greedy and every constant schedule are evaluated first, by the same
     forms as the tree; the larger of their J is the incumbent. The
@@ -67,7 +88,8 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     is below incumbent * (1 - 1e-12) is dropped; the margin keeps rounding
     from dropping the maximiser. A prefix whose J plus its bound rounds to
     J, as at exact consensus or after a stiff decay, keeps only its first
-    extension: every extension gives it the same J.
+    extension: every extension gives it the same J. At the last level no
+    time is left, so the bound is J itself and no state is propagated.
 
     Schedule index i gives step s's control as digit s of i in base nc
     (weight nc^s). Each survivor keeps its control and its prefix's
@@ -86,32 +108,30 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     # J and the power ranking ignore a consensus offset; dropping it keeps the
     # rounding of the system matrices' row sums out of a J near consensus
     # (at consensus the mean's own rounding may leave a multiple of 1 behind)
-    x0 = x0 - np.mean(x0) if np.ptp(x0) > 0 else np.zeros(n)
-    masks = admissible_break_sets(topology, ell)
-    masks.flags.writeable = False
-    alphabet = Schedule(topology, masks, ell)
-    nc = len(alphabet)
+    x0 = x0 - x0.mean() if x0.max() > x0.min() else np.zeros(n)
+    alphabet, mask_index = _alphabet(topology, ell)
+    nc = len(alphabet.masks)
     spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
 
     # greedy on the same switch grid with the same evaluators
-    y = x0.copy()
+    budget = min(ell, topology.m)
+    y = x0
     j_greedy = 0.0
-    greedy_schedule = []
-    mask_index = {row.tobytes(): c for c, row in enumerate(alphabet.masks)}
+    greedy_rows = []
     for _ in range(intervals):
-        c = mask_index[greedy_control(y, topology, min(ell, topology.m)).tobytes()]
-        greedy_schedule.append(c)
+        c = mask_index[greedy_control(y, topology, budget).tobytes()]
+        greedy_rows.append(c)
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     # every constant schedule in one stacked pass, by the same forms as the
     # tree; the best is the other incumbent
     Y = np.broadcast_to(x0, (nc, n))
-    j_constant = np.zeros(nc)
-    for _ in range(intervals):
-        j_constant += np.einsum("ci,cij,cj->c", Y, quads, Y)
+    j_constant = np.einsum("ci,cij,cj->c", Y, quads, Y)
+    for _ in range(intervals - 1):
         Y = np.einsum("cij,cj->ci", props, Y)
+        j_constant += np.einsum("ci,cij,cj->c", Y, quads, Y)
     incumbent = max(j_greedy, float(j_constant.max()))
     floor = incumbent - 1e-12 * abs(incumbent)
     # mu less 1e-9 of the fastest rate, so a disconnecting control gives a
@@ -123,38 +143,41 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     J = np.zeros(1)      # (r,) their partial objectives
     settled = ~X.any(axis=1)   # (r,) J plus its bound rounds to J
     controls, parents = [], []   # per level: each survivor's control and prefix
+    last = intervals - 1
     for step in range(intervals):
         # candidate (c, r), prefix r extended by control c, has index
         # c * nc^step + (index of r), so C order is index order
         level = forms @ (X[:, :, None] * X[:, None, :]).reshape(len(X), n * n).T
         J = np.add(level, J, out=level)
-        X_next = np.matmul(X, props.transpose(0, 2, 1))
-        # J can still gain at most |e|^2 times this over the remaining time
-        tau = (intervals - 1 - step) * h
-        bound = np.einsum("crn,crn->cr", X_next, X_next)
-        bound *= -math.expm1(-2.0 * mu * tau) / (2.0 * mu) if mu else tau
-        bound += J
+        if step < last:
+            X_next = np.matmul(X, props.transpose(0, 2, 1))
+            # J can still gain at most |e|^2 times this over the remaining time
+            tau = (last - step) * h
+            bound = np.einsum("crn,crn->cr", X_next, X_next)
+            bound *= -math.expm1(-2.0 * mu * tau) / (2.0 * mu) if mu else tau
+            bound += J
+        else:
+            bound = J        # no time left to gain in
         keep = bound >= floor
         keep[1:, settled] = False    # only the first extension of a settled prefix
         c, r = np.nonzero(keep)
-        X, J, settled = X_next[c, r], J[c, r], (bound == J)[c, r]
+        if step < last:
+            X, settled = X_next[c, r], (bound == J)[c, r]
+        J = J[c, r]
         controls.append(c)
         parents.append(r)
     best = int(np.argmax(J))
-    best_schedule, r = [], best
+    best_rows, r = [], best
     for c, parent in zip(reversed(controls), reversed(parents)):
-        best_schedule.append(c[r])
+        best_rows.append(c[r])
         r = parent[r]
-    best_rows, greedy_rows = alphabet.masks[best_schedule[::-1]], alphabet.masks[greedy_schedule]
-    for rows in (best_rows, greedy_rows):     # read-only, so the Schedules keep them
-        rows.flags.writeable = False
     return EnumerationResult(
         j_greedy=j_greedy,
         j_best=float(J[best]),
-        best_schedule=Schedule(topology, best_rows, ell),
-        greedy_schedule=Schedule(topology, greedy_rows, ell),
+        best_schedule=alphabet.take(best_rows[::-1]),
+        greedy_schedule=alphabet.take(greedy_rows),
         num_schedules=nc ** intervals,
-        prefixes_kept=tuple(len(c) for c in controls),
+        prefixes_kept=tuple(map(len, controls)),
     )
 
 

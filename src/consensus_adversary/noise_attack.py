@@ -53,6 +53,7 @@ class Attack2Outcome:
     residuals: tuple[float, ...]
     converged: bool              # the co-state fixed point met its tolerance
     lam: np.ndarray              # Lagrange multiplier trace
+    spectrum: Spectrum           # of the attack-free system matrix the run used
 
 
 def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
@@ -251,6 +252,7 @@ def simulate_attack2(config) -> Attack2Outcome:
         residuals=fixed.residuals,
         converged=fixed.converged,
         lam=lagrange_multiplier(u, fixed.p, setup.p_max),
+        spectrum=spectrum,
     )
 
 

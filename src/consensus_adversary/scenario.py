@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
@@ -78,7 +79,7 @@ class ScenarioConfig:
         except DynamicsError as exc:   # its text starts with the field
             raise ScenarioError(str(exc)) from exc
         # steps + 1 samples per node must fit in one numpy array
-        if (self.steps + 1) * topology.n * 8 > np.iinfo(np.intp).max:
+        if (self.steps + 1) * topology.n * 8 > sys.maxsize:   # numpy's intp is Py_ssize_t
             raise ScenarioError(f"steps: a trajectory of steps + 1 samples of "
                                 f"{topology.n} nodes exceeds numpy's largest array")
         if self.kernel.kind == "table":
@@ -240,7 +241,7 @@ def _read_json(path: Path, where: str):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)
     doc = _read_json(path, str(path))
     return parse_scenario(doc, base_dir=path.parent, where=str(path))
 

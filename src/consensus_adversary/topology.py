@@ -225,6 +225,17 @@ class Schedule:
         masks.flags.writeable = False
         return cls(topology, masks, 0)
 
+    def take(self, rows) -> "Schedule":
+        """The schedule of this one's rows at the indices `rows`, in that
+        order, with the same budget; rows of a validated schedule are not
+        checked again."""
+        taken = Schedule.__new__(Schedule)
+        taken.masks = self.masks.take(rows, axis=0)
+        taken.masks.flags.writeable = False
+        taken.ell = self.ell
+        taken._runs = None
+        return taken
+
     def __len__(self) -> int:
         return len(self.masks)
 

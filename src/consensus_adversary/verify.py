@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import enumeration, link_attack, noise_attack
-from .dynamics import PropagatorCache, Spectrum, simulate
+from .dynamics import PropagatorCache, simulate
 from .scenario import DEFAULT_STEPS, paper_k4_scenario
-from .topology import build_system_matrix
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,14 @@ def _grid_tol(base: float, steps: int) -> float:
 def check_thm1_greedy_dominance(fast: bool = False) -> CheckResult:
     kwargs = dict(weight_seeds=(0,), x0_seeds=(0,)) if fast else {}
     report = enumeration.greedy_dominance_sweep(**kwargs)
+    # the full catalog fails on a weighted 4-path of weight seed 2, which the
+    # fast one does not draw; its line says so
+    scope = (" (weight and x0 seed 0 only: leaves out the known counterexample at "
+             "weight seed 2)" if fast else "")
     return CheckResult(
         name="thm1-greedy-dominance",
         passed=report["passed"],
-        detail=(f"{report['runs']} runs, worst relative excess "
+        detail=(f"{report['runs']} runs{scope}, worst relative excess "
                 f"{report['worst_relative_excess']:.2e} (tol {report['tolerance']:.0e})"),
         values=report,
     )
@@ -130,9 +133,9 @@ def check_contraction(config, outcome) -> CheckResult:
     # criterion 8's cap on each residual ratio, not q + margin: q follows the
     # objective scaling nu, the iteration does not (the map is conjugate under it)
     ratios, cap = res[1:] / res[:-1], 0.95
-    # fixed-point residual of one extra map application
-    spectrum = Spectrum(build_system_matrix(config.topology, np.zeros(config.topology.m)))
-    fmap = noise_attack.CostateMap(spectrum, config.x0, config.kernel, config.grid, outcome.setup)
+    # fixed-point residual of one extra map application, on the run's own spectrum
+    fmap = noise_attack.CostateMap(outcome.spectrum, config.x0, config.kernel, config.grid,
+                                   outcome.setup)
     p = outcome.trajectory.p
     drift = float(np.max(np.abs(fmap.apply(p) - p))) / float(np.max(np.abs(p)))
     return CheckResult(

@@ -8,13 +8,14 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from consensus_adversary import dynamics, link_attack, noise_attack
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
-from consensus_adversary.verify import run_verify
+from consensus_adversary.verify import check_contraction, run_verify
 
 
 @pytest.fixture
@@ -328,6 +329,10 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS] thm2-mp-consistency" in out
         assert "[FAIL]" not in out
+        # the fast catalog's pass does not cover the case the full one fails on
+        assert out.startswith(
+            "[PASS] thm1-greedy-dominance: 16 runs (weight and x0 seed 0 only: leaves out the "
+            "known counterexample at weight seed 2), worst relative excess ")
 
     def test_fault_injection_is_caught(self, monkeypatch, capsys):
         # negating the co-state flips the sign of every switching function
@@ -336,6 +341,17 @@ class TestVerify:
                             lambda x, p, t: orig(x, -p, t))
         assert main(["verify", "--fast"]) == 1
         assert "[FAIL] thm2-mp-consistency" in capsys.readouterr().out
+
+    def test_contraction_check_reuses_the_run_spectrum(self, monkeypatch):
+        # the check applies the co-state map once more on the spectrum attack
+        # II ran on, without decomposing the system matrix again
+        noise = paper_k4_scenario("noise", steps=50)
+        outcome = noise_attack.simulate_attack2(noise)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
+        assert check_contraction(noise, outcome).passed
+        assert calls == []
 
     def test_runs_each_pipeline_once(self, monkeypatch):
         # one greedy run shared by the checks, plus the three scaled runs of

@@ -134,6 +134,20 @@ def draw_cases(seed):
     return cases
 
 
+def stiff_cases(scale):
+    """Ten weight and state draws per catalog graph and budget, weights
+    times `scale`, from one generator seeded with (28, scale)."""
+    rng = np.random.default_rng([28, scale])
+    cases = []
+    for n in (3, 4):
+        for edges in connected_graph_catalog(n):
+            for ell in (1, 2):
+                for _ in range(10):
+                    weights = scale * rng.uniform(0.2, 2.0, len(edges))
+                    cases.append((weighted(edges, weights, n), rng.uniform(-1.0, 1.0, n), ell))
+    return cases
+
+
 class TestAlphabet:
     def test_break_set_counts(self):
         topo = paper_k4_scenario("link").topology
@@ -153,6 +167,29 @@ class TestAlphabet:
         pairs = [tuple(topo.pairs[e] for e in np.flatnonzero(row)) for row in masks]
         assert pairs == [b for k in range(min(ell, topo.m) + 1)
                          for b in itertools.combinations(topo.pairs, k)]
+
+    def test_one_read_only_alphabet_per_size_and_budget(self):
+        # the rows depend only on (m, ell): every topology with m edges gets
+        # the same read-only array, built once
+        path4 = weighted(connected_graph_catalog(4)[0], [1.0, 2.0, 3.0])
+        star = weighted(connected_graph_catalog(4)[1], [0.5, 0.5, 0.5])
+        masks = admissible_break_sets(path4, 2)
+        assert admissible_break_sets(star, 2) is masks
+        assert admissible_break_sets(weighted([(0, 1), (1, 2), (0, 2)], [1.0, 1.0, 1.0], 3),
+                                     2) is masks
+        assert admissible_break_sets(path4, 1) is not masks
+        assert not masks.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masks[0, 0] = 1
+
+    def test_result_rows_are_alphabet_rows(self):
+        config = paper_k4_scenario("link")
+        result = exhaustive_best(config.topology, config.x0, config.T, 2, intervals=4)
+        masks = admissible_break_sets(config.topology, 2)
+        for schedule in (result.best_schedule, result.greedy_schedule):
+            assert schedule.ell == 2 and len(schedule) == 4
+            assert not schedule.masks.flags.writeable
+            assert all((masks == row).all(axis=1).any() for row in schedule.masks)
 
     def test_catalog_is_connected(self):
         for n in (3, 4):
@@ -263,6 +300,21 @@ class TestPruning:
             assert abs(result.j_best - full.j_best) <= 1e-15 * full.j_best
             assert 1 <= min(result.prefixes_kept)
             assert all(k <= f for k, f in zip(result.prefixes_kept, full.prefixes_kept))
+
+    @pytest.mark.parametrize("scale", [3000, 30000])
+    def test_stiff_catalog_keeps_the_prune_margin(self, scale):
+        # the incumbent is evaluated by the tree's own forms, so no prefix of
+        # its schedule falls below incumbent * (1 - 1e-12). An incumbent exact
+        # at T (modal sums, or interval_form(T)) sat up to 3.2e-11 above the
+        # tree's J of the same schedule at these weights and emptied a level
+        for topology, x0, ell in stiff_cases(scale):
+            full = unpruned_oracle(topology, x0, DOMINANCE_T, ell, DOMINANCE_INTERVALS)
+            result = exhaustive_best(topology, x0, DOMINANCE_T, ell, DOMINANCE_INTERVALS)
+            assert broken_pairs(topology, result.best_schedule) == broken_pairs(
+                topology, full.best_schedule)
+            assert broken_pairs(topology, result.greedy_schedule) == broken_pairs(
+                topology, full.greedy_schedule)
+            assert result.j_greedy == full.j_greedy
 
     @pytest.mark.parametrize("case", ["reference", "weighted"])
     def test_fine_grids(self, case):
