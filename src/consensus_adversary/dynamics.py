@@ -204,24 +204,28 @@ class _ModeRecurrence:
         sub[:, -1] = 0.0
 
     def run(self, f: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """Solution for a forcing f of shape (samples, n); reverse=True gives
-        x[a] = r_d x[a+1] + f[a] with x[samples] = 0, so the last row of f is
-        the end value x[samples - 1]."""
+        """Solution x[d, a] for a mode-major forcing f of shape (modes,
+        samples); reverse=True gives x[a] = r_d x[a+1] + f[a] with
+        x[samples] = 0, so the last column of f is the end value
+        x[samples - 1]. A C-contiguous float f is solved in place: the
+        result is a view of f, and no copy is made."""
         from scipy.linalg.lapack import dtbtrs  # scipy.linalg loads on first use
-        x, _ = dtbtrs(self.band, f.T.reshape(-1, 1), uplo="L",
-                      trans="T" if reverse else "N", diag="U")
-        return x.reshape(-1, self.samples).T
+        x, _ = dtbtrs(self.band, f.reshape(-1, 1), uplo="L",
+                      trans="T" if reverse else "N", diag="U", overwrite_b=1)
+        return x.reshape(f.shape)
 
     def tail(self, k: np.ndarray, h: float, end: np.ndarray | float = 0.0) -> np.ndarray:
         """Trapezoid tails R[a] = int_{t_a}^T k(tau) r^{(tau-t_a)/h} dtau
         + r^{last-a} end: R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}),
-        R[last] = end. The forcing k is one value per sample, shape
-        (samples,), or one per sample and mode, shape (samples, modes)."""
-        k = k.reshape(self.samples, -1)
-        f = np.empty((self.samples, self.rate.shape[0]))
-        f[:-1] = 0.5 * h * (k[:-1] + self.rate * k[1:])
-        f[-1] = end
-        return self.run(f, reverse=True)
+        R[last] = end, returned as (samples, modes). The forcing k is one
+        value per sample, shape (samples,), or one per sample and mode,
+        shape (samples, modes)."""
+        k = k.reshape(self.samples, -1).T
+        rate = self.rate[:, None]
+        f = np.empty((self.rate.shape[0], self.samples))
+        f[:, :-1] = 0.5 * h * (k[:, :-1] + rate * k[:, 1:])
+        f[:, -1] = end
+        return self.run(f, reverse=True).T
 
 
 class PropagatorCache:
@@ -304,7 +308,8 @@ def objective(traj: Trajectory, kernel: Kernel) -> float:
     t = traj.grid.times()
     xbar = np.mean(traj.x[0])
     dev = traj.x - xbar
-    integrand = kernel.sample(t) * np.sum(dev * dev, axis=1)
+    dev *= dev
+    integrand = kernel.sample(t) * np.sum(dev, axis=1)
     return float(np.trapezoid(integrand, t))
 
 

@@ -263,8 +263,24 @@ def switching_control(f: np.ndarray, ell: int) -> np.ndarray:
     """uint8 bang-bang break mask of switching functions f[..., :]: break the
     ell most negative f's among those strictly below zero (ties by edge
     index); f_ij = 0 edges resolve to 0. It is the greedy attack's top-ell
-    cut (`_top_ell`) of -f, restricted to f < 0."""
-    return _top_ell(-f, min(ell, f.shape[-1])) & (f < 0)
+    cut (`_top_ell`) of -f, restricted to f < 0; f is left as it is."""
+    return _switching_mask(np.negative(f), ell)
+
+
+def _switching_mask(g: np.ndarray, ell: int) -> np.ndarray:
+    """`switching_control` of the negated switching functions g = -f: the
+    top-ell cut of g restricted to g > 0, so -0.0 and NaN entries resolve
+    to 0 as f's +0.0 and NaN do. The sweep negates its f in place and ranks
+    it here, with no copy of its own."""
+    return _top_ell(g, min(ell, g.shape[-1])) & (g > 0)
+
+
+def _cycle_key(masks: np.ndarray) -> bytes:
+    """The sweep's cycle-detector key of a 0/1 uint8 mask array: its bits
+    packed eight to a byte, the last byte padded with zeros. Every pass of a
+    sweep has the same (steps, m) shape, so the key is exact there, at an
+    eighth of the mask's bytes."""
+    return np.packbits(masks).tobytes()
 
 
 def forward_backward_sweep(config) -> SweepResult:
@@ -273,11 +289,15 @@ def forward_backward_sweep(config) -> SweepResult:
     Each pass propagates the state forward under the current schedule,
     integrates the co-state backward, and recomputes the bang-bang control
     per step from the switching functions. Bang-bang controls cannot be
-    convex-combined, so there is no relaxation; a cycle detector keyed by the
-    mask bytes stops the iteration if it cycles. On convergence the last
-    pass is the result; otherwise the best-J pass visited, kept with its
-    trajectory and co-state, so no pass is rerun. All passes share one
-    propagator cache, so each distinct mask is decomposed once per sweep.
+    convex-combined, so there is no relaxation; a cycle detector keyed by
+    each pass's packed masks (`_cycle_key`) stops the iteration if it
+    cycles. A pass ranks its switching functions in the array
+    `switching_functions` returns, negated in place, and marks its masks
+    read-only, so their `Schedule` keeps them without a copy. On
+    convergence the last pass is the result; otherwise the best-J pass
+    visited, kept with its trajectory and co-state, so no pass is rerun. All
+    passes share one propagator cache, so each distinct mask is decomposed
+    once per sweep.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
@@ -292,14 +312,17 @@ def forward_backward_sweep(config) -> SweepResult:
         J = objective(traj, kernel)
         if best is None or J > best[0]:
             best = (J, schedule, traj, p)
-        masks = switching_control(switching_functions(traj.x[:-1], p[:-1], topology), ell)
+        g = switching_functions(traj.x[:-1], p[:-1], topology)
+        masks = _switching_mask(np.negative(g, out=g), ell)
+        del g                                    # not held through the next pass
         if np.array_equal(masks, schedule.masks):
             converged = True
             break
-        key = masks.tobytes()
+        key = _cycle_key(masks)
         if key in seen:
             break
         seen.add(key)
+        masks.flags.writeable = False
         schedule = Schedule(topology, masks, ell)
     if not converged:
         # cycle or pass limit: fall back to the best pass visited

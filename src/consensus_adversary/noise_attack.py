@@ -133,17 +133,19 @@ class CostateMap:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         """One application of the map to a co-state trace (steps+1, n)."""
-        y = _normalized(p) @ self.vecs
-        y *= self.weights[:, None]                      # weighted mode coefficients
-        # sum_j Q[a, j] y[j] = R[a] L[a] + U[a]: L sums j <= a, U sums j > a
+        y = (_normalized(p) @ self.vecs).T.copy()       # mode-major, (modes, samples)
+        y *= self.weights                               # weighted mode coefficients
+        # sum_j Q[a, j] y[j] = R[a] L[a] + U[a]: L sums j <= a, U sums j > a;
+        # both recurrences are solved in place, L in y's own array
+        R = self.R.T
+        upper = self.decay.run(y * R, reverse=True)[:, 1:]
         integral = self.decay.run(y)
-        integral *= self.R
-        y *= self.R
-        upper = self.decay.run(y, reverse=True)[1:]
-        upper *= self.decay.rate
-        integral[:-1] += upper
-        integral[-1] += 0.0                             # U[last] = 0: a -0 becomes 0
-        out = integral @ self.vecs.T
+        integral *= R
+        upper *= self.decay.rate[:, None]
+        integral[:, :-1] += upper
+        integral[:, -1] += 0.0                          # U[last] = 0: a -0 becomes 0
+        del upper
+        out = integral.T @ self.vecs.T
         out *= 2.0 * self.setup.nu * np.sqrt(self.setup.p_max)
         out += self.g
         return out
@@ -223,11 +225,11 @@ def propagate_forced(spectrum: Spectrum, x0: np.ndarray, u: np.ndarray,
     xbar = np.mean(x0)
     vecs = spectrum.vecs
     r = np.exp(spectrum.vals * grid.h)
-    v = u @ vecs
-    f = np.empty_like(v)
-    f[0] = (x0 - xbar) @ vecs
-    f[1:] = 0.5 * grid.h * (r * v[:-1] + v[1:])
-    x = _ModeRecurrence(r, grid.steps + 1).run(f) @ vecs.T
+    v = (u @ vecs).T                                # mode-major, (modes, samples)
+    f = np.empty(v.shape)
+    f[:, 0] = (x0 - xbar) @ vecs
+    f[:, 1:] = 0.5 * grid.h * (r[:, None] * v[:, :-1] + v[:, 1:])
+    x = _ModeRecurrence(r, grid.steps + 1).run(f).T @ vecs.T
     x += xbar
     x[0] = x0
     return Trajectory(grid=grid, x=x)
@@ -280,18 +282,22 @@ def _simpson(y: np.ndarray, t: np.ndarray) -> float:
     return (result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0] + 0.0
 
 
-def baseline_constant_control(config) -> dict:
+def baseline_constant_control(config, spectrum: Spectrum | None = None) -> dict:
     """Lemma-2 style constant control u2 = sqrt(P_max/n) 1.
 
     Computes its objective two ways: the closed form
     int k(t) [x0' P(2t)(I - M) x0 + P_max t^2] dt and a full simulation.
     Simpson quadrature is used here: the exact-equality checks against
     P_max T^3 / 3 sit below trapezoid's O(h^2) error at the default grid.
+    `spectrum` is the attack-free system matrix's decomposition, such as
+    `Attack2Outcome.spectrum` of the same config; without it, the matrix is
+    decomposed here.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     p_max = config.attack.p_max
     x0 = config.x0
-    spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
+    if spectrum is None:
+        spectrum = Spectrum(build_system_matrix(topology, np.zeros(topology.m)))
     vals, vecs = spectrum.vals, spectrum.vecs
     n = topology.n
     t = grid.times()

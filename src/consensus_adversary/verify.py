@@ -196,7 +196,7 @@ def run_verify(steps: int = DEFAULT_STEPS, fast: bool = False, printer=print) ->
     noise = paper_k4_scenario("noise", steps=steps)
     greedy = link_attack.simulate_attack1(link)
     attack2 = noise_attack.simulate_attack2(noise)
-    base = noise_attack.baseline_constant_control(noise)
+    base = noise_attack.baseline_constant_control(noise, attack2.spectrum)
     checks = [
         check_thm1_greedy_dominance(fast=fast),
         check_thm2_mp_consistency(link, greedy),

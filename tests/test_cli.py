@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consensus_adversary import dynamics, link_attack, noise_attack
+from consensus_adversary import dynamics, link_attack, noise_attack, verify
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
-from consensus_adversary.verify import check_contraction, run_verify
+from consensus_adversary.verify import CheckResult, check_contraction, run_verify
 
 
 @pytest.fixture
@@ -352,6 +352,30 @@ class TestVerify:
         monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
         assert check_contraction(noise, outcome).passed
         assert calls == []
+
+    def test_noise_checks_decompose_the_matrix_once_per_route(self, monkeypatch):
+        # the baseline reuses the spectrum attack II ran on, as the
+        # contraction check does: with the link checks stubbed out, the K4
+        # matrix is decomposed once by attack II, never by the baseline, and
+        # once more by the attack-free `simulate` behind J0
+        passed = CheckResult(name="stub", passed=True, detail="", values={})
+        for name in ("check_thm1_greedy_dominance", "check_thm2_mp_consistency",
+                     "check_lemma1_scale_invariance", "check_conservation"):
+            monkeypatch.setattr(verify, name, lambda *args, **kwargs: passed)
+        monkeypatch.setattr(link_attack, "simulate_attack1", lambda config: None)
+        stage, calls = ["checks"], []
+        for name in ("simulate_attack2", "baseline_constant_control"):
+            def staged(*args, _orig=getattr(noise_attack, name), _name=name):
+                stage.append(_name)
+                try:
+                    return _orig(*args)
+                finally:
+                    stage.pop()
+            monkeypatch.setattr(noise_attack, name, staged)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(stage[-1]) or eigh(A))
+        assert run_verify(fast=True, printer=lambda line: None)
+        assert calls == ["simulate_attack2", "checks"]
 
     def test_runs_each_pipeline_once(self, monkeypatch):
         # one greedy run shared by the checks, plus the three scaled runs of

@@ -19,9 +19,11 @@ from consensus_adversary.link_attack import (costate_backward, edge_power,
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           ScenarioError, paper_k4_scenario)
 from consensus_adversary.topology import (NetworkTopology, Schedule,
-                                          build_system_matrix)
+                                          build_system_matrix,
+                                          connected_components)
 from consensus_adversary.verify import (check_lemma1_scale_invariance,
                                         check_thm2_mp_consistency)
+from memory import traced_peak
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
@@ -731,8 +733,8 @@ class TestForwardBackwardSweep:
         schedules.sort(key=lambda item: item[0], reverse=True)
         controls = [schedules[0][1], schedules[1][1]]
         calls = []
-        monkeypatch.setattr(link_attack, "switching_control", lambda f, ell:
-                            calls.append(f) or controls[(len(calls) - 1) % 2])
+        monkeypatch.setattr(link_attack, "_switching_mask", lambda g, ell:
+                            calls.append(g) or controls[(len(calls) - 1) % 2])
         runs = []
         monkeypatch.setattr(link_attack, "propagate", lambda *args, **kwargs:
                             runs.append(propagate(*args, **kwargs)) or runs[-1])
@@ -828,6 +830,127 @@ class TestSweepUnderIncidenceProducts:
                           (sweep.trajectory.p, ref.trajectory.p)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def long_sweep_config():
+    """A connected G(50, 0.3) (373 edges) with weights U(0.2, 2) and a
+    uniform start on [-1, 1], drawn by rejection from
+    `np.random.default_rng(2)`, at 200 steps with ell = 2: the sweep runs
+    all SWEEP_MAX_ITER = 100 passes, neither converging nor cycling."""
+    rng = np.random.default_rng(2)
+    iu, ju = np.triu_indices(50, 1)
+    while True:
+        keep = rng.random(iu.size) < 0.3
+        w = rng.uniform(0.2, 2.0, iu.size)
+        topology = NetworkTopology(n=50, edges=tuple(
+            (int(i), int(j), float(a)) for i, j, a in zip(iu[keep], ju[keep], w[keep])))
+        if len(connected_components(topology, np.zeros(topology.m, dtype=np.uint8))) == 1:
+            return link_config(topology, rng.uniform(-1.0, 1.0, 50), 2, steps=200)
+
+
+@st.composite
+def switching_stacks(draw):
+    """A stack of 1 to 6 rows of switching functions on 1 to 9 edges, drawn
+    from a small set with exact zeros of both signs, so ties at the top-ell
+    cut are common; any row may be all NaN. The budget runs from 0 to one
+    above the edge count."""
+    rows, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    value = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 1.0, np.nan])
+    f = np.array([draw(value) for _ in range(rows * m)]).reshape(rows, m)
+    f[np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))] = np.nan
+    return f, draw(st.integers(0, m + 1))
+
+
+def assert_ranks_as_switching_control(f, ell, mask):
+    """`mask` has the bytes of `switching_control(f, ell)` and of the top-ell
+    cut of -f restricted to f < 0, and `switching_control` leaves f as it
+    was."""
+    before = f.tobytes()
+    want = switching_control(f, ell)
+    assert f.tobytes() == before
+    assert mask.dtype == want.dtype == np.uint8 and mask.tobytes() == want.tobytes()
+    cut = link_attack._top_ell(-f, min(ell, f.shape[-1])) & (f < 0)
+    assert cut.tobytes() == want.tobytes()
+
+
+class TestSweepRanksInPlace:
+    """The sweep negates the array `switching_functions` returns in place and
+    ranks it with `_switching_mask`: the same masks as `switching_control`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=sweep_inputs())
+    @example(config=weighted_path_config())
+    @example(config=paper_k4_scenario("link", steps=40))
+    def test_sweep_masks_are_switching_control(self, config):
+        returned, ranked = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(link_attack, "switching_functions", lambda *args:
+                          returned.append(switching_functions(*args)) or returned[-1])
+            mask_of = link_attack._switching_mask
+            patch.setattr(link_attack, "_switching_mask", lambda g, ell:
+                          ranked.append((g, mask_of(g, ell))) or ranked[-1][1])
+            sweep = forward_backward_sweep(config)
+        assert len(returned) == len(ranked) == sweep.iterations
+        for out, (g, mask) in zip(returned, ranked):
+            assert g is out                  # ranked in the returned array, no copy
+            assert_ranks_as_switching_control(np.negative(g), config.attack.ell, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=switching_stacks())
+    @example(case=(np.array([[-1.0, -0.0, 0.0, -1.0, np.nan]]), 2))
+    @example(case=(np.full((2, 3), np.nan), 3))
+    def test_same_bytes_as_switching_control(self, case):
+        f, ell = case
+        g = np.negative(f)
+        mask = link_attack._switching_mask(g, ell)
+        assert np.array_equal(np.negative(g), f, equal_nan=True)   # g not changed
+        assert_ranks_as_switching_control(f, ell, mask)
+
+    @pytest.mark.parametrize("config, passes", [
+        (paper_k4_scenario("link"), None), (weighted_path_config(), None),
+        (paper_k4_scenario("link"), 2)], ids=["k4", "weighted-path", "pass-limit"])
+    def test_one_switching_functions_call_per_pass(self, monkeypatch, config, passes):
+        if passes is not None:
+            monkeypatch.setattr(link_attack, "SWEEP_MAX_ITER", passes)
+        calls = []
+        monkeypatch.setattr(link_attack, "switching_functions", lambda *args:
+                            calls.append(args) or switching_functions(*args))
+        sweep = forward_backward_sweep(config)
+        assert sweep.converged == (passes is None)
+        assert len(calls) == sweep.iterations
+
+
+class TestCycleKey:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (3, 5), (7, 13)])
+    def test_one_bit_apart_gives_another_key(self, shape):
+        # (1, 1), (3, 5) and (7, 13) pad their last byte; (2, 4) fills it
+        masks = np.random.default_rng(shape).integers(0, 2, shape, dtype=np.uint8)
+        key = link_attack._cycle_key(masks)
+        assert len(key) == -(-masks.size // 8)
+        keys = {key}
+        for index in np.ndindex(shape):
+            flipped = masks.copy()
+            flipped[index] ^= 1
+            keys.add(link_attack._cycle_key(flipped))
+        assert len(keys) == masks.size + 1
+
+    def test_every_mask_of_a_shape_has_its_own_key(self):
+        # all 2**15 masks of shape (3, 5): 15 bits, not a multiple of 8
+        bits = ((np.arange(2**15)[:, None] >> np.arange(15)) & 1).astype(np.uint8)
+        assert len({link_attack._cycle_key(row.reshape(3, 5)) for row in bits}) == 2**15
+
+
+class TestSweepMemory:
+    def test_long_sweep_peak(self):
+        # the 99 cycle keys of this 100-pass sweep take 0.92 MB packed; as raw
+        # mask bytes they alone would take 99 * 200 * 373 = 7.4 MB. The traced
+        # peak is 2.88 MB with packed keys and masks ranked in place, 10.01 MB
+        # with raw keys and a negated copy per pass
+        forward_backward_sweep(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
+        config = long_sweep_config()
+        sweep, peak = traced_peak(forward_backward_sweep, config)
+        assert sweep.iterations == link_attack.SWEEP_MAX_ITER and not sweep.converged
+        assert peak < 4_000_000
 
 
 class TestVerificationOps:

@@ -444,9 +444,11 @@ def out_of_place_apply(fmap, p):
     unit = p / np.maximum(norms, 1e-300)[:, None]
     unit[norms <= SINGULAR_FRACTION * float(np.max(norms))] = 0.0
     y = (unit @ fmap.vecs) * fmap.weights[:, None]
-    lower = fmap.decay.run(y)
+    # the recurrences take and give mode-major (modes, samples) arrays
+    lower = fmap.decay.run(np.ascontiguousarray(y.T)).T
     upper = np.zeros_like(y)
-    upper[:-1] = fmap.decay.rate * fmap.decay.run(fmap.R * y, reverse=True)[1:]
+    upper[:-1] = fmap.decay.rate * fmap.decay.run(np.ascontiguousarray((fmap.R * y).T),
+                                                  reverse=True).T[1:]
     integral = fmap.R * lower + upper
     coeff = 2.0 * fmap.setup.nu * np.sqrt(fmap.setup.p_max)
     return fmap.g + coeff * (integral @ fmap.vecs.T)

@@ -1,7 +1,6 @@
 """Unit tests for topology validation, break masks, and system matrices."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from consensus_adversary.topology import (LinkControl, NetworkTopology,
                                           Schedule, TopologyError,
                                           build_system_matrix,
                                           connected_components)
+from memory import traced_peak
 
 
 def k4(weights=None):
@@ -300,13 +300,7 @@ class TestSchedule:
         masks[np.arange(400), np.arange(400) * 3] = 1
         masks.flags.writeable = False
         Schedule(topo, masks, 1)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            Schedule(topo, masks, 1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(Schedule, topo, masks, 1)
         assert peak < 64 * 1024
 
     @settings(max_examples=100, deadline=None)
