@@ -73,7 +73,8 @@ def run_pipeline(args) -> int:
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
     outcome = pipeline(config)
     files = write_report(outcome, _out_dir(args, config.name))
-    _diag(args, f"{diagnostic.format(outcome)}; wrote {len(files)} files")
+    if not args.quiet:      # the diagnostic may read a whole schedule: format it only to print
+        _diag(args, f"{diagnostic.format(outcome)}; wrote {len(files)} files")
     return 0
 
 

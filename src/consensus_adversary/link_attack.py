@@ -57,11 +57,20 @@ class SweepResult:
 
 
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
-    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :]."""
+    """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :].
+
+    The result is the one full-size array: x_j is gathered whole, and x_i is
+    gathered and subtracted a chunk of edges at a time, at most
+    RANK_BLOCK // 4 values per chunk, so a look-ahead block holds no second
+    copy of its powers. Each power is the same double as in one gather.
+    """
     x = np.asarray(x, dtype=float)
     i, j, a = topology.arrays
     w = x[..., j]            # a fresh array: the same doubles as a * (x_j - x_i) ** 2
-    w -= x[..., i]
+    # edges per chunk, so that a chunk over all the states holds RANK_BLOCK // 4 values
+    chunk = max(1, RANK_BLOCK // 4 * topology.m // max(w.size, 1))
+    for start in range(0, topology.m, chunk):
+        w[..., start:start + chunk] -= x[..., i[start:start + chunk]]
     w *= w
     w *= a
     return w
@@ -134,7 +143,8 @@ def simulate_attack1(config) -> Attack1Outcome:
     look-ahead starts at one step after each change and doubles after every
     block the row survives, up to RANK_BLOCK // m steps, so the discarded
     states of a run never outnumber its kept ones: the attack computes the
-    powers of at most 2 * steps states, however often the row changes.
+    powers of at most 2 * steps states, however often the row changes, and
+    holds one block of them at a time.
     Every block is computed from its run's first deviation from the
     consensus value, at offsets from the run's start (`Spectrum.evolve`),
     one state at a time within the call, so the trajectory and J are
@@ -157,8 +167,9 @@ def simulate_attack1(config) -> Attack1Outcome:
         stop = min(k + block, steps)
         spectrum.evolve(x[run], np.arange(k + 1 - run, stop + 1 - run) * grid.h,
                         out=x[k + 1:stop + 1])
-        w = edge_power(x[k + 1:min(stop + 1, steps)] + xbar, topology)
-        change = _first_change(w, row, ell)
+        # the block's powers die with the call: the next block is built alone
+        change = _first_change(edge_power(x[k + 1:min(stop + 1, steps)] + xbar, topology),
+                               row, ell)
         if change is not None:
             kept = k + 1 + change[0]
             masks[k:kept] = row

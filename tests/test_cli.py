@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consensus_adversary import dynamics, link_attack, noise_attack, verify
+from consensus_adversary import cli, dynamics, link_attack, noise_attack, verify
 from consensus_adversary.cli import ENV_OUT, main
 from consensus_adversary.scenario import (load_scenario, paper_k4_scenario,
                                           save_scenario, scenario_to_doc)
@@ -243,6 +243,22 @@ class TestSubcommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["attack"] == "link"
         assert summary["stationary"] is True
+
+    def test_quiet_formats_no_diagnostic(self, scenarios, tmp_path, monkeypatch, capsys):
+        # attack1's diagnostic reads Attack1Outcome.stationary, a comparison
+        # of the whole (steps, m) schedule: under --quiet it is not formatted.
+        # The report is stubbed there, since summary.json reads stationary too
+        args = ["attack1", "--scenario", str(scenarios["link"]), "--out", str(tmp_path / "a1")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == (
+            "J = 6.34215, classification = ongoing, stationary = True; wrote 3 files\n")
+
+        def unread(outcome):
+            raise AssertionError("stationary read under --quiet")
+        monkeypatch.setattr(link_attack.Attack1Outcome, "stationary", property(unread))
+        monkeypatch.setattr(cli, "write_report", lambda outcome, directory: [])
+        assert main(args + ["--quiet"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_attack2_writes_report(self, scenarios, tmp_path):
         out = tmp_path / "a2"

@@ -35,7 +35,55 @@ def link_config(topology, x0, ell, T=2.0, steps=400, name="test"):
                           attack=LinkAttackSpec(ell=ell))
 
 
+def two_gather_power(x, topology):
+    """edge_power with both endpoint values gathered whole, x_j then x_i:
+    the formula the chunked gather must reproduce bit for bit."""
+    x = np.asarray(x, dtype=float)
+    i, j, a = topology.arrays
+    w = x[..., j]
+    w -= x[..., i]
+    w *= w
+    w *= a
+    return w
+
+
+@st.composite
+def power_inputs(draw):
+    """A random topology on 1 to 12 nodes, a 1-D state or a stack of 0 to 6
+    states with values among them exact zeros of both signs and magnitudes
+    up to 1e150, and a RANK_BLOCK that sets edge_power's chunk (RANK_BLOCK
+    // 4 values, so RANK_BLOCK // (4 rows) edges) below, at or above the
+    edge count, or None for the module's own."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    topology = NetworkTopology(n=n, edges=tuple(
+        (i, j, draw(st.floats(0.2, 2.0))) for (i, j) in pairs))
+    shape = (n,) if draw(st.booleans()) else (draw(st.integers(0, 6)), n)
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1e150, -1e150]),
+                      st.floats(-1e150, 1e150))
+    x = np.array([draw(value) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    m = topology.m
+    chunk = draw(st.one_of(st.none(), st.integers(1, max(m, 1)),
+                           st.sampled_from([m - 1, m, m + 1]).filter(lambda c: c > 0)))
+    rows = x.size // n if x.ndim > 1 else 1
+    return topology, x, None if chunk is None else 4 * chunk * max(rows, 1)
+
+
 class TestEdgePower:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=power_inputs())
+    @example(inputs=(PATH3, np.array([-0.0, 0.0, 1e150]), 4))      # one edge per chunk
+    @example(inputs=(PATH3, np.array([[1e150, -1e150, 0.0], [-0.0, 5e-324, 1.0]]), 8))
+    def test_bit_identical_to_two_gathers(self, inputs):
+        topology, x, block = inputs
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(link_attack, "RANK_BLOCK", block)
+            w = edge_power(x, topology)
+        ref = two_gather_power(x, topology)
+        assert w.shape == ref.shape and w.dtype == ref.dtype
+        assert w.tobytes() == ref.tobytes()
+
     def test_reference_initial_powers(self):
         config = paper_k4_scenario("link")
         by_edge = dict(zip(config.topology.pairs, edge_power(config.x0, config.topology)))
@@ -832,20 +880,25 @@ class TestSweepUnderIncidenceProducts:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def long_sweep_config():
-    """A connected G(50, 0.3) (373 edges) with weights U(0.2, 2) and a
-    uniform start on [-1, 1], drawn by rejection from
-    `np.random.default_rng(2)`, at 200 steps with ell = 2: the sweep runs
-    all SWEEP_MAX_ITER = 100 passes, neither converging nor cycling."""
-    rng = np.random.default_rng(2)
-    iu, ju = np.triu_indices(50, 1)
+def random_link_config(n, steps, seed):
+    """A connected G(n, 0.3) with weights U(0.2, 2) and a uniform start on
+    [-1, 1], drawn by rejection from `np.random.default_rng(seed)`, with
+    ell = 2."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
     while True:
         keep = rng.random(iu.size) < 0.3
         w = rng.uniform(0.2, 2.0, iu.size)
-        topology = NetworkTopology(n=50, edges=tuple(
+        topology = NetworkTopology(n=n, edges=tuple(
             (int(i), int(j), float(a)) for i, j, a in zip(iu[keep], ju[keep], w[keep])))
         if len(connected_components(topology, np.zeros(topology.m, dtype=np.uint8))) == 1:
-            return link_config(topology, rng.uniform(-1.0, 1.0, 50), 2, steps=200)
+            return link_config(topology, rng.uniform(-1.0, 1.0, n), 2, steps=steps)
+
+
+def long_sweep_config():
+    """`random_link_config(50, 200, seed=2)`, 373 edges: the sweep runs all
+    SWEEP_MAX_ITER = 100 passes, neither converging nor cycling."""
+    return random_link_config(50, 200, seed=2)
 
 
 @st.composite
@@ -941,6 +994,7 @@ class TestCycleKey:
 
 
 class TestSweepMemory:
+    @pytest.mark.memory
     def test_long_sweep_peak(self):
         # the 99 cycle keys of this 100-pass sweep take 0.92 MB packed; as raw
         # mask bytes they alone would take 99 * 200 * 373 = 7.4 MB. The traced
@@ -951,6 +1005,32 @@ class TestSweepMemory:
         sweep, peak = traced_peak(forward_backward_sweep, config)
         assert sweep.iterations == link_attack.SWEEP_MAX_ITER and not sweep.converged
         assert peak < 4_000_000
+
+
+class TestGreedyMemory:
+    # the margin over the arrays a run holds: the largest transient is a
+    # block of powers or objective's (steps + 1, n) deviation, 59 KB larger
+    # here; the rest is edge_power's gather chunk of RANK_BLOCK // 4 values
+    # (64 KB), the shifted states it ranks and small arrays
+    MARGIN = 160_000
+
+    @pytest.mark.memory
+    def test_one_block_of_powers(self):
+        # 1,498 edges, 5 distinct rows. The run holds its trajectory, its
+        # (steps, m) masks, one Spectrum per distinct row and one block of at
+        # most RANK_BLOCK powers: 1.59 MB, and its traced peak is 1.68 MB.
+        # Holding the previous block and a second full-size gather while the
+        # next block is built peaked at 2.12 MB
+        simulate_attack1(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
+        config = random_link_config(100, 400, seed=2)
+        outcome, peak = traced_peak(simulate_attack1, config)
+        n, m, steps = config.topology.n, config.topology.m, config.grid.steps
+        rows = len(np.unique(outcome.schedule.masks, axis=0))
+        held = ((steps + 1) * n * 8              # the trajectory
+                + steps * m                      # the uint8 masks
+                + rows * (n * n + n) * 8         # one Spectrum per distinct row
+                + link_attack.RANK_BLOCK * 8)    # one block of powers
+        assert peak < held + self.MARGIN
 
 
 class TestVerificationOps:

@@ -290,6 +290,7 @@ class TestSchedule:
         schedule = Schedule(self.PATH3, np.zeros((0, 2), dtype=dtype), 0)
         assert len(schedule) == 0 and schedule.masks.shape == (0, 2)
 
+    @pytest.mark.memory
     def test_no_full_size_temporary(self):
         # a (400, 1518) read-only mask, the size of the largest greedy run
         # in the benchmark: validating it allocates a small buffer, no copy
