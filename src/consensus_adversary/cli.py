@@ -73,7 +73,7 @@ def run_pipeline(args) -> int:
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
     outcome = pipeline(config)
     files = write_report(outcome, _out_dir(args, config.name))
-    if not args.quiet:      # the diagnostic may read a whole schedule: format it only to print
+    if not args.quiet:      # format the diagnostic only to print it
         _diag(args, f"{diagnostic.format(outcome)}; wrote {len(files)} files")
     return 0
 
@@ -107,7 +107,7 @@ def run_reproduce_paper(args) -> int:
                    f"{w_by_edge[(0, 2)]:.5f}"))
     checks.append(("w14(0) = 13.8979 +- 5e-4", abs(w_by_edge[(0, 3)] - 13.8979) < 5e-4,
                    f"{w_by_edge[(0, 3)]:.5f}"))
-    broken = [link_cfg.topology.pairs[e] for e in np.flatnonzero(a1.schedule.masks[0])]
+    broken = [link_cfg.topology.pairs[e] for e in np.flatnonzero(a1.schedule.rows[0])]
     stationary = a1.stationary and broken == [(0, 2), (0, 3)]
     checks.append(("stationary control breaking (1,3),(1,4)", stationary,
                    f"stationary={a1.stationary}"))

@@ -24,6 +24,9 @@ import numpy as np
 from .topology import NetworkTopology, Schedule, build_system_matrix
 
 
+OBJECTIVE_BLOCK = 2**12   # most squared deviations (samples x nodes) objective holds at once
+
+
 class DynamicsError(ValueError):
     pass
 
@@ -277,10 +280,11 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
               grid: TimeGrid, *, cache: PropagatorCache | None = None) -> Trajectory:
     """Propagate x' = A(t) x with a piecewise-constant link schedule.
 
-    One mask row per grid step. The pass keeps the deviation d = x - xbar
-    from the consensus value xbar = mean(x0), which every A(t) fixes. A run
-    of equal rows starting at step s gives d[s + j] = exp(A j h) d[s] for
-    j = 1..L from the run's first state, in one `Spectrum.evolve` call, so
+    The schedule is read one run of equal rows at a time (`Schedule.runs`,
+    `Schedule.rows`). The pass keeps the deviation d = x - xbar from the
+    consensus value xbar = mean(x0), which every A(t) fixes. A run starting
+    at step s gives d[s + j] = exp(A j h) d[s] for j = 1..L from the run's
+    first state, in one `Spectrum.evolve` call, so
     rounding grows with the number of runs, not of steps. xbar is added once
     at the end, and x[0] is x0 exactly. A shared `cache` keeps the
     decompositions for later calls; without one, a fresh cache serves this
@@ -292,8 +296,8 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
     xbar = np.mean(x0)
     x = np.empty((grid.steps + 1, topology.n))
     x[0] = x0 - xbar
-    for start, stop in schedule.runs():
-        cache.spectrum(schedule.masks[start]).evolve(
+    for (start, stop), row in zip(schedule.runs(), schedule.rows):
+        cache.spectrum(row).evolve(
             x[start], np.arange(1, stop - start + 1) * grid.h, out=x[start + 1:stop + 1])
     x += xbar
     x[0] = x0
@@ -303,13 +307,22 @@ def propagate(x0: np.ndarray, schedule: Schedule, topology: NetworkTopology,
 def objective(traj: Trajectory, kernel: Kernel) -> float:
     """J = int_0^T k(t) |x(t) - xbar|^2 dt by composite trapezoid on the grid.
 
-    xbar is the consensus line of the trajectory's initial state.
+    xbar is the consensus line of the trajectory's initial state. The squared
+    deviations are summed OBJECTIVE_BLOCK values' worth of samples at a time,
+    so no (steps + 1, n) temporary is made; each sample's sum is the same
+    double as over the whole trajectory at once.
     """
     t = traj.grid.times()
     xbar = np.mean(traj.x[0])
-    dev = traj.x - xbar
-    dev *= dev
-    integrand = kernel.sample(t) * np.sum(dev, axis=1)
+    rows = max(1, OBJECTIVE_BLOCK // max(traj.n, 1))
+    buffer = np.empty((min(rows, len(traj.x)), traj.n))   # one block, reused
+    sq = np.empty(len(traj.x))
+    for start in range(0, len(traj.x), rows):
+        block = traj.x[start:start + rows]
+        dev = np.subtract(block, xbar, out=buffer[:len(block)])
+        dev *= dev
+        np.sum(dev, axis=1, out=sq[start:start + len(block)])
+    integrand = kernel.sample(t) * sq
     return float(np.trapezoid(integrand, t))
 
 

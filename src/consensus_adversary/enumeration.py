@@ -39,11 +39,11 @@ _ALPHABETS: dict[tuple[int, int], tuple[Schedule, dict[bytes, int]]] = {}
 
 
 def _alphabet(topology: NetworkTopology, ell: int) -> tuple[Schedule, dict[bytes, int]]:
-    """The control alphabet as a `Schedule`, one row per control, and each
-    row's index by its bytes. The rows depend only on (m, ell), so they are
-    built and checked on the first call for that pair and shared by every
-    later one; a cached alphabet is smaller than the (nc, n, n) forms of each
-    run on it."""
+    """The control alphabet as a `Schedule` of one step per control, whose
+    run rows are the controls, and each row's index by its bytes. The rows
+    depend only on (m, ell), so they are built and checked on the first call
+    for that pair and shared by every later one; a cached alphabet is
+    smaller than the (nc, n, n) forms of each run on it."""
     key = (topology.m, ell)
     cached = _ALPHABETS.get(key)
     if cached is None:
@@ -62,7 +62,7 @@ def admissible_break_sets(topology: NetworkTopology, ell: int) -> np.ndarray:
     most ell links, as a read-only (nc, m) uint8 array, ordered by the
     number of links broken, then lexicographically by broken edge index.
     Every topology with m edges shares the one array of its (m, ell)."""
-    return _alphabet(topology, ell)[0].masks
+    return _alphabet(topology, ell)[0].rows
 
 
 def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
@@ -110,8 +110,8 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     # (at consensus the mean's own rounding may leave a multiple of 1 behind)
     x0 = x0 - x0.mean() if x0.max() > x0.min() else np.zeros(n)
     alphabet, mask_index = _alphabet(topology, ell)
-    nc = len(alphabet.masks)
-    spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
+    nc = len(alphabet.rows)
+    spectrum = Spectrum(build_system_matrix(topology, alphabet.rows))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
 

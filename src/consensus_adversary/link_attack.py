@@ -3,20 +3,20 @@ principle machinery (backward co-state, switching functions, forward-backward
 sweep).
 
 A control is one uint8 break-mask row over topology.edges, and a schedule
-is one (steps, m) break-mask `Schedule`. The greedy rule returns one row per
-state of a stack, breaking the budgeted number of links of highest dissipated
-power w_ij = a_ij (x_j - x_i)^2, found by linear-time selection of the cut
-value rather than a sort. The attack computes the powers of a block of
-upcoming states in one call and ranks none of them while the current row
-still holds, which a comparison across the row's cut shows; it looks
-further ahead the longer the row holds, and its result is bit-identical to
-re-ranking every step. The sweep ranks edges by the
-switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) instead, over a whole
-trajectory in one call, through the same top-ell cut (`switching_control`).
-On the reference K4 both give the same schedule, but the greedy rule is
-myopic and not globally optimal: on the weighted 4-path counterexample
-pinned in `tests/test_enumeration.py` the sweep converges to a different cut
-with more than twice greedy's objective.
+is a `Schedule`, held as its maximal runs of equal rows, one row per run.
+The greedy rule returns one row per state of a stack, breaking the budgeted
+number of links of highest dissipated power w_ij = a_ij (x_j - x_i)^2,
+found by linear-time selection of the cut value rather than a sort. The
+attack computes the powers of a block of upcoming states in one call and
+ranks none of them while the current row still holds, which a comparison
+across the row's cut shows; it looks further ahead the longer the row
+holds, and its result is bit-identical to re-ranking every step. The sweep
+ranks edges by the switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j)
+instead, over a whole trajectory in one call, through the same top-ell cut
+(`switching_control`). On the reference K4 both give the same schedule,
+but the greedy rule is myopic and not globally optimal: on the weighted
+4-path counterexample pinned in `tests/test_enumeration.py` the sweep
+converges to a different cut with more than twice greedy's objective.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class Attack1Outcome:
 
     @property
     def stationary(self) -> bool:
-        return bool((self.schedule.masks == self.schedule.masks[0]).all())
+        """Whether one control holds for the whole horizon."""
+        return len(self.schedule.runs()) == 1
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def classify(topology: NetworkTopology, schedule: Schedule,
              x_final: np.ndarray, x0: np.ndarray) -> str:
     """winning if the surviving graph is disconnected under the last control;
     losing if disagreement collapsed to consensus; else ongoing."""
-    if len(connected_components(topology, schedule.masks[-1])) > 1:
+    if len(connected_components(topology, schedule.rows[-1])) > 1:
         return "winning"
     x0, x_final = np.asarray(x0, dtype=float), np.asarray(x_final, dtype=float)
     init_spread = np.max(np.abs(x0 - np.mean(x0)))
@@ -144,7 +145,8 @@ def simulate_attack1(config) -> Attack1Outcome:
     block the row survives, up to RANK_BLOCK // m steps, so the discarded
     states of a run never outnumber its kept ones: the attack computes the
     powers of at most 2 * steps states, however often the row changes, and
-    holds one block of them at a time.
+    holds one block of them at a time. The schedule is recorded as it is
+    found, one (start, row) pair per change (`Schedule.from_runs`).
     Every block is computed from its run's first deviation from the
     consensus value, at offsets from the run's start (`Spectrum.evolve`),
     one state at a time within the call, so the trajectory and J are
@@ -156,12 +158,12 @@ def simulate_attack1(config) -> Attack1Outcome:
     x0 = config.x0
     longest = max(1, RANK_BLOCK // max(topology.m, 1))
     cache = PropagatorCache(topology, grid.h)
-    masks = np.empty((steps, topology.m), dtype=np.uint8)
     xbar = np.mean(x0)
     x = np.empty((steps + 1, topology.n))       # the deviation x - xbar until the end
     x[0] = x0 - xbar
     k, block, row = 0, 1, greedy_control(x0, topology, ell)
     run, spectrum = 0, cache.spectrum(row)
+    starts, rows = [0], [row]
     while k < steps:
         # x[k] is final, row is its greedy control, and its run began at run
         stop = min(k + block, steps)
@@ -171,19 +173,17 @@ def simulate_attack1(config) -> Attack1Outcome:
         change = _first_change(edge_power(x[k + 1:min(stop + 1, steps)] + xbar, topology),
                                row, ell)
         if change is not None:
-            kept = k + 1 + change[0]
-            masks[k:kept] = row
+            run = k = k + 1 + change[0]
             row = change[1]
-            run, spectrum = kept, cache.spectrum(row)
-            k, block = kept, 1
+            starts.append(run)
+            rows.append(row)
+            spectrum, block = cache.spectrum(row), 1
         else:
-            masks[k:stop] = row
             k, block = stop, min(2 * block, longest)
     x += xbar
     x[0] = x0
-    masks.flags.writeable = False
     traj = Trajectory(grid=grid, x=x)
-    schedule = Schedule(topology, masks, ell)
+    schedule = Schedule.from_runs(topology, starts, rows, steps, ell)
     return Attack1Outcome(
         trajectory=traj,
         schedule=schedule,
@@ -214,7 +214,7 @@ def _first_change(w: np.ndarray, row: np.ndarray, ell: int) -> tuple[int, np.nda
     new = np.flatnonzero((ranked != row).any(axis=-1))
     if not new.size:
         return None
-    return int(maybe[new[0]]), ranked[new[0]]
+    return int(maybe[new[0]]), ranked[new[0]].copy()   # the schedule keeps the row alone
 
 
 def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopology,
@@ -235,8 +235,8 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
     two_k = 2.0 * kernel.sample(grid.times())
     xbar = np.mean(traj.x[0])
     p = np.zeros_like(traj.x)
-    for start, stop in reversed(schedule.runs()):
-        spectrum = cache.spectrum(schedule.masks[start])
+    for (start, stop), row in zip(reversed(schedule.runs()), schedule.rows[::-1]):
+        spectrum = cache.spectrum(row)
         vecs = spectrum.vecs
         g = (two_k[start:stop + 1, None] * (traj.x[start:stop + 1] - xbar)) @ vecs
         q = _ModeRecurrence(np.exp(spectrum.vals * grid.h), stop - start + 1).tail(
@@ -303,8 +303,9 @@ def forward_backward_sweep(config) -> SweepResult:
     convex-combined, so there is no relaxation; a cycle detector keyed by
     each pass's packed masks (`_cycle_key`) stops the iteration if it
     cycles. A pass ranks its switching functions in the array
-    `switching_functions` returns, negated in place, and marks its masks
-    read-only, so their `Schedule` keeps them without a copy. On
+    `switching_functions` returns, negated in place, and keeps only the
+    runs of the masks so ranked: the sweep has converged when a pass's
+    runs and their rows are the last pass's. On
     convergence the last pass is the result; otherwise the best-J pass
     visited, kept with its trajectory and co-state, so no pass is rerun. All
     passes share one propagator cache, so each distinct mask is decomposed
@@ -312,7 +313,8 @@ def forward_backward_sweep(config) -> SweepResult:
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
-    schedule = Schedule(topology, np.zeros((grid.steps, topology.m), dtype=np.uint8), ell)
+    schedule = Schedule.from_runs(topology, [0], np.zeros((1, topology.m), dtype=np.uint8),
+                                  grid.steps, ell)
     cache = PropagatorCache(topology, grid.h)
     seen: set[bytes] = set()
     best = None  # (J, schedule, trajectory, co-state) of the best pass
@@ -326,15 +328,15 @@ def forward_backward_sweep(config) -> SweepResult:
         g = switching_functions(traj.x[:-1], p[:-1], topology)
         masks = _switching_mask(np.negative(g, out=g), ell)
         del g                                    # not held through the next pass
-        if np.array_equal(masks, schedule.masks):
+        ranked = Schedule(topology, masks, ell)
+        if ranked.runs() == schedule.runs() and np.array_equal(ranked.rows, schedule.rows):
             converged = True
             break
         key = _cycle_key(masks)
         if key in seen:
             break
         seen.add(key)
-        masks.flags.writeable = False
-        schedule = Schedule(topology, masks, ell)
+        schedule = ranked
     if not converged:
         # cycle or pass limit: fall back to the best pass visited
         J, schedule, traj, p = best

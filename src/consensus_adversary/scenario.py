@@ -465,10 +465,16 @@ def write_control_csv(t: np.ndarray, u: np.ndarray, path: Path) -> None:
 
 def write_broken_edges_csv(outcome, path: Path) -> None:
     """One `t,edge_i,edge_j` line per broken edge and step, in step then edge
-    order, with 1-based node ids."""
+    order, with 1-based node ids. The (step, edge) pairs are built a run of
+    the schedule at a time: each step of a run breaks its row's edges."""
     i, j, _ = outcome.topology.arrays
-    masks = outcome.schedule.masks
-    k, e = np.divmod(np.flatnonzero(masks.view(bool)), max(masks.shape[1], 1))
+    schedule = outcome.schedule
+    k, e = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for (start, stop), row in zip(schedule.runs(), schedule.rows):
+        broken = np.flatnonzero(row)
+        k.append(np.repeat(np.arange(start, stop), broken.size))
+        e.append(np.tile(broken, stop - start))
+    k, e = np.concatenate(k), np.concatenate(e)
     _write_csv(path, ["t", "edge_i", "edge_j"],
                [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
 

@@ -7,6 +7,8 @@ speaks 0-based node ids.
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -192,66 +194,139 @@ class LinkControl:
 
 
 class Schedule:
-    """Link schedule with budget ell: a read-only (steps, m) uint8 break mask
-    over topology.edges, one row per grid step, validated once. A read-only
-    uint8 mask is kept as given, without a copy, as `LinkControl` keeps a
-    row; any other is copied. Code that computes with a schedule reads
-    `masks`."""
+    """Link schedule with budget ell over topology.edges, held as its maximal
+    runs of equal rows: `rows` is a read-only (r, m) uint8 array, one
+    break-mask row per run, and `runs()` gives each run's (start, stop)
+    steps. Every propagation and report reads the runs. The per-step view,
+    `masks` (one row per grid step) and `schedule[k]`, is built from the
+    runs when read, for callers that want one row per step.
+
+    `Schedule(topology, masks, ell)` takes per-step masks, validates them
+    once and keeps their runs; `from_runs` takes the runs themselves. A
+    read-only uint8 mask whose rows all differ from their neighbours is kept
+    as `rows` without a copy, as `LinkControl` keeps a row; otherwise only
+    the run rows are copied.
+    """
 
     def __init__(self, topology: NetworkTopology, masks, ell: int):
-        if ell < 0:
-            raise TopologyError(f"budget must be nonnegative, got {ell}")
-        masks = np.asarray(masks)
-        if masks.ndim != 2 or masks.shape[1] != topology.m:
-            raise TopologyError(f"schedule shape {masks.shape} is not (steps, {topology.m})")
-        if masks.dtype != np.uint8:
-            masks = _edge_mask(topology, masks).astype(np.uint8)
-        elif masks.max(initial=0) > 1:
+        masks = _uint8_rows(topology, masks, ell, "schedule", "steps")
+        self._keep_runs(masks, range(len(masks)), len(masks), ell)
+
+    @classmethod
+    def from_runs(cls, topology: NetworkTopology, starts, rows, steps: int,
+                  ell: int) -> "Schedule":
+        """The schedule of `steps` steps whose row from step starts[q] on is
+        rows[q], up to the next start: the starts rise from 0 and stay below
+        steps, one per row. Equal neighbouring rows are merged into one run,
+        so the runs are maximal."""
+        rows = _uint8_rows(topology, rows, ell, "run rows", "runs")
+        bounds = [*map(int, starts), steps]
+        if len(bounds) != len(rows) + 1 or bounds[0] != 0 or any(
+                b <= a for a, b in zip(bounds, bounds[1:])):
+            raise TopologyError(f"run starts {bounds[:-1]} do not split {steps} steps "
+                                f"into {len(rows)} runs")
+        schedule = cls.__new__(cls)
+        schedule._keep_runs(rows, bounds[:-1], steps, ell)
+        return schedule
+
+    def _keep_runs(self, rows: np.ndarray, starts, steps: int, ell: int) -> None:
+        """Keep the uint8 rows, row q from step starts[q] on, of a schedule of
+        `steps` steps, equal neighbours merged, once no entry is other than 0
+        or 1 and no row is over budget. A read-only array with no equal
+        neighbours is kept without a copy."""
+        keep = _row_changes(rows)
+        if len(keep) < len(rows) or rows.flags.writeable:
+            rows = rows[keep]
+        if rows.max(initial=0) > 1:
             raise TopologyError("control bits must be 0 or 1")
-        elif masks.flags.writeable:
-            masks = masks.copy()
-        # uint8 in, no full-size temporary: the row sums cast through a small buffer
-        most = int(masks.sum(axis=1, dtype=np.uint32).max(initial=0))
+        # no full-size temporary: the row sums cast through a small buffer
+        most = int(rows.sum(axis=1, dtype=np.uint32).max(initial=0))
         if most > ell:
             raise TopologyError(f"schedule breaks up to {most} links per step, budget is {ell}")
-        masks.flags.writeable = False
-        self.masks = masks
+        self._set(rows, [starts[q] for q in keep], steps, ell)
+
+    def _set(self, rows: np.ndarray, starts: list[int], steps: int, ell: int) -> None:
+        """Keep the validated rows of maximal runs, run q from step starts[q] on."""
+        rows.flags.writeable = False
+        self.rows = rows
         self.ell = ell
-        self._runs = None
+        self._starts = starts
+        self._runs = tuple(zip(starts, [*starts[1:], steps]))
+        self._steps = steps
 
     @classmethod
     def none(cls, topology: NetworkTopology, steps: int) -> "Schedule":
-        masks = np.zeros((steps, topology.m), dtype=np.uint8)
-        masks.flags.writeable = False
-        return cls(topology, masks, 0)
+        """The attack-free schedule of `steps` steps: one run of the zero row."""
+        runs = min(steps, 1)
+        return cls.from_runs(topology, [0] * runs, np.zeros((runs, topology.m), dtype=np.uint8),
+                             steps, 0)
 
-    def take(self, rows) -> "Schedule":
-        """The schedule of this one's rows at the indices `rows`, in that
+    def take(self, steps) -> "Schedule":
+        """The schedule of this one's rows at the steps `steps`, in that
         order, with the same budget; rows of a validated schedule are not
-        checked again."""
+        checked again. The taken steps are few (the oracle takes one per
+        interval), so equal neighbours are found by their rows' bytes."""
+        runs = steps
+        if len(self.rows) < self._steps:      # else step k is run k, as in the alphabet
+            runs = np.searchsorted(self._starts, np.arange(self._steps).take(steps),
+                                   side="right") - 1
+        keys = [self.rows[q].tobytes() for q in runs]
+        starts = [k for k, key in enumerate(keys) if not k or key != keys[k - 1]]
         taken = Schedule.__new__(Schedule)
-        taken.masks = self.masks.take(rows, axis=0)
-        taken.masks.flags.writeable = False
-        taken.ell = self.ell
-        taken._runs = None
+        taken._set(self.rows.take([runs[k] for k in starts], axis=0), starts, len(keys),
+                   self.ell)
         return taken
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self._steps
 
     def __getitem__(self, k: int) -> LinkControl:
-        """Step k as a LinkControl viewing its row, for callers outside the package."""
-        return LinkControl(bits=self.masks[k], ell=self.ell)
+        """Step k as a LinkControl viewing its run's row, for callers outside
+        the package."""
+        k = operator.index(k)
+        if k < 0:
+            k += self._steps
+        if not 0 <= k < self._steps:
+            raise IndexError(f"step {k} out of range for {self._steps} steps")
+        return LinkControl(bits=self.rows[bisect.bisect_right(self._starts, k) - 1], ell=self.ell)
+
+    @property
+    def masks(self) -> np.ndarray:
+        """The read-only (steps, m) uint8 per-step view, one row per grid
+        step, built from the runs on every read."""
+        masks = np.repeat(self.rows, [stop - start for start, stop in self._runs], axis=0)
+        masks.flags.writeable = False
+        return masks
 
     def runs(self) -> tuple[tuple[int, int], ...]:
-        """(start, stop) steps of each maximal run of equal rows, in order.
-        The masks are read-only, so the runs are found on the first call and
-        kept."""
-        if self._runs is None:
-            cuts = np.flatnonzero((self.masks[1:] != self.masks[:-1]).any(axis=1)) + 1
-            bounds = [0, *cuts.tolist(), len(self.masks)]
-            self._runs = tuple(zip(bounds[:-1], bounds[1:]))
+        """(start, stop) steps of each maximal run of equal rows, in order,
+        one per row of `rows`; none when the schedule has no steps."""
         return self._runs
+
+
+def _uint8_rows(topology: NetworkTopology, rows, ell: int, what: str, axis: str) -> np.ndarray:
+    """rows as a 2-D uint8 array of break-mask rows over topology.edges,
+    entries other than 0 and 1 rejected unless already uint8
+    (`Schedule._keep_runs` checks those on the rows it keeps)."""
+    if ell < 0:
+        raise TopologyError(f"budget must be nonnegative, got {ell}")
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != topology.m:
+        raise TopologyError(f"{what} shape {rows.shape} is not ({axis}, {topology.m})")
+    if rows.dtype != np.uint8:
+        rows = _edge_mask(topology, rows).astype(np.uint8)
+    return rows
+
+
+def _row_changes(masks: np.ndarray) -> list[int]:
+    """The steps at which a row of a 2-D uint8 array starts a new run of
+    equal rows: 0 and every step whose row differs from the one before.
+    Each row is compared as one opaque value, so no full-size temporary is
+    made."""
+    if not masks.shape[1]:
+        return [0][:len(masks)]
+    rows = np.ascontiguousarray(masks).view(np.dtype((np.void, masks.shape[1])))[:, 0]
+    return [0][:len(masks)] + (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
 
 
 def _edge_mask(topology: NetworkTopology, bits) -> np.ndarray:

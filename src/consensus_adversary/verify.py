@@ -153,7 +153,7 @@ def check_conservation(config, outcome) -> CheckResult:
     drift, total = np.abs(sums - sums[0]), float(sums[0])
     # the propagator of every distinct control the attack used
     cache = PropagatorCache(config.topology, config.grid.h)
-    E = np.array([cache.step(mask) for mask in np.unique(outcome.schedule.masks, axis=0)])
+    E = np.array([cache.step(mask) for mask in np.unique(outcome.schedule.rows, axis=0)])
     values = {"drift": drift, "total": total,
               "col_sum_error": float(np.max(np.abs(E.sum(axis=1) - 1))),
               "row_sum_error": float(np.max(np.abs(E.sum(axis=2) - 1)))}

@@ -245,9 +245,9 @@ class TestSubcommands:
         assert summary["stationary"] is True
 
     def test_quiet_formats_no_diagnostic(self, scenarios, tmp_path, monkeypatch, capsys):
-        # attack1's diagnostic reads Attack1Outcome.stationary, a comparison
-        # of the whole (steps, m) schedule: under --quiet it is not formatted.
-        # The report is stubbed there, since summary.json reads stationary too
+        # attack1's diagnostic reads Attack1Outcome.stationary: under --quiet
+        # it is not formatted. The report is stubbed there, since
+        # summary.json reads stationary too
         args = ["attack1", "--scenario", str(scenarios["link"]), "--out", str(tmp_path / "a1")]
         assert main(args) == 0
         assert capsys.readouterr().err == (

@@ -1,5 +1,8 @@
 """Unit tests for grids, kernels, matrix exponentials, and propagation."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from consensus_adversary import dynamics
 from consensus_adversary.dynamics import (DynamicsError, Kernel, PlainOutcome,
                                           Spectrum, TimeGrid, Trajectory,
                                           _ModeRecurrence, matrix_exponential,
                                           objective, propagate, simulate)
-from consensus_adversary.scenario import paper_k4_scenario
+from consensus_adversary.link_attack import simulate_attack1
+from consensus_adversary.scenario import LinkAttackSpec, paper_k4_scenario
 from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix)
+from memory import traced_peak
 
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
@@ -231,6 +237,59 @@ class TestObjective:
         # the propagator rows sum to 1 only to machine precision, so the
         # deviation picks up ~1e-16 noise and J ~ its square
         assert objective(traj, Kernel.constant(1.0)) < 1e-25
+
+
+def whole_trajectory_objective(traj, kernel):
+    """J from one (steps + 1, n) deviation: the sums `objective` takes a
+    block of samples at a time."""
+    t = traj.grid.times()
+    dev = traj.x - np.mean(traj.x[0])
+    dev *= dev
+    return float(np.trapezoid(kernel.sample(t) * np.sum(dev, axis=1), t))
+
+
+@functools.cache
+def attack_trajectories():
+    """Greedy trajectories at 400 steps on K4, the weighted 4-path and K4
+    with weights x50."""
+    k4 = paper_k4_scenario("link", steps=400)
+    weights = np.random.default_rng(1002).uniform(0.2, 2.0, 3)
+    path = NetworkTopology(n=4, edges=tuple((i, i + 1, w) for i, w in enumerate(weights)))
+    stiff = NetworkTopology(n=4, edges=tuple((i, j, 50.0 * w) for (i, j, w) in k4.topology.edges))
+    configs = {
+        "k4": k4,
+        "weighted-path": replace(k4, topology=path, attack=LinkAttackSpec(ell=1),
+                                 x0=np.random.default_rng(2000).uniform(-1.0, 1.0, 4)),
+        "k4x50": replace(k4, topology=stiff),
+    }
+    return {name: simulate_attack1(config).trajectory for name, config in configs.items()}
+
+
+class TestObjectiveBlocks:
+    @pytest.mark.parametrize("block", [1, 12, dynamics.OBJECTIVE_BLOCK])
+    @pytest.mark.parametrize("kernel", [Kernel.constant(1.0),
+                                        Kernel.from_table([(0.0, 0.5), (1.0, 2.0), (2.0, 1.0)])],
+                             ids=["constant", "table"])
+    @pytest.mark.parametrize("name", ["k4", "weighted-path", "k4x50"])
+    def test_same_bytes_as_one_deviation(self, monkeypatch, name, kernel, block):
+        # each sample's sum does not depend on the samples summed with it
+        traj = attack_trajectories()[name]
+        monkeypatch.setattr(dynamics, "OBJECTIVE_BLOCK", block)
+        got, want = objective(traj, kernel), whole_trajectory_objective(traj, kernel)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.memory
+    def test_no_whole_trajectory_temporary(self):
+        # a (401, 100) trajectory, the benchmark's largest greedy run: its
+        # deviation alone would take 320,800 bytes
+        grid = TimeGrid(T=2.0, steps=400)
+        traj = Trajectory(grid=grid, x=np.random.default_rng(0).uniform(-1.0, 1.0, (401, 100)))
+        kernel = Kernel.constant(1.0)
+        J, peak = traced_peak(objective, traj, kernel)
+        assert np.float64(J).tobytes() == np.float64(
+            whole_trajectory_objective(traj, kernel)).tobytes()
+        # one block of squared deviations and a few (steps + 1,) arrays
+        assert peak < dynamics.OBJECTIVE_BLOCK * 8 + 8 * (grid.steps + 1) * 8
 
 
 class TestSimulate:

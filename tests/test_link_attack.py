@@ -1,6 +1,8 @@
 """Unit tests for the link-breaking adversary, and for the two verify checks
 that judge its greedy runs: greedy = maximum principle and scale invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +18,10 @@ from consensus_adversary.link_attack import (costate_backward, edge_power,
                                              greedy_control, simulate_attack1,
                                              switching_control,
                                              switching_functions)
+from consensus_adversary.cli import main
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
-                                          ScenarioError, paper_k4_scenario)
+                                          ScenarioError, paper_k4_scenario,
+                                          save_scenario)
 from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           build_system_matrix,
                                           connected_components)
@@ -541,6 +545,26 @@ class TestAgainstPerStepReference:
         assert np.max(np.abs(got - p)) <= 1e-12 * (np.max(np.abs(p)) + T * np.max(np.abs(x0)))
 
 
+class TestRunFormPropagation:
+    """`propagate` and `costate_backward` read a schedule's runs: the same
+    bytes whether it was built from per-step masks or from its runs, here
+    one run per step that `Schedule.from_runs` merges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=run_schedules())
+    def test_same_bytes_from_runs_and_from_masks(self, case):
+        topology, x0, T, kernel, masks, ell = case
+        grid = TimeGrid(T=T, steps=len(masks))
+        from_masks = Schedule(topology, masks, ell)
+        from_runs = Schedule.from_runs(topology, range(len(masks)), masks, len(masks), ell)
+        assert from_runs.runs() == from_masks.runs()
+        traj = propagate(x0, from_masks, topology, grid)
+        again = propagate(x0, from_runs, topology, grid)
+        assert traj.x.tobytes() == again.x.tobytes()
+        p = costate_backward(traj, from_masks, topology, kernel)
+        assert p.tobytes() == costate_backward(again, from_runs, topology, kernel).tobytes()
+
+
 @st.composite
 def greedy_runs(draw):
     """A random graph on 1 to 8 nodes, connected or not and possibly edgeless
@@ -1009,28 +1033,63 @@ class TestSweepMemory:
 
 class TestGreedyMemory:
     # the margin over the arrays a run holds: the largest transient is a
-    # block of powers or objective's (steps + 1, n) deviation, 59 KB larger
-    # here; the rest is edge_power's gather chunk of RANK_BLOCK // 4 values
-    # (64 KB), the shifted states it ranks and small arrays
+    # block of powers; the rest is edge_power's gather chunk of
+    # RANK_BLOCK // 4 values (64 KB), the shifted states it ranks and small
+    # arrays
     MARGIN = 160_000
 
     @pytest.mark.memory
     def test_one_block_of_powers(self):
-        # 1,498 edges, 5 distinct rows. The run holds its trajectory, its
-        # (steps, m) masks, one Spectrum per distinct row and one block of at
-        # most RANK_BLOCK powers: 1.59 MB, and its traced peak is 1.68 MB.
-        # Holding the previous block and a second full-size gather while the
-        # next block is built peaked at 2.12 MB
+        # 1,498 edges, 5 distinct rows. The run holds its trajectory, its run
+        # rows (a few KB), one Spectrum per distinct row and one block of at
+        # most RANK_BLOCK powers: 0.99 MB. With one mask row per step (0.6
+        # MB more) the traced peak was 1.68 MB, and holding the previous
+        # block and a second full-size gather while the next block was built
+        # 2.12 MB
         simulate_attack1(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
         config = random_link_config(100, 400, seed=2)
         outcome, peak = traced_peak(simulate_attack1, config)
-        n, m, steps = config.topology.n, config.topology.m, config.grid.steps
-        rows = len(np.unique(outcome.schedule.masks, axis=0))
+        n, steps = config.topology.n, config.grid.steps
+        rows = len(np.unique(outcome.schedule.rows, axis=0))
         held = ((steps + 1) * n * 8              # the trajectory
-                + steps * m                      # the uint8 masks
                 + rows * (n * n + n) * 8         # one Spectrum per distinct row
                 + link_attack.RANK_BLOCK * 8)    # one block of powers
         assert peak < held + self.MARGIN
+
+    @pytest.mark.memory
+    def test_cli_run_builds_no_per_step_view(self, tmp_path, monkeypatch):
+        # a whole attack1 --quiet run, report included, reads the schedule's
+        # runs: building its masks or a per-step control raises, and the
+        # CLI would exit 1
+        path = tmp_path / "gnp100.json"
+        save_scenario(random_link_config(100, 400, seed=2), path)
+
+        def per_step(*args):
+            raise AssertionError("the per-step view of a schedule was built")
+        monkeypatch.setattr(Schedule, "masks", property(per_step))
+        monkeypatch.setattr(Schedule, "__getitem__", per_step)
+        out = tmp_path / "out"
+        assert main(["attack1", "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "broken_edges.csv", "summary.json", "trajectory.csv"]
+
+
+class TestStationary:
+    def test_one_run_is_stationary(self):
+        config = paper_k4_scenario("link")
+        outcome = simulate_attack1(config)
+        assert outcome.stationary is True
+        row = outcome.schedule.rows[0]
+        two = Schedule.from_runs(config.topology, [0, 200], [row, row[::-1]], 400, 2)
+        assert len(two.runs()) == 2
+        assert replace(outcome, schedule=two).stationary is False
+
+    @pytest.mark.memory
+    def test_reading_allocates_nothing_per_step(self):
+        # 400 steps over 1,498 edges: a per-step comparison took 0.6 MB
+        outcome = simulate_attack1(random_link_config(100, 400, seed=2))
+        stationary, peak = traced_peak(lambda: outcome.stationary)
+        assert stationary is False and peak < 1024
 
 
 class TestVerificationOps:

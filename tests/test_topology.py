@@ -257,17 +257,25 @@ class TestSchedule:
         assert len(schedule) == 3
         assert schedule[0].bits.tolist() == [0, 1] and schedule[0].ell == 1
         assert [c.broken_edges(self.PATH3) for c in schedule] == [[(1, 2)], [(0, 1)], []]
-        row = schedule[1].bits                # a read-only view of the row, not a copy
-        assert np.shares_memory(row, schedule.masks) and not row.flags.writeable
+        row = schedule[1].bits                # a read-only view of its run's row, not a copy
+        assert np.shares_memory(row, schedule.rows) and not row.flags.writeable
+        assert schedule.rows.dtype == np.uint8 and not schedule.rows.flags.writeable
         assert schedule.masks.dtype == np.uint8 and not schedule.masks.flags.writeable
-        masks[0, 1] = 0                 # the schedule holds its own copy
-        assert schedule.masks[0, 1] == 1
+        masks[0, 1] = 0                 # the schedule holds its own copy of the rows
+        assert schedule.rows[0, 1] == schedule.masks[0, 1] == 1
 
     def test_read_only_uint8_kept_without_copy(self):
+        # every row a run of its own: the mask is the schedule's rows as given
         masks = np.array([[0, 1], [1, 0]], dtype=np.uint8)
         masks.flags.writeable = False
         schedule = Schedule(self.PATH3, masks, 1)
-        assert np.shares_memory(schedule.masks, masks)
+        assert schedule.rows is masks
+        # repeated rows: only the run rows are copied, never the whole mask
+        masks = np.array([[0, 1], [0, 1], [0, 1], [1, 0]], dtype=np.uint8)
+        masks.flags.writeable = False
+        schedule = Schedule(self.PATH3, masks, 1)
+        assert schedule.rows.tolist() == [[0, 1], [1, 0]]
+        assert not np.shares_memory(schedule.rows, masks)
 
     @pytest.mark.parametrize("value,dtype", [(2, np.uint8), (255, np.uint8), (0.5, float),
                                              (-1, np.int64), (-1, np.int8)],
@@ -307,21 +315,108 @@ class TestSchedule:
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.sampled_from([(0, 0), (0, 1), (1, 0)]), max_size=12))
     def test_runs_found_once(self, rows):
-        # the maximal runs of equal rows, compared one row at a time; the
-        # masks are compared on the first call only
+        # the maximal runs of equal rows, compared one row at a time (none
+        # without steps), are found when the schedule is built: runs()
+        # compares nothing
         bounds = [k for k in range(1, len(rows)) if rows[k] != rows[k - 1]]
-        want = list(zip([0, *bounds], [*bounds, len(rows)]))
+        want = list(zip([0, *bounds], [*bounds, len(rows)])) if rows else []
         schedule = Schedule(self.PATH3, np.array(rows, dtype=np.uint8).reshape(-1, 2), 1)
         calls, flatnonzero = [], np.flatnonzero
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np, "flatnonzero", lambda a: calls.append(a) or flatnonzero(a))
             first = schedule.runs()
             assert schedule.runs() is first
-        assert list(first) == want and len(calls) == 1
+        assert list(first) == want and not calls
+        assert schedule.rows.tolist() == [list(rows[start]) for start, _ in want]
 
     def test_none_breaks_nothing(self):
         schedule = Schedule.none(self.PATH3, 4)
         assert schedule.masks.shape == (4, 2) and not schedule.masks.any()
+        assert schedule.runs() == ((0, 4),) and schedule.rows.tolist() == [[0, 0]]
+
+    @pytest.mark.parametrize("starts,rows,steps", [
+        ([1], [[0, 1]], 3),                 # first run not at step 0
+        ([0, 2], [[0, 1], [1, 0]], 2),      # a start at the end
+        ([0, 2, 1], [[0, 1], [1, 0], [0, 0]], 4),   # starts out of order
+        ([0], [[0, 1], [1, 0]], 3),         # one start for two rows
+        ([0], [[0, 1]], 0),                 # a run in no steps
+    ], ids=["late", "at-end", "order", "count", "no-steps"])
+    def test_bad_run_starts_rejected(self, starts, rows, steps):
+        with pytest.raises(TopologyError, match="do not split"):
+            Schedule.from_runs(self.PATH3, starts, rows, steps, 1)
+
+    def test_from_runs_validates_its_rows(self):
+        with pytest.raises(TopologyError, match="budget is 1"):
+            Schedule.from_runs(self.PATH3, [0, 2], [[0, 1], [1, 1]], 3, 1)
+        with pytest.raises(TopologyError, match="0 or 1"):
+            Schedule.from_runs(self.PATH3, [0], np.array([[0, 2]], dtype=np.uint8), 3, 2)
+        with pytest.raises(TopologyError, match=r"run rows shape \(2,\)"):
+            Schedule.from_runs(self.PATH3, [0], [0, 1], 3, 1)
+
+
+@st.composite
+def step_masks(draw):
+    """Per-step masks over m = 0 to 5 edges of a 4-node graph, 0 to 30
+    steps made of runs drawn from a pool of at most 3 rows, so equal rows
+    repeat inside and across runs; with the budget of the fullest row."""
+    m = draw(st.integers(0, 5))
+    topology = NetworkTopology(n=4, edges=tuple(
+        (i, j, 1.0) for (i, j) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)][:m]))
+    pool = draw(st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                         min_size=1, max_size=3))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 6)),
+                          max_size=8))
+    steps = [pool[q] for q, length in picks for _ in range(length)]
+    masks = np.array(steps, dtype=np.uint8).reshape(len(steps), m)
+    return topology, masks, int(masks.sum(axis=1).max(initial=0))
+
+
+def maximal_runs(masks):
+    """(start, stop) of each maximal run of equal rows, one row at a time."""
+    starts = [k for k in range(len(masks)) if k == 0 or (masks[k] != masks[k - 1]).any()]
+    return list(zip(starts, [*starts[1:], len(masks)]))
+
+
+class TestRunForm:
+    """A schedule held as its runs reads as the per-step masks it was built from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=step_masks(), data=st.data())
+    def test_matches_per_step_masks(self, case, data):
+        topology, masks, ell = case
+        schedule = Schedule(topology, masks, ell)
+        runs = maximal_runs(masks)
+        assert list(schedule.runs()) == runs and len(schedule) == len(masks)
+        assert schedule.rows.dtype == np.uint8 and not schedule.rows.flags.writeable
+        assert np.array_equal(schedule.rows, masks[[start for start, _ in runs]])
+        view = schedule.masks
+        assert view.dtype == np.uint8 and not view.flags.writeable
+        assert np.array_equal(view, masks) and view.shape == masks.shape
+        for q, (start, stop) in enumerate(runs):
+            for k in (start, stop - 1):
+                bits = schedule[k].bits
+                assert bits.dtype == np.uint8 and not bits.flags.writeable
+                assert np.array_equal(bits, masks[k])
+                # a view of its run's row, not a copy
+                assert (bits.__array_interface__["data"][0]
+                        == schedule.rows[q].__array_interface__["data"][0])
+        assert [c.bits.tolist() for c in schedule] == masks.tolist()
+        with pytest.raises(IndexError):
+            schedule[len(masks)]
+        if len(masks):
+            assert np.array_equal(schedule[-1].bits, masks[-1])
+        # the same schedule from its runs, each split in two where it can be
+        split = [s for start, stop in runs for s in sorted({start, (start + stop) // 2})]
+        again = Schedule.from_runs(topology, split, masks[split], len(masks), ell)
+        assert again.runs() == schedule.runs() and np.array_equal(again.rows, schedule.rows)
+        # taking steps gives the schedule of their rows
+        steps = data.draw(st.lists(st.integers(-len(masks), len(masks) - 1), max_size=8)
+                          if len(masks) else st.just([]))
+        taken = schedule.take(steps)
+        want = masks[steps]
+        assert len(taken) == len(steps) and taken.ell == ell
+        assert list(taken.runs()) == maximal_runs(want)
+        assert np.array_equal(taken.masks, want)
 
 
 class TestSystemMatrix:
