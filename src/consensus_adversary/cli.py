@@ -23,23 +23,22 @@ import numpy as np
 
 from . import dynamics, link_attack, noise_attack, verify
 from .scenario import (DEFAULT_STEPS, LinkAttackSpec, NoiseAttackSpec, ScenarioError,
-                       load_scenario, paper_k4_scenario, write_report)
+                       load_scenario, paper_k4_scenario, report_summary, write_report)
 
 ENV_OUT = "CONSENSUS_ADVERSARY_OUT"
 
 # subcommand: (attack spec the scenario must hold, how errors name it, help,
-# pipeline, diagnostic). Each pipeline is looked up on its module when it
-# runs, so a function replaced there, by a test or a tracer, is the one run.
+# pipeline, diagnostic over the summary). Each pipeline is looked up on its
+# module when it runs, so a function replaced there, by a test or a tracer, is the one run.
 PIPELINES = {
     "simulate": (type(None), "attack = none", "run the consensus dynamics without an attack",
-                 lambda config: dynamics.simulate(config), "J = {0.J:.6g}"),
+                 lambda config: dynamics.simulate(config), "J = {J:.6g}"),
     "attack1": (LinkAttackSpec, "a link attack", "closed-loop greedy link-breaking attack",
                 lambda config: link_attack.simulate_attack1(config),
-                "J = {0.J:.6g}, classification = {0.classification}, "
-                "stationary = {0.stationary}"),
+                "J = {J:.6g}, classification = {classification}, stationary = {stationary}"),
     "attack2": (NoiseAttackSpec, "a noise attack", "power-constrained noise-injection attack",
                 lambda config: noise_attack.simulate_attack2(config),
-                "J = {0.J:.6g} (scaled {0.J_scaled:.6g}), {0.iterations} fixed-point iterations"),
+                "J = {J:.6g} (scaled {J_scaled:.6g}), {iterations} fixed-point iterations"),
 }
 
 
@@ -58,10 +57,14 @@ def _load(args):
 
 
 def _out_dir(args, default_name: str) -> Path:
+    """--out, or else default_name under $CONSENSUS_ADVERSARY_OUT; a name
+    that is not a single path component is then a usage error."""
     if args.out is not None:
         return Path(args.out)
-    base = os.environ.get(ENV_OUT, ".")
-    return Path(base) / default_name
+    if default_name in ("", ".", "..") or any(c in default_name for c in ("/", os.sep, "\0")):
+        raise ScenarioError(f"name: {default_name!r} is not a single path component, "
+                            "so it cannot name the output directory; give --out")
+    return Path(os.environ.get(ENV_OUT, ".")) / default_name
 
 
 def run_pipeline(args) -> int:
@@ -69,12 +72,13 @@ def run_pipeline(args) -> int:
     config = _load(args)
     if not isinstance(config.attack, spec):
         raise ScenarioError(f"{args.command} requires a scenario with {named}")
+    out = _out_dir(args, config.name)
     if not config.topology.is_connected():
         _diag(args, f"warning: topology of '{config.name}' is disconnected")
     outcome = pipeline(config)
-    files = write_report(outcome, _out_dir(args, config.name))
+    files = write_report(outcome, out)
     if not args.quiet:      # format the diagnostic only to print it
-        _diag(args, f"{diagnostic.format(outcome)}; wrote {len(files)} files")
+        _diag(args, f"{diagnostic.format_map(report_summary(outcome))}; wrote {len(files)} files")
     return 0
 
 

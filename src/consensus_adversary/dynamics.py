@@ -140,6 +140,15 @@ class Trajectory:
     def with_costate(self, p: np.ndarray) -> "Trajectory":
         return Trajectory(grid=self.grid, x=self.x, p=p)
 
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """trajectory.csv's header and columns: t, x1..xn, then any p1..pn."""
+        header = ["t"] + [f"x{i + 1}" for i in range(self.n)]
+        columns = [self.grid.times(), self.x]
+        if self.p is not None:
+            header += [f"p{i + 1}" for i in range(self.n)]
+            columns.append(self.p)
+        return header, columns
+
 
 class Spectrum:
     """Eigendecomposition A = vecs diag(vals) vecs' of one symmetric system
@@ -332,6 +341,12 @@ class PlainOutcome:
 
     trajectory: Trajectory
     J: float
+
+    def summary(self) -> dict:
+        return {"attack": "none"}
+
+    def tables(self) -> dict:
+        return {}
 
 
 def simulate(config) -> PlainOutcome:

@@ -47,6 +47,26 @@ class Attack1Outcome:
         """Whether one control holds for the whole horizon."""
         return len(self.schedule.runs()) == 1
 
+    def summary(self) -> dict:
+        return {"attack": "link", "classification": self.classification,
+                "stationary": self.stationary, "connected_topology": self.topology.is_connected()}
+
+    def tables(self) -> dict:
+        return {"broken_edges.csv": self._broken_edges}
+
+    def _broken_edges(self) -> tuple[list[str], list[np.ndarray]]:
+        """One `t,edge_i,edge_j` row per broken edge and step, in step then edge
+        order, with 1-based node ids, built a run of the schedule at a time:
+        each step of a run breaks its row's edges."""
+        i, j, _ = self.topology.arrays
+        k, e = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for (start, stop), row in zip(self.schedule.runs(), self.schedule.rows):
+            broken = np.flatnonzero(row)
+            k.append(np.repeat(np.arange(start, stop), broken.size))
+            e.append(np.tile(broken, stop - start))
+        k, e = np.concatenate(k), np.concatenate(e)
+        return ["t", "edge_i", "edge_j"], [self.trajectory.grid.times()[k], i[e] + 1, j[e] + 1]
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -55,6 +75,13 @@ class SweepResult:
     J: float
     converged: bool
     iterations: int
+
+    def summary(self) -> dict:
+        return {"attack": "link-sweep", "converged": self.converged,
+                "iterations": self.iterations}
+
+    def tables(self) -> dict:
+        return {}
 
 
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> np.ndarray:

@@ -55,6 +55,16 @@ class Attack2Outcome:
     lam: np.ndarray              # Lagrange multiplier trace
     spectrum: Spectrum           # of the attack-free system matrix the run used
 
+    def summary(self) -> dict:
+        s = self.setup
+        return {"attack": "noise", "J_scaled": self.J_scaled, "nu": s.nu, "q": s.q,
+                "p_max": s.p_max, "iterations": self.iterations, "residuals": list(self.residuals),
+                "converged": self.converged, "lambda_max": float(np.max(self.lam))}
+
+    def tables(self) -> dict:
+        header = ["t"] + [f"u{i + 1}" for i in range(self.control.shape[1])]
+        return {"control.csv": lambda: (header, [self.trajectory.grid.times(), self.control])}
+
 
 def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
                       safety: float = SAFETY, nu: float | None = None) -> ContractionSetup:

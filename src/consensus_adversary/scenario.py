@@ -13,16 +13,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from importlib import resources
 from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsError, Kernel, TimeGrid, Trajectory, check_state, finite
-from .link_attack import Attack1Outcome, SweepResult
-from .noise_attack import SAFETY, Attack2Outcome, ContractionSetup, contraction_setup
+from .dynamics import DynamicsError, Kernel, TimeGrid, check_state, finite
+from .noise_attack import SAFETY, ContractionSetup, contraction_setup
 from .topology import NetworkTopology
 
 DEFAULT_STEPS = 400
@@ -218,7 +216,7 @@ def parse_scenario(doc: dict, base_dir: Path | None = None,
         topology=topology,
         x0=[_number(v, f"x0[{idx}]") for idx, v in enumerate(x0)],
         T=_number(doc.get("T"), "T"),
-        steps=_integer(doc.get("steps", DEFAULT_STEPS), "steps"),
+        steps=doc.get("steps", DEFAULT_STEPS),
         kernel=_parse_kernel(doc.get("kernel")),
         attack=_parse_attack(doc.get("attack")),
     )
@@ -450,81 +448,25 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             fh.write(_format(block.astype(float, copy=False).ravel(), len(header)))
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    header = ["t"] + [f"x{i + 1}" for i in range(traj.n)]
-    columns = [traj.grid.times(), traj.x]
-    if traj.p is not None:
-        header += [f"p{i + 1}" for i in range(traj.n)]
-        columns.append(traj.p)
-    _write_csv(path, header, columns)
-
-
-def write_control_csv(t: np.ndarray, u: np.ndarray, path: Path) -> None:
-    _write_csv(path, ["t"] + [f"u{i + 1}" for i in range(u.shape[1])], [t, u])
-
-
-def write_broken_edges_csv(outcome, path: Path) -> None:
-    """One `t,edge_i,edge_j` line per broken edge and step, in step then edge
-    order, with 1-based node ids. The (step, edge) pairs are built a run of
-    the schedule at a time: each step of a run breaks its row's edges."""
-    i, j, _ = outcome.topology.arrays
-    schedule = outcome.schedule
-    k, e = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for (start, stop), row in zip(schedule.runs(), schedule.rows):
-        broken = np.flatnonzero(row)
-        k.append(np.repeat(np.arange(start, stop), broken.size))
-        e.append(np.tile(broken, stop - start))
-    k, e = np.concatenate(k), np.concatenate(e)
-    _write_csv(path, ["t", "edge_i", "edge_j"],
-               [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
+def report_summary(outcome) -> dict:
+    """An outcome's summary.json fields: J, steps and T, then `outcome.summary()`."""
+    grid = outcome.trajectory.grid
+    return {"J": outcome.J, "steps": grid.steps, "T": grid.T, **outcome.summary()}
 
 
 def write_report(outcome, directory) -> list[Path]:
-    """Persist an attack or simulation outcome into a directory.
+    """Persist an outcome into a directory; return the paths written.
 
-    Always writes trajectory.csv and summary.json; link attacks add
-    broken_edges.csv, noise attacks add control.csv. A non-finite summary
-    value, J say, raises DynamicsError naming it before any file is written.
-    Each file is written under a temporary name in the directory and renamed
-    into place only once every file is written; a file that cannot be
-    written or renamed raises ScenarioError naming its path and leaves none
-    of the report's files behind.
+    Writes trajectory.csv, `outcome.tables()` (file name -> a function giving
+    its `(header, columns)`, called only while the file is written) and
+    summary.json (`report_summary`). A non-finite summary value, J say,
+    raises DynamicsError naming it before any file is written. Each file is
+    written under a temporary name and renamed into place only once every
+    file is written; a file that cannot be written or renamed raises
+    ScenarioError naming its path and leaves none of the report's files.
     """
     directory = Path(directory)
-    traj = outcome.trajectory
-    t = traj.grid.times()
-    summary = {"J": outcome.J, "steps": traj.grid.steps, "T": traj.grid.T}
-    csv_writers = {"trajectory.csv": partial(write_trajectory_csv, traj)}
-    if isinstance(outcome, Attack1Outcome):
-        csv_writers["broken_edges.csv"] = partial(write_broken_edges_csv, outcome)
-        summary.update({
-            "attack": "link",
-            "classification": outcome.classification,
-            "stationary": outcome.stationary,
-            "connected_topology": outcome.topology.is_connected(),
-        })
-    elif isinstance(outcome, Attack2Outcome):
-        csv_writers["control.csv"] = partial(write_control_csv, t, outcome.control)
-        summary.update({
-            "attack": "noise",
-            "J_scaled": outcome.J_scaled,
-            "nu": outcome.setup.nu,
-            "q": outcome.setup.q,
-            "p_max": outcome.setup.p_max,
-            "iterations": outcome.iterations,
-            "residuals": list(outcome.residuals),
-            "converged": outcome.converged,
-            "lambda_max": float(np.max(outcome.lam)),
-        })
-    elif isinstance(outcome, SweepResult):
-        summary.update({
-            "attack": "link-sweep",
-            "converged": outcome.converged,
-            "iterations": outcome.iterations,
-        })
-    else:
-        summary.update({"attack": "none"})
-
+    summary = report_summary(outcome)
     try:
         text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
@@ -537,12 +479,16 @@ def write_report(outcome, directory) -> list[Path]:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot create output directory {directory}: {exc}") from exc
+    tables = {"trajectory.csv": outcome.trajectory.table, **outcome.tables()}
     staged, moved = {}, []    # file -> its temporary; files already in place
     try:
-        for name, write in {**csv_writers, "summary.json": lambda p: p.write_text(text)}.items():
+        for name, table in {**tables, "summary.json": None}.items():
             path = directory / name
             staged[path] = directory / f".{name}.{os.getpid()}.tmp"
-            write(staged[path])
+            if table is None:
+                staged[path].write_text(text)
+            else:
+                _write_csv(staged[path], *table())
         for path, temporary in staged.items():
             os.replace(temporary, path)
             moved.append(path)

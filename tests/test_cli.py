@@ -94,6 +94,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escape", "a\u0000b"],
+                             ids=["empty", "dot", "dotdot", "separator", "escape", "nul"])
+    def test_name_that_is_not_one_path_component_exits_2(self, tmp_path, monkeypatch,
+                                                          capsys, name):
+        # without --out the name would pick the directory, so nothing runs
+        base = tmp_path / "base" / "out"
+        base.mkdir(parents=True)
+        monkeypatch.setenv(ENV_OUT, str(base))
+        path = tmp_path / "named.json"
+        save_scenario(replace(paper_k4_scenario("link", steps=20), name=name), path)
+        assert main(["attack1", "--scenario", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: name: {name!r} ")
+        assert not any((tmp_path / "base").rglob("*.*"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["base", "named.json"]
+        # with --out the name names no path, and the run goes ahead
+        assert main(["attack1", "--scenario", str(path), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 0
+        assert (tmp_path / "o" / "summary.json").exists()
+
     # (path into the scenario document, malformed value, field named in stderr)
     MALFORMED = [
         (("kernel",), {"constant": -1.0}, "kernel.constant"),

@@ -8,7 +8,6 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,15 +17,15 @@ from hypothesis import strategies as st
 import consensus_adversary.topology as topology_module
 from consensus_adversary import scenario
 from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, simulate
-from consensus_adversary.link_attack import simulate_attack1
+from consensus_adversary.link_attack import (Attack1Outcome, forward_backward_sweep,
+                                             simulate_attack1)
 from consensus_adversary.noise_attack import contraction_setup, simulate_attack2
 from consensus_adversary.scenario import (CSV_BLOCK, LinkAttackSpec,
                                           NoiseAttackSpec, ScenarioConfig,
                                           ScenarioError, fixture_path,
                                           load_scenario, parse_scenario,
                                           paper_k4_scenario, save_scenario,
-                                          scenario_to_doc, write_broken_edges_csv,
-                                          write_report)
+                                          scenario_to_doc, write_report)
 from consensus_adversary.topology import NetworkTopology, Schedule
 
 
@@ -115,6 +114,7 @@ INVALID = [
     ("steps-1e400", {"steps": 10 ** 400}, {"steps": 10 ** 400}, "steps: "),
     ("steps-true", {"steps": True}, {"steps": True}, "steps: "),
     ("steps-2.5", {"steps": 2.5}, {"steps": 2.5}, "steps: "),
+    ("steps-null", {"steps": None}, {"steps": None}, "steps: "),
     ("x0-length", {"x0": [0.0, 1.0, 2.0]}, {"x0": [0.0, 1.0, 2.0]}, "x0 "),
     ("x0-nan", {"x0": [0.0, math.nan]}, {"x0": [0.0, math.nan]}, "x0[1]"),
     ("ell-neg", {"attack": {"link": {"ell": -1}}}, {"attack": LinkAttackSpec(ell=-1)},
@@ -318,7 +318,33 @@ class TestFixtures:
         assert variants["none"].attack is None
 
 
+REPORTS = {   # run kind: (pipeline, fixture variant, CSV files, summary keys beyond J, steps, T)
+    "none": (simulate, "none", {"trajectory.csv"}, {"attack"}),
+    "link": (simulate_attack1, "link", {"trajectory.csv", "broken_edges.csv"},
+             {"attack", "classification", "stationary", "connected_topology"}),
+    "link-sweep": (forward_backward_sweep, "link", {"trajectory.csv"},
+                   {"attack", "converged", "iterations"}),
+    "noise": (simulate_attack2, "noise", {"trajectory.csv", "control.csv"},
+              {"attack", "J_scaled", "nu", "q", "p_max", "iterations", "residuals",
+               "converged", "lambda_max"}),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("kind", list(REPORTS))
+    def test_each_kind_writes_its_files_and_keys(self, tmp_path, kind):
+        pipeline, variant, tables, keys = REPORTS[kind]
+        outcome = pipeline(paper_k4_scenario(variant, steps=20))
+        files = write_report(outcome, tmp_path / "out")
+        assert {f.name for f in files} == tables | {"summary.json"}
+        assert set(outcome.tables()) == tables - {"trajectory.csv"}
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert set(summary) == keys | {"J", "steps", "T"}
+        assert summary["attack"] == kind and summary["steps"] == 20 and summary["T"] == 2.0
+        header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
+        costate = ",p1,p2,p3,p4" if kind in ("link-sweep", "noise") else ""
+        assert header == "t,x1,x2,x3,x4" + costate
+
     def test_plain_outcome_files(self, tmp_path):
         files = write_report(simulate(paper_k4_scenario("none", steps=20)), tmp_path / "out")
         names = {f.name for f in files}
@@ -403,7 +429,7 @@ class TestCsvBytes:
                              [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
 
     def check_broken_edges(self, outcome, tmp_path):
-        write_broken_edges_csv(outcome, tmp_path / "got.csv")
+        scenario._write_csv(tmp_path / "got.csv", *outcome.tables()["broken_edges.csv"]())
         want = self.savetxt_broken_edges(outcome, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == want
         return want
@@ -430,17 +456,25 @@ class TestCsvBytes:
         masks = np.zeros((steps, topology.m), dtype=np.uint8)
         for row in masks:
             row[rng.choice(topology.m, rng.integers(0, ell + 1), replace=False)] = 1
-        grid = TimeGrid(T=0.7, steps=steps)
-        outcome = SimpleNamespace(topology=topology, schedule=Schedule(topology, masks, ell),
-                                  trajectory=Trajectory(grid=grid, x=np.zeros((steps + 1, 5))))
-        want = self.check_broken_edges(outcome, tmp_path)
+        want = self.check_broken_edges(link_outcome(topology, masks, ell), tmp_path)
         if ell == 0:
             assert want == b"t,edge_i,edge_j\n"
 
 
+def link_outcome(topology, masks, ell) -> Attack1Outcome:
+    """A link outcome of the schedule of `masks` on a zero trajectory over
+    [0, 0.7]: all that its broken_edges.csv reads."""
+    steps = len(masks)
+    trajectory = Trajectory(grid=TimeGrid(T=0.7, steps=steps),
+                            x=np.zeros((steps + 1, topology.n)))
+    return Attack1Outcome(trajectory=trajectory, schedule=Schedule(topology, masks, ell),
+                          J=0.0, classification="ongoing", topology=topology)
+
+
 class TestBrokenEdgesWriter:
-    """`write_broken_edges_csv` takes (k, e) from one flat nonzero and a
-    divmod by m; the reference is the 2-D nonzero of the masks."""
+    """`Attack1Outcome`'s broken_edges.csv table builds its (step, edge)
+    pairs a run of the schedule at a time; the reference is the 2-D
+    nonzero of the per-step masks."""
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(0, 6), steps=st.integers(1, 40), data=st.data())
@@ -449,11 +483,8 @@ class TestBrokenEdgesWriter:
             [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)][:m]))
         bits = data.draw(st.lists(st.integers(0, 1), min_size=steps * m, max_size=steps * m))
         masks = np.array(bits, dtype=np.uint8).reshape(steps, m)
-        grid = TimeGrid(T=0.7, steps=steps)
-        outcome = SimpleNamespace(topology=topology, schedule=Schedule(topology, masks, m),
-                                  trajectory=Trajectory(grid=grid, x=np.zeros((steps + 1, 4))))
         tmp_path = tmp_path_factory.mktemp("broken")
-        TestCsvBytes().check_broken_edges(outcome, tmp_path)
+        TestCsvBytes().check_broken_edges(link_outcome(topology, masks, m), tmp_path)
 
     def test_edgeless_topology(self, tmp_path):
         # m = 0: no edge to break, and no division by zero
@@ -463,7 +494,7 @@ class TestBrokenEdgesWriter:
             steps=5, kernel=Kernel.constant(1.0), attack=LinkAttackSpec(ell=0)))
         assert outcome.schedule.masks.shape == (5, 0)
         with np.errstate(all="raise"):
-            write_broken_edges_csv(outcome, tmp_path / "got.csv")
+            scenario._write_csv(tmp_path / "got.csv", *outcome.tables()["broken_edges.csv"]())
         assert (tmp_path / "got.csv").read_bytes() == b"t,edge_i,edge_j\n"
 
 
