@@ -247,7 +247,9 @@ class PropagatorCache:
     `spectrum` per run of equal rows and move the run's states in its modes.
     `step` builds exp(A h) of a row, not stored, for checks that want the
     matrix itself. One cache shared by several propagations decomposes each
-    distinct row once.
+    distinct row once, as the sweep's passes do. The closed-loop greedy
+    attack keeps none: it decomposes each run's row as `spectrum` does and
+    holds that one `Spectrum` alone.
     """
 
     def __init__(self, topology: NetworkTopology, h: float):

@@ -7,7 +7,7 @@ is a `Schedule`, held as its maximal runs of equal rows, one row per run.
 The greedy rule returns one row per state of a stack, breaking the budgeted
 number of links of highest dissipated power w_ij = a_ij (x_j - x_i)^2,
 found by linear-time selection of the cut value rather than a sort. The
-attack computes the powers of a block of upcoming states in one call and
+attack tests a block of upcoming states a chunk of powers at a time and
 ranks none of them while the current row still holds, which a comparison
 across the row's cut shows; it looks further ahead the longer the row
 holds, and its result is bit-identical to re-ranking every step. The sweep
@@ -21,13 +21,14 @@ converges to a different cut with more than twice greedy's objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Kernel, PropagatorCache, Trajectory, _ModeRecurrence,
+from .dynamics import (Kernel, PropagatorCache, Spectrum, Trajectory, _ModeRecurrence,
                        check_schedule_and_state, objective, propagate)
-from .topology import NetworkTopology, Schedule, connected_components
+from .topology import NetworkTopology, Schedule, build_system_matrix, connected_components
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
@@ -87,21 +88,33 @@ class SweepResult:
 def edge_power(x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     """Dissipated power a_ij (x_j - x_i)^2 per edge of each state x[..., :].
 
-    The result is the one full-size array: x_j is gathered whole, and x_i is
-    gathered and subtracted a chunk of edges at a time, at most
-    RANK_BLOCK // 4 values per chunk, so a look-ahead block holds no second
-    copy of its powers. Each power is the same double as in one gather.
+    The result is filled a chunk of edges at a time from `_power_chunks`,
+    the one place the formula is computed, so each power is the same double
+    as in one gather of x_j and x_i over all edges.
     """
     x = np.asarray(x, dtype=float)
-    i, j, a = topology.arrays
-    w = x[..., j]            # a fresh array: the same doubles as a * (x_j - x_i) ** 2
-    # edges per chunk, so that a chunk over all the states holds RANK_BLOCK // 4 values
-    chunk = max(1, RANK_BLOCK // 4 * topology.m // max(w.size, 1))
-    for start in range(0, topology.m, chunk):
-        w[..., start:start + chunk] -= x[..., i[start:start + chunk]]
-    w *= w
-    w *= a
+    w = np.empty(x.shape[:-1] + (topology.m,))
+    for edges, chunk in _power_chunks(x, topology):
+        w[..., edges] = chunk
     return w
+
+
+def _power_chunks(x: np.ndarray, topology: NetworkTopology):
+    """(edges, w) per chunk of edges, in edge order: w = a_ij (x_j - x_i)^2
+    of those edges for each float state x[..., :], a fresh array of at most
+    RANK_BLOCK // 4 values (or one edge per chunk). The look-ahead reduces
+    each chunk as it comes and holds no array of every edge's power."""
+    i, j, a = topology.arrays
+    # edges per chunk, so that a chunk over all the states holds RANK_BLOCK // 4 values
+    chunk = max(1, RANK_BLOCK // 4 // max(math.prod(x.shape[:-1]), 1))
+    for start in range(0, topology.m, chunk):
+        edges = slice(start, start + chunk)
+        w = x[..., j[edges]]
+        w -= x[..., i[edges]]
+        w *= w
+        w *= a[edges]
+        yield edges, w
+        del w                  # the caller frees its chunk before the next is gathered
 
 
 def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.ndarray:
@@ -167,44 +180,43 @@ def simulate_attack1(config) -> Attack1Outcome:
     those states whose greedy row differs from the current one, by testing
     whether the row still holds rather than ranking every state. Every step
     before it is kept; the state from there on is recomputed under the new
-    row, whose decomposition is looked up only when the row changes. The
-    look-ahead starts at one step after each change and doubles after every
-    block the row survives, up to RANK_BLOCK // m steps, so the discarded
-    states of a run never outnumber its kept ones: the attack computes the
-    powers of at most 2 * steps states, however often the row changes, and
-    holds one block of them at a time. The schedule is recorded as it is
-    found, one (start, row) pair per change (`Schedule.from_runs`).
-    Every block is computed from its run's first deviation from the
-    consensus value, at offsets from the run's start (`Spectrum.evolve`),
-    one state at a time within the call, so the trajectory and J are
-    bit-identical to `propagate` under the schedule, and the schedule to
-    re-ranking every step with `greedy_control`.
+    row. The look-ahead starts at one step after each change and doubles
+    after every block the row survives, up to RANK_BLOCK // m steps, so the
+    discarded states of a run never outnumber its kept ones: the attack
+    tests at most 2 * steps states, however often the row changes. The run
+    holds its trajectory, the current row's decomposition alone, built when
+    the row starts as `PropagatorCache.spectrum` builds it and dropped at
+    the next change, and one chunk of powers at a time. The schedule is
+    recorded as it is found, one (start, row) pair per change
+    (`Schedule.from_runs`). Every block is computed from its run's first
+    deviation from the consensus value, at offsets from the run's start
+    (`Spectrum.evolve`), one state at a time within the call, so the
+    trajectory and J are bit-identical to `propagate` under the schedule,
+    and the schedule to re-ranking every step with `greedy_control`.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell, steps = config.attack.ell, grid.steps
     x0 = config.x0
     longest = max(1, RANK_BLOCK // max(topology.m, 1))
-    cache = PropagatorCache(topology, grid.h)
     xbar = np.mean(x0)
     x = np.empty((steps + 1, topology.n))       # the deviation x - xbar until the end
     x[0] = x0 - xbar
     k, block, row = 0, 1, greedy_control(x0, topology, ell)
-    run, spectrum = 0, cache.spectrum(row)
+    run, spectrum = 0, Spectrum(build_system_matrix(topology, row))
     starts, rows = [0], [row]
     while k < steps:
         # x[k] is final, row is its greedy control, and its run began at run
         stop = min(k + block, steps)
         spectrum.evolve(x[run], np.arange(k + 1 - run, stop + 1 - run) * grid.h,
                         out=x[k + 1:stop + 1])
-        # the block's powers die with the call: the next block is built alone
-        change = _first_change(edge_power(x[k + 1:min(stop + 1, steps)] + xbar, topology),
-                               row, ell)
+        change = _first_change(x[k + 1:min(stop + 1, steps)] + xbar, topology, row, ell)
         if change is not None:
             run = k = k + 1 + change[0]
             row = change[1]
             starts.append(run)
             rows.append(row)
-            spectrum, block = cache.spectrum(row), 1
+            del spectrum                        # freed before the new row is decomposed
+            spectrum, block = Spectrum(build_system_matrix(topology, row)), 1
         else:
             k, block = stop, min(2 * block, longest)
     x += xbar
@@ -220,28 +232,40 @@ def simulate_attack1(config) -> Attack1Outcome:
     )
 
 
-def _first_change(w: np.ndarray, row: np.ndarray, ell: int) -> tuple[int, np.ndarray] | None:
-    """The first state of the powers w[s, :] whose greedy row is not `row`
-    (a top-ell row), with that greedy row; None if row holds for all of them.
+def _first_change(x: np.ndarray, topology: NetworkTopology, row: np.ndarray,
+                  ell: int) -> tuple[int, np.ndarray] | None:
+    """The first of the states x[s, :] whose greedy row is not `row` (a
+    top-ell row), with that greedy row; None if row holds for all of them.
 
     The row holds for a state when the least power among its broken edges
-    exceeds the largest among the others, and differs when it falls short.
-    Only the states in between, exact ties or NaN, and the first state that
-    differs, which needs its new row, are ranked by `_top_ell`.
+    (lo) exceeds the largest among the others (hi), and differs when it
+    falls short. Both are running reductions over `_power_chunks`, the
+    broken entries of each chunk set to -inf for hi's plain max, so no
+    array of every edge's power is built. Only the states in between, exact
+    ties or NaN, and the first state that differs, which needs its new row,
+    are ranked, by `greedy_control`, RANK_BLOCK // 4 powers' worth of states
+    at a time and only until a row differs.
     """
-    lo = w[:, np.flatnonzero(row)].min(axis=-1, initial=np.inf)
-    hi = np.max(w, axis=-1, where=row == 0, initial=-np.inf)
+    lo = np.full(len(x), np.inf)
+    hi = np.full(len(x), -np.inf)
+    broken = row.view(bool)
+    for edges, w in _power_chunks(x, topology):
+        cut = broken[edges]
+        np.minimum(lo, w[:, cut].min(axis=-1, initial=np.inf), out=lo)
+        w[:, cut] = -np.inf
+        np.maximum(hi, w.max(axis=-1), out=hi)
+        del w                  # not held while the next chunk is gathered
     maybe = np.flatnonzero(~(lo > hi))
-    if not maybe.size:
-        return None
     differs = np.flatnonzero(lo[maybe] < hi[maybe])
     if differs.size:
         maybe = maybe[:differs[0] + 1]
-    ranked = _top_ell(w[maybe], ell)
-    new = np.flatnonzero((ranked != row).any(axis=-1))
-    if not new.size:
-        return None
-    return int(maybe[new[0]]), ranked[new[0]].copy()   # the schedule keeps the row alone
+    states = max(1, RANK_BLOCK // 4 // max(topology.m, 1))
+    for start in range(0, maybe.size, states):
+        ranked = greedy_control(x[maybe[start:start + states]], topology, ell)
+        new = np.flatnonzero((ranked != row).any(axis=-1))
+        if new.size:
+            return int(maybe[start + new[0]]), ranked[new[0]].copy()   # the schedule keeps the row alone
+    return None
 
 
 def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopology,

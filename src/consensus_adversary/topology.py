@@ -264,18 +264,31 @@ class Schedule:
     def take(self, steps) -> "Schedule":
         """The schedule of this one's rows at the steps `steps`, in that
         order, with the same budget; rows of a validated schedule are not
-        checked again. The taken steps are few (the oracle takes one per
-        interval), so equal neighbours are found by their rows' bytes."""
+        checked again. Equal neighbours are merged, found by comparing
+        their runs' `_row_ids`, so no row is read per taken step."""
         runs = steps
         if len(self.rows) < self._steps:      # else step k is run k, as in the alphabet
             runs = np.searchsorted(self._starts, np.arange(self._steps).take(steps),
                                    side="right") - 1
-        keys = [self.rows[q].tobytes() for q in runs]
-        starts = [k for k, key in enumerate(keys) if not k or key != keys[k - 1]]
+        row_ids = self._row_ids
+        starts, keep, last = [], [], None     # each taken run's first step and run
+        for k, q in enumerate(runs):
+            if row_ids[q] != last:
+                last = row_ids[q]
+                starts.append(k)
+                keep.append(q)
         taken = Schedule.__new__(Schedule)
-        taken._set(self.rows.take([runs[k] for k in starts], axis=0), starts, len(keys),
-                   self.ell)
+        taken._set(self.rows.take(keep, axis=0), starts, len(runs), self.ell)
         return taken
+
+    @cached_property
+    def _row_ids(self) -> list[int]:
+        """Per run, the first run whose row equals its own, so that two runs'
+        rows are equal exactly when their ids are; found once per schedule.
+        The rows of the oracle's alphabet all differ, so its ids are its run
+        indices."""
+        first: dict[bytes, int] = {}
+        return [first.setdefault(row.tobytes(), q) for q, row in enumerate(self.rows)]
 
     def __len__(self) -> int:
         return self._steps

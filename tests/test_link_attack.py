@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mp_reference
 from consensus_adversary import link_attack
-from consensus_adversary.dynamics import (DynamicsError, Kernel, PropagatorCache,
+from consensus_adversary.dynamics import (DynamicsError, Kernel,
                                           Spectrum, TimeGrid, Trajectory, objective,
                                           propagate, simulate)
 from consensus_adversary.link_attack import (costate_backward, edge_power,
@@ -155,32 +155,37 @@ class TestSimulateAttack1:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """States per edge_power call (x0's greedy row and each look-ahead
-        block) and masks per PropagatorCache.spectrum."""
-        ranked, spectra = [], []
-        monkeypatch.setattr(link_attack, "edge_power", lambda x, *args:
-                            ranked.append(len(np.atleast_2d(x))) or edge_power(x, *args))
-        spectrum = PropagatorCache.spectrum
-        monkeypatch.setattr(PropagatorCache, "spectrum", lambda self, mask:
-                            spectra.append(mask) or spectrum(self, mask))
-        return ranked, spectra
+        """States per look-ahead block (`_first_change`), states per
+        greedy_control ranking (x0's row and each change's first state) and
+        the system matrices decomposed into each run's `Spectrum`."""
+        blocks, ranked, spectra = [], [], []
+        first_change, greedy = link_attack._first_change, link_attack.greedy_control
+        monkeypatch.setattr(link_attack, "_first_change", lambda x, *args:
+                            blocks.append(len(x)) or first_change(x, *args))
+        monkeypatch.setattr(link_attack, "greedy_control", lambda x, *args:
+                            ranked.append(len(np.atleast_2d(x))) or greedy(x, *args))
+        monkeypatch.setattr(link_attack, "Spectrum", lambda A:
+                            spectra.append(A) or Spectrum(A))
+        return blocks, ranked, spectra
 
     def test_one_step_per_run_and_doubling_look_ahead(self, monkeypatch):
-        # the K4 run is stationary: one decomposition, and after x0 the
-        # states' powers are computed in blocks of 1, 2, 4, ... steps, not
-        # once per step
+        # the K4 run is stationary: one decomposition, x0's row is the one
+        # ranking, and after x0 the states' powers are computed in blocks of
+        # 1, 2, 4, ... steps, not once per step
         config = paper_k4_scenario("link", steps=2000)
-        ranked, spectra = self.count_calls(monkeypatch)
+        blocks, ranked, spectra = self.count_calls(monkeypatch)
         outcome = simulate_attack1(config)
         assert len(outcome.schedule.runs()) == 1 and len(spectra) == 1
-        assert ranked[:4] == [1, 1, 2, 4]
-        assert len(ranked) == 1 + config.steps.bit_length()
-        assert sum(ranked) == config.steps
+        states = ranked + blocks
+        assert states[:4] == [1, 1, 2, 4]
+        assert len(states) == 1 + config.steps.bit_length()
+        assert sum(states) == config.steps
 
     def test_ranked_states_bounded_when_the_row_changes_often(self, monkeypatch):
         # each change discards the rest of its block, and the look-ahead
         # restarts at one step after it: the powers of at most 2 * steps
-        # states are computed
+        # states are computed, each run's row is decomposed once, when the
+        # run starts, and only x0 and each change's first state are ranked
         rng = np.random.default_rng(3)
         n = 20
         topology = NetworkTopology(n=n, edges=tuple(
@@ -188,11 +193,14 @@ class TestSimulateAttack1:
             if rng.random() < 0.5))
         config = link_config(topology, rng.uniform(-1.0, 1.0, n), ell=topology.m // 4,
                              steps=200)
-        ranked, spectra = self.count_calls(monkeypatch)
+        blocks, ranked, spectra = self.count_calls(monkeypatch)
         outcome = simulate_attack1(config)
         runs = len(outcome.schedule.runs())
         assert runs >= 10 and len(spectra) == runs
-        assert sum(ranked) <= 2 * config.steps
+        assert all(np.array_equal(A, build_system_matrix(topology, row))
+                   for A, row in zip(spectra, outcome.schedule.rows))
+        assert sum(blocks) <= 2 * config.steps
+        assert ranked == [1] * runs
 
 
 class TestCostateBackward:
@@ -1032,29 +1040,44 @@ class TestSweepMemory:
 
 
 class TestGreedyMemory:
-    # the margin over the arrays a run holds: the largest transient is a
-    # block of powers; the rest is edge_power's gather chunk of
-    # RANK_BLOCK // 4 values (64 KB), the shifted states it ranks and small
-    # arrays
+    # the margin over the arrays a run holds: `_power_chunks`'s gather of
+    # x_i beside its chunk (RANK_BLOCK // 4 values, 64 KB), the block's
+    # shifted states (at most RANK_BLOCK // m of them), the run rows (m
+    # bytes per run) and small arrays
     MARGIN = 160_000
+
+    @staticmethod
+    def held(config) -> int:
+        """The bytes a run holds at most: its trajectory, the current run's
+        Spectrum and one chunk of RANK_BLOCK // 4 powers, however many runs."""
+        n, steps = config.topology.n, config.grid.steps
+        return ((steps + 1) * n * 8              # the trajectory
+                + (n * n + n) * 8                # one Spectrum
+                + link_attack.RANK_BLOCK // 4 * 8)   # one chunk of powers
 
     @pytest.mark.memory
     def test_one_block_of_powers(self):
-        # 1,498 edges, 5 distinct rows. The run holds its trajectory, its run
-        # rows (a few KB), one Spectrum per distinct row and one block of at
-        # most RANK_BLOCK powers: 0.99 MB. With one mask row per step (0.6
-        # MB more) the traced peak was 1.68 MB, and holding the previous
-        # block and a second full-size gather while the next block was built
-        # 2.12 MB
+        # 1,498 edges, 5 runs. The traced peak is 0.56 MB. Holding one
+        # Spectrum per distinct row and a block of up to RANK_BLOCK powers
+        # it was 1.09 MB, with one mask row per step 1.68 MB, and holding
+        # the previous block and a second full-size gather while the next
+        # block was built 2.12 MB
         simulate_attack1(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
         config = random_link_config(100, 400, seed=2)
         outcome, peak = traced_peak(simulate_attack1, config)
-        n, steps = config.topology.n, config.grid.steps
-        rows = len(np.unique(outcome.schedule.rows, axis=0))
-        held = ((steps + 1) * n * 8              # the trajectory
-                + rows * (n * n + n) * 8         # one Spectrum per distinct row
-                + link_attack.RANK_BLOCK * 8)    # one block of powers
-        assert peak < held + self.MARGIN
+        assert len(outcome.schedule.runs()) == 5
+        assert peak < self.held(config) + self.MARGIN
+
+    @pytest.mark.memory
+    def test_many_runs_hold_one_decomposition(self):
+        # 373 edges, ell = 93, 62 runs: the traced peak is 0.39 MB against
+        # 1.88 MB with one Spectrum kept per distinct row
+        simulate_attack1(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
+        config = random_link_config(50, 400, seed=2)
+        config = replace(config, attack=LinkAttackSpec(ell=config.topology.m // 4))
+        outcome, peak = traced_peak(simulate_attack1, config)
+        assert len(outcome.schedule.runs()) >= 40
+        assert peak < self.held(config) + self.MARGIN
 
     @pytest.mark.memory
     def test_cli_run_builds_no_per_step_view(self, tmp_path, monkeypatch):
