@@ -75,27 +75,43 @@ class Kernel:
     """Positive weighting kernel k(t) for the disagreement objective.
 
     Either constant, or a table of (t, k) pairs interpolated linearly between
-    grid points. Table kernels must be positive at every sample.
+    grid points, in time order. The value and every table sample must be
+    finite, and every k positive; the kernel checks its fields however it
+    is built, so the factories and the constructor share one rule.
     """
 
     kind: str
     value: float = 1.0
     table: tuple[tuple[float, float], ...] = ()
 
+    def __post_init__(self):
+        if self.kind == "constant":
+            if not self.value > 0:
+                raise DynamicsError(f"kernel must be positive, got {self.value}")
+            if not finite(self.value):
+                raise DynamicsError(f"kernel value must be finite, got {self.value}")
+        elif self.kind == "table":
+            pts = self.table
+            if len(pts) < 2:
+                raise DynamicsError("table kernel needs at least two points")
+            if any(k <= 0 for (_, k) in pts):
+                raise DynamicsError("table kernel values must be positive")
+            for field, column in (("times", 0), ("values", 1)):
+                bad = [p[column] for p in pts if not finite(p[column])]
+                if bad:
+                    raise DynamicsError(f"table kernel {field} must be finite, got {bad[0]}")
+            if any(b[0] < a[0] for a, b in zip(pts, pts[1:])):
+                raise DynamicsError("table kernel times must be sorted")
+        else:
+            raise DynamicsError(f"kernel kind must be 'constant' or 'table', got {self.kind!r}")
+
     @classmethod
     def constant(cls, value: float = 1.0) -> "Kernel":
-        if not value > 0:
-            raise DynamicsError(f"kernel must be positive, got {value}")
         return cls(kind="constant", value=float(value))
 
     @classmethod
     def from_table(cls, points) -> "Kernel":
-        pts = tuple(sorted((float(t), float(k)) for (t, k) in points))
-        if len(pts) < 2:
-            raise DynamicsError("table kernel needs at least two points")
-        if any(k <= 0 for (_, k) in pts):
-            raise DynamicsError("table kernel values must be positive")
-        return cls(kind="table", table=pts)
+        return cls(kind="table", table=tuple(sorted((float(t), float(k)) for (t, k) in points)))
 
     def sample(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -245,9 +261,9 @@ class PropagatorCache:
 
     Only the decompositions are stored: the propagations ask for one
     `spectrum` per run of equal rows and move the run's states in its modes.
-    `step` builds exp(A h) of a row, not stored, for checks that want the
-    matrix itself. One cache shared by several propagations decomposes each
-    distinct row once, as the sweep's passes do. The closed-loop greedy
+    `step` builds exp(A h) of a row, not stored, for callers outside the
+    package that want the matrix itself. One cache shared by several
+    propagations decomposes each distinct row once, as the sweep's passes do. The closed-loop greedy
     attack keeps none: it decomposes each run's row as `spectrum` does and
     holds that one `Spectrum` alone.
     """

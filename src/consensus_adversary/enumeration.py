@@ -26,22 +26,40 @@ DOMINANCE_REL_TOL = 1e-3    # largest relative excess of the best over greedy th
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """The oracle's J and controls. A control is an index into
+    `admissible_break_sets(topology, ell)`, one per interval; the two
+    schedules are built from them, through `Schedule`'s checks, when read."""
+
     j_greedy: float
     j_best: float
-    best_schedule: Schedule            # one break-mask row per interval
-    greedy_schedule: Schedule
+    best_controls: tuple[int, ...]     # one alphabet index per interval
+    greedy_controls: tuple[int, ...]
     num_schedules: int                 # nc^K, every schedule, pruned or not
     prefixes_kept: tuple[int, ...]     # surviving prefixes after each level
+    topology: NetworkTopology
+    ell: int
+
+    @property
+    def best_schedule(self) -> Schedule:
+        return self._schedule(self.best_controls)
+
+    @property
+    def greedy_schedule(self) -> Schedule:
+        return self._schedule(self.greedy_controls)
+
+    def _schedule(self, controls: tuple[int, ...]) -> Schedule:
+        rows = admissible_break_sets(self.topology, self.ell)
+        return Schedule(self.topology, rows[list(controls)], self.ell)
 
 
 # (m, ell) -> `_alphabet`'s result, filled on first use
-_ALPHABETS: dict[tuple[int, int], tuple[Schedule, dict[bytes, int]]] = {}
+_ALPHABETS: dict[tuple[int, int], tuple[np.ndarray, dict[bytes, int]]] = {}
 
 
-def _alphabet(topology: NetworkTopology, ell: int) -> tuple[Schedule, dict[bytes, int]]:
-    """The control alphabet as a `Schedule` of one step per control, whose
-    run rows are the controls, and each row's index by its bytes. The rows
-    depend only on (m, ell), so they are built and checked on the first call
+def _alphabet(topology: NetworkTopology, ell: int) -> tuple[np.ndarray, dict[bytes, int]]:
+    """The control alphabet as read-only (nc, m) uint8 rows, and each row's
+    index by its bytes. The rows depend only on (m, ell), so they are built
+    and checked, as a `Schedule` of one step per control, on the first call
     for that pair and shared by every later one; a cached alphabet is
     smaller than the (nc, n, n) forms of each run on it."""
     key = (topology.m, ell)
@@ -52,7 +70,7 @@ def _alphabet(topology: NetworkTopology, ell: int) -> tuple[Schedule, dict[bytes
         masks = np.zeros((len(broken), m), dtype=np.uint8)
         masks[[r for r, c in enumerate(broken) for _ in c], [e for c in broken for e in c]] = 1
         masks.flags.writeable = False
-        cached = _ALPHABETS[key] = (Schedule(topology, masks, ell),
+        cached = _ALPHABETS[key] = (Schedule(topology, masks, ell).rows,
                                     {row.tobytes(): c for c, row in enumerate(masks)})
     return cached
 
@@ -62,7 +80,7 @@ def admissible_break_sets(topology: NetworkTopology, ell: int) -> np.ndarray:
     most ell links, as a read-only (nc, m) uint8 array, ordered by the
     number of links broken, then lexicographically by broken edge index.
     Every topology with m edges shares the one array of its (m, ell)."""
-    return _alphabet(topology, ell)[0].rows
+    return _alphabet(topology, ell)[0]
 
 
 def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
@@ -97,9 +115,9 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     Survivors stay in index order, so ties resolve to the first maximiser
     in that order, as in a full enumeration. `num_schedules` counts all
     nc^K schedules, pruned or not; `prefixes_kept` gives the survivors
-    after each level. The best and the greedy schedule are K-row
-    `Schedule`s of alphabet rows. Both sides start from x0 minus its mean,
-    or from 0 at consensus.
+    after each level. The best and the greedy schedule are returned as
+    their K controls, indices into the alphabet. Both sides start from x0
+    minus its mean, or from 0 at consensus.
     """
     h = TimeGrid(T, intervals).h
     x0 = np.asarray(x0, dtype=float)
@@ -110,8 +128,8 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     # (at consensus the mean's own rounding may leave a multiple of 1 behind)
     x0 = x0 - x0.mean() if x0.max() > x0.min() else np.zeros(n)
     alphabet, mask_index = _alphabet(topology, ell)
-    nc = len(alphabet.rows)
-    spectrum = Spectrum(build_system_matrix(topology, alphabet.rows))
+    nc = len(alphabet)
+    spectrum = Spectrum(build_system_matrix(topology, alphabet))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
 
@@ -119,10 +137,10 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
     budget = min(ell, topology.m)
     y = x0
     j_greedy = 0.0
-    greedy_rows = []
+    greedy_controls = []
     for _ in range(intervals):
         c = mask_index[greedy_control(y, topology, budget).tobytes()]
-        greedy_rows.append(c)
+        greedy_controls.append(c)
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     # every constant schedule in one stacked pass, by the same forms as the
@@ -167,17 +185,19 @@ def exhaustive_best(topology: NetworkTopology, x0: np.ndarray, T: float,
         controls.append(c)
         parents.append(r)
     best = int(np.argmax(J))
-    best_rows, r = [], best
+    best_controls, r = [], best
     for c, parent in zip(reversed(controls), reversed(parents)):
-        best_rows.append(c[r])
+        best_controls.append(int(c[r]))
         r = parent[r]
     return EnumerationResult(
         j_greedy=j_greedy,
         j_best=float(J[best]),
-        best_schedule=alphabet.take(best_rows[::-1]),
-        greedy_schedule=alphabet.take(greedy_rows),
+        best_controls=tuple(best_controls[::-1]),
+        greedy_controls=tuple(greedy_controls),
         num_schedules=nc ** intervals,
         prefixes_kept=tuple(map(len, controls)),
+        topology=topology,
+        ell=ell,
     )
 
 

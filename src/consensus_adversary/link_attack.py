@@ -28,7 +28,8 @@ import numpy as np
 
 from .dynamics import (Kernel, PropagatorCache, Spectrum, Trajectory, _ModeRecurrence,
                        check_schedule_and_state, objective, propagate)
-from .topology import NetworkTopology, Schedule, build_system_matrix, connected_components
+from .topology import (NetworkTopology, Schedule, TopologyError, build_system_matrix,
+                       connected_components)
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
@@ -127,6 +128,8 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.nda
     breaking one removes no dissipated power at that instant, so the ranking
     is indifferent to it.
     """
+    if ell < 0:
+        raise TopologyError(f"budget must be nonnegative, got {ell}")
     if ell > topology.m:
         raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
     return _top_ell(edge_power(x, topology), ell)
@@ -326,6 +329,8 @@ def switching_control(f: np.ndarray, ell: int) -> np.ndarray:
     ell most negative f's among those strictly below zero (ties by edge
     index); f_ij = 0 edges resolve to 0. It is the greedy attack's top-ell
     cut (`_top_ell`) of -f, restricted to f < 0; f is left as it is."""
+    if ell < 0:
+        raise TopologyError(f"budget must be nonnegative, got {ell}")
     return _switching_mask(np.negative(f), ell)
 
 
@@ -338,10 +343,10 @@ def _switching_mask(g: np.ndarray, ell: int) -> np.ndarray:
 
 
 def _cycle_key(masks: np.ndarray) -> bytes:
-    """The sweep's cycle-detector key of a 0/1 uint8 mask array: its bits
-    packed eight to a byte, the last byte padded with zeros. Every pass of a
-    sweep has the same (steps, m) shape, so the key is exact there, at an
-    eighth of the mask's bytes."""
+    """The sweep's convergence and cycle key of a 0/1 uint8 mask array: its
+    bits packed eight to a byte, the last byte padded with zeros. Every pass
+    of a sweep has the same (steps, m) shape, so the key is exact there, at
+    an eighth of the mask's bytes."""
     return np.packbits(masks).tobytes()
 
 
@@ -351,22 +356,23 @@ def forward_backward_sweep(config) -> SweepResult:
     Each pass propagates the state forward under the current schedule,
     integrates the co-state backward, and recomputes the bang-bang control
     per step from the switching functions. Bang-bang controls cannot be
-    convex-combined, so there is no relaxation; a cycle detector keyed by
-    each pass's packed masks (`_cycle_key`) stops the iteration if it
-    cycles. A pass ranks its switching functions in the array
-    `switching_functions` returns, negated in place, and keeps only the
-    runs of the masks so ranked: the sweep has converged when a pass's
-    runs and their rows are the last pass's. On
-    convergence the last pass is the result; otherwise the best-J pass
-    visited, kept with its trajectory and co-state, so no pass is rerun. All
-    passes share one propagator cache, so each distinct mask is decomposed
-    once per sweep.
+    convex-combined, so there is no relaxation. A pass ranks its switching
+    functions in the array `switching_functions` returns, negated in place,
+    and keys the masks so ranked by their packed bits (`_cycle_key`): the
+    sweep has converged when the key is the last pass's (the no-break
+    masks' before the first pass), and stops on a cycle when it is an
+    earlier pass's. Only a pass that passes both tests builds its
+    `Schedule`. On convergence the last pass is the result; otherwise the
+    best-J pass visited, kept with its trajectory and co-state, so no pass
+    is rerun. All passes share one propagator cache, so each distinct mask
+    is decomposed once per sweep.
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
     schedule = Schedule.from_runs(topology, [0], np.zeros((1, topology.m), dtype=np.uint8),
                                   grid.steps, ell)
     cache = PropagatorCache(topology, grid.h)
+    last = bytes(-(-grid.steps * topology.m // 8))   # the no-break masks' key
     seen: set[bytes] = set()
     best = None  # (J, schedule, trajectory, co-state) of the best pass
     converged = False
@@ -379,15 +385,15 @@ def forward_backward_sweep(config) -> SweepResult:
         g = switching_functions(traj.x[:-1], p[:-1], topology)
         masks = _switching_mask(np.negative(g, out=g), ell)
         del g                                    # not held through the next pass
-        ranked = Schedule(topology, masks, ell)
-        if ranked.runs() == schedule.runs() and np.array_equal(ranked.rows, schedule.rows):
+        key = _cycle_key(masks)
+        if key == last:
             converged = True
             break
-        key = _cycle_key(masks)
         if key in seen:
             break
         seen.add(key)
-        schedule = ranked
+        last = key
+        schedule = Schedule(topology, masks, ell)
     if not converged:
         # cycle or pass limit: fall back to the best pass visited
         J, schedule, traj, p = best

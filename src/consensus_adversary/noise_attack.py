@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
-                       _ModeRecurrence, objective)
+                       _ModeRecurrence, finite, objective)
 from .topology import build_system_matrix
 
 SINGULAR_FRACTION = 1e-10   # co-state norms below this fraction of the peak give u = 0
@@ -72,11 +72,14 @@ def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,
 
     nu_max = 1 / (2 sqrt(P_max) (k_check + k_hat)); by default nu is the
     safety fraction of it, so the contraction factor equals the safety.
-    The safety fraction is checked even when nu is given. Each error names
-    its parameter first (`p_max: ...`, `safety: ...`, `nu: ...`).
+    p_max must be positive and finite, and the safety fraction is checked
+    even when nu is given. Each error names its parameter first (`p_max:
+    ...`, `safety: ...`, `nu: ...`).
     """
     if not p_max > 0:
         raise DynamicsError(f"p_max: must be positive, got {p_max}")
+    if not finite(p_max):
+        raise DynamicsError(f"p_max: must be finite, got {p_max}")
     if not 0 < safety < 1:
         raise DynamicsError(f"safety: must be in (0, 1), got {safety}")
     k_check, k_hat = kernel.constants(grid)

@@ -202,7 +202,8 @@ class Schedule:
     runs when read, for callers that want one row per step.
 
     `Schedule(topology, masks, ell)` takes per-step masks, validates them
-    once and keeps their runs; `from_runs` takes the runs themselves. A
+    once and keeps their runs; `from_runs` takes the runs themselves. They
+    are the only two ways to build a schedule, and both check its rows. A
     read-only uint8 mask whose rows all differ from their neighbours is kept
     as `rows` without a copy, as `LinkControl` keeps a row; otherwise only
     the run rows are copied.
@@ -243,10 +244,7 @@ class Schedule:
         most = int(rows.sum(axis=1, dtype=np.uint32).max(initial=0))
         if most > ell:
             raise TopologyError(f"schedule breaks up to {most} links per step, budget is {ell}")
-        self._set(rows, [starts[q] for q in keep], steps, ell)
-
-    def _set(self, rows: np.ndarray, starts: list[int], steps: int, ell: int) -> None:
-        """Keep the validated rows of maximal runs, run q from step starts[q] on."""
+        starts = [starts[q] for q in keep]
         rows.flags.writeable = False
         self.rows = rows
         self.ell = ell
@@ -260,35 +258,6 @@ class Schedule:
         runs = min(steps, 1)
         return cls.from_runs(topology, [0] * runs, np.zeros((runs, topology.m), dtype=np.uint8),
                              steps, 0)
-
-    def take(self, steps) -> "Schedule":
-        """The schedule of this one's rows at the steps `steps`, in that
-        order, with the same budget; rows of a validated schedule are not
-        checked again. Equal neighbours are merged, found by comparing
-        their runs' `_row_ids`, so no row is read per taken step."""
-        runs = steps
-        if len(self.rows) < self._steps:      # else step k is run k, as in the alphabet
-            runs = np.searchsorted(self._starts, np.arange(self._steps).take(steps),
-                                   side="right") - 1
-        row_ids = self._row_ids
-        starts, keep, last = [], [], None     # each taken run's first step and run
-        for k, q in enumerate(runs):
-            if row_ids[q] != last:
-                last = row_ids[q]
-                starts.append(k)
-                keep.append(q)
-        taken = Schedule.__new__(Schedule)
-        taken._set(self.rows.take(keep, axis=0), starts, len(runs), self.ell)
-        return taken
-
-    @cached_property
-    def _row_ids(self) -> list[int]:
-        """Per run, the first run whose row equals its own, so that two runs'
-        rows are equal exactly when their ids are; found once per schedule.
-        The rows of the oracle's alphabet all differ, so its ids are its run
-        indices."""
-        first: dict[bytes, int] = {}
-        return [first.setdefault(row.tobytes(), q) for q, row in enumerate(self.rows)]
 
     def __len__(self) -> int:
         return self._steps

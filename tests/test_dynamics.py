@@ -75,6 +75,34 @@ class TestKernel:
         with pytest.raises(DynamicsError):
             Kernel.from_table([(0.0, 1.0), (1.0, -1.0)])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Kernel.constant(np.inf), "kernel value must be finite, got inf"),
+        (lambda: Kernel(kind="constant", value=np.inf), "kernel value must be finite, got inf"),
+        (lambda: Kernel.constant(np.nan), "kernel must be positive, got nan"),
+        (lambda: Kernel(kind="constant", value=-1.0), "kernel must be positive, got -1.0"),
+        (lambda: Kernel.from_table([(0.0, np.nan), (3.0, 1.0)]),
+         "table kernel values must be finite, got nan"),
+        (lambda: Kernel.from_table([(0.0, np.inf), (3.0, 1.0)]),
+         "table kernel values must be finite, got inf"),
+        (lambda: Kernel.from_table([(0.0, 1.0), (np.inf, 1.0)]),
+         "table kernel times must be finite, got inf"),
+        (lambda: Kernel.from_table([(np.nan, 1.0), (3.0, 1.0)]),
+         "table kernel times must be finite, got nan"),
+        (lambda: Kernel(kind="table", table=((0.0, 1.0),)), "table kernel needs at least two"),
+        (lambda: Kernel(kind="table", table=((0.0, 1.0), (1.0, 0.0))),
+         "table kernel values must be positive"),
+        (lambda: Kernel(kind="table", table=((3.0, 1.0), (0.0, 1.0))),
+         "table kernel times must be sorted"),
+        (lambda: Kernel(kind="step"), "kernel kind must be 'constant' or 'table', got 'step'"),
+    ], ids=["constant-inf", "init-inf", "constant-nan", "init-negative", "table-value-nan",
+            "table-value-inf", "table-time-inf", "table-time-nan", "init-one-point",
+            "init-zero-value", "init-unsorted", "init-kind"])
+    def test_fields_checked_however_built(self, build, message):
+        # the factories and the constructor share one rule, so no non-finite
+        # kernel reaches J as a silent NaN
+        with pytest.raises(DynamicsError, match=f"^{message}"):
+            build()
+
     def test_constants_for_unit_kernel(self):
         # k == 1 on [0, 2]: sup t*k = 2 and int_0^2 tau dtau = 2
         k_check, k_hat = Kernel.constant(1.0).constants(TimeGrid(T=2.0, steps=400))

@@ -73,9 +73,9 @@ def unpruned_oracle(topology, x0, T, ell, intervals):
     x0 = np.asarray(x0, dtype=float)
     n = topology.n
     x0 = x0 - np.mean(x0)
-    alphabet = Schedule(topology, admissible_break_sets(topology, ell), ell)
+    alphabet = admissible_break_sets(topology, ell)
     nc = len(alphabet)
-    spectrum = Spectrum(build_system_matrix(topology, alphabet.masks))
+    spectrum = Spectrum(build_system_matrix(topology, alphabet))
     props, quads = spectrum.exp(h), spectrum.interval_form(h)
     forms = quads.reshape(nc, n * n)
     X = x0[None, :]
@@ -87,22 +87,22 @@ def unpruned_oracle(topology, x0, T, ell, intervals):
         if step + 1 < intervals:
             X = np.matmul(X, props.transpose(0, 2, 1)).reshape(-1, n)
     best_idx = int(np.argmax(J))
-    best_schedule = [best_idx // nc ** s % nc for s in range(intervals)]
+    best_controls = tuple(best_idx // nc ** s % nc for s in range(intervals))
     y = x0.copy()
     j_greedy = 0.0
-    greedy_schedule = []
-    mask_index = {row.tobytes(): c for c, row in enumerate(alphabet.masks)}
+    greedy_controls = []
+    mask_index = {row.tobytes(): c for c, row in enumerate(alphabet)}
     for _ in range(intervals):
         c = mask_index[greedy_control(y, topology, min(ell, topology.m)).tobytes()]
-        greedy_schedule.append(c)
+        greedy_controls.append(c)
         j_greedy += float(y @ quads[c] @ y)
         y = props[c] @ y
     return EnumerationResult(
         j_greedy=j_greedy, j_best=float(J[best_idx]),
-        best_schedule=Schedule(topology, alphabet.masks[best_schedule], ell),
-        greedy_schedule=Schedule(topology, alphabet.masks[greedy_schedule], ell),
+        best_controls=best_controls, greedy_controls=tuple(greedy_controls),
         num_schedules=len(J),
-        prefixes_kept=tuple(nc ** (s + 1) for s in range(intervals)))
+        prefixes_kept=tuple(nc ** (s + 1) for s in range(intervals)),
+        topology=topology, ell=ell)
 
 
 def sweep_cases():
@@ -183,13 +183,41 @@ class TestAlphabet:
             masks[0, 0] = 1
 
     def test_result_rows_are_alphabet_rows(self):
+        # each schedule is its controls' alphabet rows, one per interval,
+        # built through the checked constructor when read; on the
+        # counterexample the best and greedy controls differ
         config = paper_k4_scenario("link")
+        for (topology, x0), ell in (((config.topology, config.x0), 2), (COUNTEREXAMPLE, 1)):
+            result = exhaustive_best(topology, x0, config.T, ell, intervals=4)
+            masks = admissible_break_sets(topology, ell)
+            assert result.topology is topology and result.ell == ell
+            for controls, schedule in ((result.best_controls, result.best_schedule),
+                                       (result.greedy_controls, result.greedy_schedule)):
+                assert len(controls) == 4 and all(type(c) is int for c in controls)
+                assert schedule.ell == ell and len(schedule) == 4
+                assert not schedule.masks.flags.writeable
+                assert np.array_equal(schedule.masks, masks[list(controls)])
+        assert result.best_controls != result.greedy_controls
+
+    def test_no_schedule_built_per_call(self, monkeypatch):
+        # the alphabet is checked as a Schedule once per (m, ell); a call
+        # returns controls, holds no Schedule and builds none through
+        # `_keep_runs`, where both constructors keep their rows, until a
+        # schedule is read
+        config = paper_k4_scenario("link")
+        exhaustive_best(config.topology, config.x0, config.T, 2, intervals=4)
+        built = []
+        keep_runs = Schedule._keep_runs
+
+        def counting_keep_runs(self, *args):
+            built.append(self)
+            return keep_runs(self, *args)
+
+        monkeypatch.setattr(Schedule, "_keep_runs", counting_keep_runs)
         result = exhaustive_best(config.topology, config.x0, config.T, 2, intervals=4)
-        masks = admissible_break_sets(config.topology, 2)
-        for schedule in (result.best_schedule, result.greedy_schedule):
-            assert schedule.ell == 2 and len(schedule) == 4
-            assert not schedule.masks.flags.writeable
-            assert all((masks == row).all(axis=1).any() for row in schedule.masks)
+        assert built == []
+        assert not any(isinstance(v, Schedule) for v in vars(result).values())
+        assert built == [result.best_schedule]
 
     def test_catalog_is_connected(self):
         for n in (3, 4):

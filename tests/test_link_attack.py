@@ -22,7 +22,7 @@ from consensus_adversary.cli import main
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           ScenarioError, paper_k4_scenario,
                                           save_scenario)
-from consensus_adversary.topology import (NetworkTopology, Schedule,
+from consensus_adversary.topology import (NetworkTopology, Schedule, TopologyError,
                                           build_system_matrix,
                                           connected_components)
 from consensus_adversary.verify import (check_lemma1_scale_invariance,
@@ -111,6 +111,11 @@ class TestGreedyControl:
     def test_budget_cannot_exceed_edges(self):
         with pytest.raises(ValueError):
             greedy_control(np.array([0.0, 1.0]), TWO_NODE, 2)
+
+    def test_negative_budget_named(self):
+        # not numpy's partition index error
+        with pytest.raises(TopologyError, match="^budget must be nonnegative, got -1$"):
+            greedy_control(np.array([0.0, 1.0, 2.0]), PATH3, -1)
 
     def test_breaks_exactly_ell(self):
         config = paper_k4_scenario("link")
@@ -256,6 +261,11 @@ class TestSwitchingFunctions:
         f = switching_functions(x, p, TWO_NODE)
         assert f[0] > 0
         assert switching_control(f, 1).tolist() == [0]
+
+    def test_negative_budget_named(self):
+        f = np.array([[-1.0, -2.0, 0.5, -0.1, 3.0, -4.0]])
+        with pytest.raises(TopologyError, match="^budget must be nonnegative, got -1$"):
+            switching_control(f, -1)
 
 
 @st.composite

@@ -61,6 +61,8 @@ class TestContractionSetup:
         k = Kernel.constant(1.0)
         with pytest.raises(DynamicsError, match="^p_max: "):
             contraction_setup(k, grid, 0.0)
+        with pytest.raises(DynamicsError, match="^p_max: must be finite, got inf$"):
+            contraction_setup(k, grid, np.inf)   # not q = nan with a RuntimeWarning
         with pytest.raises(DynamicsError, match="^safety: "):
             contraction_setup(k, grid, 1.0, safety=1.5)
         with pytest.raises(DynamicsError, match="^safety: "):   # checked when nu is given too

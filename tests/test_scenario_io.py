@@ -155,6 +155,31 @@ class TestValueRules:
         assert str(from_doc.value).startswith(field), from_doc.value
         assert str(from_python.value).startswith(field), from_python.value
 
+    def test_non_finite_python_values_named(self):
+        # a file's numbers are refused as non-finite before they reach the
+        # classes, with the file's own texts; from Python the classes refuse
+        # them, rather than giving J or q as a silent NaN
+        valid = parse_scenario(minimal_doc())
+        for doc_fields, config_fields, from_doc, from_python in [
+                ({"attack": {"noise": {"p_max": math.inf}}},
+                 lambda: {"attack": NoiseAttackSpec(p_max=math.inf)},
+                 "attack.noise.p_max: must be a finite number, got inf",
+                 "attack.noise.p_max: must be finite, got inf"),
+                ({"kernel": {"table": [[0, math.nan], [3, 1]]}},
+                 lambda: {"kernel": Kernel.from_table([(0, math.nan), (3, 1)])},
+                 "kernel.table[0]: must be a finite number, got nan",
+                 "table kernel values must be finite, got nan"),
+                ({"kernel": {"constant": math.inf}},
+                 lambda: {"kernel": Kernel.constant(math.inf)},
+                 "kernel.constant: must be a finite number, got inf",
+                 "kernel value must be finite, got inf")]:
+            with pytest.raises(ScenarioError) as error:
+                parse_scenario(minimal_doc(**doc_fields))
+            assert str(error.value) == from_doc
+            with pytest.raises(ValueError) as error:
+                replace(valid, **config_fields())
+            assert str(error.value) == from_python
+
     def test_bundled_scenario_steps_checked(self):
         # used to raise ZeroDivisionError
         with pytest.raises(ScenarioError, match="^steps: must be positive, got 0"):
