@@ -206,7 +206,7 @@ class Spectrum:
 
 
 def matrix_exponential(A: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) for a symmetric zero-row-sum matrix (t >= 0)."""
+    """`Spectrum(A).exp(t)`, kept only for the benchmark tracer's hook."""
     return Spectrum(A).exp(t)
 
 
@@ -261,11 +261,10 @@ class PropagatorCache:
 
     Only the decompositions are stored: the propagations ask for one
     `spectrum` per run of equal rows and move the run's states in its modes.
-    `step` builds exp(A h) of a row, not stored, for callers outside the
-    package that want the matrix itself. One cache shared by several
-    propagations decomposes each distinct row once, as the sweep's passes do. The closed-loop greedy
-    attack keeps none: it decomposes each run's row as `spectrum` does and
-    holds that one `Spectrum` alone.
+    One cache shared by several propagations decomposes each distinct row
+    once, as the sweep's passes do. The closed-loop greedy attack keeps none:
+    it decomposes each run's row as `spectrum` does and holds that one
+    `Spectrum` alone.
     """
 
     def __init__(self, topology: NetworkTopology, h: float):
@@ -280,7 +279,7 @@ class PropagatorCache:
         return self._spectra[key]
 
     def step(self, mask: np.ndarray) -> np.ndarray:
-        """exp(A h) of the row's system matrix, not stored."""
+        """exp(A h) of the row, not stored; kept only for the benchmark tracer's hook."""
         return self.spectrum(mask).exp(self.h)
 
 

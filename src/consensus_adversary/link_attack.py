@@ -131,7 +131,7 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.nda
     if ell < 0:
         raise TopologyError(f"budget must be nonnegative, got {ell}")
     if ell > topology.m:
-        raise ValueError(f"budget {ell} exceeds edge count {topology.m}")
+        raise TopologyError(f"budget {ell} exceeds edge count {topology.m}")
     return _top_ell(edge_power(x, topology), ell)
 
 

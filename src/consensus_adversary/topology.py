@@ -7,8 +7,6 @@ speaks 0-based node ids.
 
 from __future__ import annotations
 
-import bisect
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -155,7 +153,9 @@ class LinkControl:
 
     bits is a read-only uint8 row: bits[e] == 1 means topology.edges[e] is
     broken, and at most ell bits are set. A read-only uint8 row is kept as
-    given, without a copy.
+    given, without a copy. Nothing in the package reads it; it is kept only
+    for the benchmark, whose tracer hooks its methods and whose sweep gate
+    reads `bits` from `Schedule.__iter__`.
     """
 
     bits: np.ndarray
@@ -198,15 +198,15 @@ class Schedule:
     runs of equal rows: `rows` is a read-only (r, m) uint8 array, one
     break-mask row per run, and `runs()` gives each run's (start, stop)
     steps. Every propagation and report reads the runs. The per-step view,
-    `masks` (one row per grid step) and `schedule[k]`, is built from the
-    runs when read, for callers that want one row per step.
+    `masks` (one row per grid step), is built from the runs when read, for
+    callers that want one row per step.
 
     `Schedule(topology, masks, ell)` takes per-step masks, validates them
     once and keeps their runs; `from_runs` takes the runs themselves. They
     are the only two ways to build a schedule, and both check its rows. A
-    read-only uint8 mask whose rows all differ from their neighbours is kept
-    as `rows` without a copy, as `LinkControl` keeps a row; otherwise only
-    the run rows are copied.
+    read-only uint8 mask whose rows all differ from their neighbours, or
+    rows built here from a list, are kept as `rows` without a copy;
+    otherwise only the run rows are copied.
     """
 
     def __init__(self, topology: NetworkTopology, masks, ell: int):
@@ -248,7 +248,6 @@ class Schedule:
         rows.flags.writeable = False
         self.rows = rows
         self.ell = ell
-        self._starts = starts
         self._runs = tuple(zip(starts, [*starts[1:], steps]))
         self._steps = steps
 
@@ -262,15 +261,12 @@ class Schedule:
     def __len__(self) -> int:
         return self._steps
 
-    def __getitem__(self, k: int) -> LinkControl:
-        """Step k as a LinkControl viewing its run's row, for callers outside
-        the package."""
-        k = operator.index(k)
-        if k < 0:
-            k += self._steps
-        if not 0 <= k < self._steps:
-            raise IndexError(f"step {k} out of range for {self._steps} steps")
-        return LinkControl(bits=self.rows[bisect.bisect_right(self._starts, k) - 1], ell=self.ell)
+    def __iter__(self):
+        """One LinkControl per step, viewing its run's row, for the benchmark's gate."""
+        for row, (start, stop) in zip(self.rows, self._runs):
+            control = LinkControl(bits=row, ell=self.ell)
+            for _ in range(stop - start):
+                yield control
 
     @property
     def masks(self) -> np.ndarray:
@@ -288,15 +284,18 @@ class Schedule:
 
 def _uint8_rows(topology: NetworkTopology, rows, ell: int, what: str, axis: str) -> np.ndarray:
     """rows as a 2-D uint8 array of break-mask rows over topology.edges,
-    entries other than 0 and 1 rejected unless already uint8
-    (`Schedule._keep_runs` checks those on the rows it keeps)."""
+    entries other than 0 and 1 rejected unless already uint8 (`_keep_runs`
+    checks those); an array built here is read-only, so it is not copied again."""
     if ell < 0:
         raise TopologyError(f"budget must be nonnegative, got {ell}")
+    given = rows
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != topology.m:
         raise TopologyError(f"{what} shape {rows.shape} is not ({axis}, {topology.m})")
     if rows.dtype != np.uint8:
         rows = _edge_mask(topology, rows).astype(np.uint8)
+    if rows is not given and rows.base is None:
+        rows.flags.writeable = False
     return rows
 
 

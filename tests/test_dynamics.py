@@ -13,8 +13,8 @@ from scipy.linalg import expm
 from consensus_adversary import dynamics
 from consensus_adversary.dynamics import (DynamicsError, Kernel, PlainOutcome,
                                           Spectrum, TimeGrid, Trajectory,
-                                          _ModeRecurrence, matrix_exponential,
-                                          objective, propagate, simulate)
+                                          _ModeRecurrence, objective,
+                                          propagate, simulate)
 from consensus_adversary.link_attack import simulate_attack1
 from consensus_adversary.scenario import LinkAttackSpec, paper_k4_scenario
 from consensus_adversary.topology import (NetworkTopology, Schedule,
@@ -124,11 +124,17 @@ def connected_systems(draw):
 
 
 class TestMatrixExponential:
+    def test_wrapper_is_the_spectrum_exponential(self):
+        # dynamics.matrix_exponential stays only for the benchmark's hook
+        A = build_system_matrix(TWO_NODE, np.zeros(TWO_NODE.m))
+        for t in (0.0, 0.3, 1.7):
+            assert dynamics.matrix_exponential(A, t).tobytes() == Spectrum(A).exp(t).tobytes()
+
     def test_two_node_closed_form(self):
         # exp(At) = [[(1+e^{-2t})/2, (1-e^{-2t})/2], ...] for the unit edge
         A = two_node_matrix()
         for t in (0.0, 0.3, 1.7):
-            E = matrix_exponential(A, t)
+            E = Spectrum(A).exp(t)
             d = np.exp(-2.0 * t)
             expected = 0.5 * np.array([[1 + d, 1 - d], [1 - d, 1 + d]])
             assert np.max(np.abs(E - expected)) < 1e-12
@@ -139,26 +145,26 @@ class TestMatrixExponential:
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         topo = NetworkTopology(n=4, edges=tuple((i, j, ww) for (i, j), ww in zip(pairs, w)))
         A = build_system_matrix(topo, np.zeros(topo.m))
-        lhs = matrix_exponential(A, 0.7)
-        rhs = matrix_exponential(A, 0.3) @ matrix_exponential(A, 0.4)
+        lhs = Spectrum(A).exp(0.7)
+        rhs = Spectrum(A).exp(0.3) @ Spectrum(A).exp(0.4)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_doubly_stochastic(self):
-        E = matrix_exponential(two_node_matrix(), 0.5)
+        E = Spectrum(two_node_matrix()).exp(0.5)
         assert np.allclose(E.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(E.sum(axis=1), 1.0, atol=1e-12)
         assert np.min(E) >= 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(DynamicsError):
-            matrix_exponential(two_node_matrix(), -0.1)
+            Spectrum(two_node_matrix()).exp(-0.1)
 
     def test_asymmetric_rejected(self):
         asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])
         # alone, and as one slice of a stack
         for A in (asymmetric, np.stack([two_node_matrix(), asymmetric])):
             with pytest.raises(DynamicsError, match="symmetric"):
-                matrix_exponential(A, 1.0)
+                Spectrum(A)
 
     @pytest.mark.parametrize("scale", [1.0, 50.0], ids=["unit", "stiff"])
     def test_stack_matches_per_matrix_bitwise(self, scale):

@@ -16,7 +16,7 @@ from consensus_adversary.enumeration import (DOMINANCE_INTERVALS, DOMINANCE_T,
                                              greedy_dominance_sweep)
 from consensus_adversary.link_attack import greedy_control
 from consensus_adversary.scenario import paper_k4_scenario
-from consensus_adversary.topology import (LinkControl, NetworkTopology, Schedule,
+from consensus_adversary.topology import (NetworkTopology, Schedule,
                                           TopologyError, build_system_matrix)
 
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
@@ -428,8 +428,8 @@ def reference_oracle(topology, x0, T, ell, intervals):
     h = T / intervals
     sets = [b for k in range(min(ell, topology.m) + 1)
             for b in itertools.combinations(topology.pairs, k)]
-    spectra = [Spectrum(build_system_matrix(
-                   topology, LinkControl.breaking(topology, b, len(b)).bits)) for b in sets]
+    spectra = [Spectrum(build_system_matrix(topology, [pair in b for pair in topology.pairs]))
+               for b in sets]
     props = [spectrum.exp(h) for spectrum in spectra]
     quads = [spectrum.interval_form(h) for spectrum in spectra]
     schedules, J = [], []

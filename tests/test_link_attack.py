@@ -112,6 +112,10 @@ class TestGreedyControl:
         with pytest.raises(ValueError):
             greedy_control(np.array([0.0, 1.0]), TWO_NODE, 2)
 
+    def test_budget_over_edge_count_named(self):
+        with pytest.raises(TopologyError, match=r"^budget 2 exceeds edge count 1$"):
+            greedy_control(np.array([0.0, 1.0]), TWO_NODE, 2)
+
     def test_negative_budget_named(self):
         # not numpy's partition index error
         with pytest.raises(TopologyError, match="^budget must be nonnegative, got -1$"):
@@ -134,7 +138,8 @@ class TestSimulateAttack1:
         config = paper_k4_scenario("link")
         outcome = simulate_attack1(config)
         assert outcome.stationary
-        assert outcome.schedule[0].broken_edges(config.topology) == [(0, 2), (0, 3)]
+        pairs = config.topology.pairs
+        assert [pairs[e] for e in np.flatnonzero(outcome.schedule.rows[0])] == [(0, 2), (0, 3)]
         assert outcome.classification == "ongoing"
 
     def test_attack_delays_convergence(self):
@@ -851,7 +856,7 @@ class TestForwardBackwardSweep:
         T = 2.0
         config = link_config(TWO_NODE, [0.0, 2.0], ell=1, T=T, steps=100)
         sweep = forward_backward_sweep(config)
-        assert all(c.broken_edges(TWO_NODE) == [(0, 1)] for c in sweep.schedule)
+        assert sweep.schedule.rows.tolist() == [[1]]
         assert sweep.J == pytest.approx(2.0 * T, abs=1e-12)
 
     def test_weighted_path_pin(self):
@@ -1090,6 +1095,21 @@ class TestGreedyMemory:
         assert peak < self.held(config) + self.MARGIN
 
     @pytest.mark.memory
+    def test_run_rows_copied_once(self):
+        # greedy's list of 74 run rows over 1,498 edges (110,852 bytes):
+        # `from_runs` keeps the array it builds from them, and the traced
+        # peak is 145,273 bytes. Copying that array once more to keep it
+        # read-only, it was 256,100
+        config = random_link_config(100, 400, seed=2)
+        config = replace(config, attack=LinkAttackSpec(ell=379))
+        schedule = simulate_attack1(config).schedule
+        starts = [start for start, _ in schedule.runs()]
+        rows = [row.copy() for row in schedule.rows]
+        again, peak = traced_peak(Schedule.from_runs, config.topology, starts, rows, 400, 379)
+        assert len(rows) == 74 and np.array_equal(again.rows, schedule.rows)
+        assert peak < schedule.rows.nbytes + 64 * 1024
+
+    @pytest.mark.memory
     def test_cli_run_builds_no_per_step_view(self, tmp_path, monkeypatch):
         # a whole attack1 --quiet run, report included, reads the schedule's
         # runs: building its masks or a per-step control raises, and the
@@ -1100,7 +1120,7 @@ class TestGreedyMemory:
         def per_step(*args):
             raise AssertionError("the per-step view of a schedule was built")
         monkeypatch.setattr(Schedule, "masks", property(per_step))
-        monkeypatch.setattr(Schedule, "__getitem__", per_step)
+        monkeypatch.setattr(Schedule, "__iter__", per_step)
         out = tmp_path / "out"
         assert main(["attack1", "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
         assert sorted(f.name for f in out.iterdir()) == [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
@@ -255,9 +255,10 @@ class TestSchedule:
         masks = np.array([[0, 1], [1, 0], [0, 0]], dtype=np.uint8)
         schedule = Schedule(self.PATH3, masks, 1)
         assert len(schedule) == 3
-        assert schedule[0].bits.tolist() == [0, 1] and schedule[0].ell == 1
-        assert [c.broken_edges(self.PATH3) for c in schedule] == [[(1, 2)], [(0, 1)], []]
-        row = schedule[1].bits                # a read-only view of its run's row, not a copy
+        controls = list(schedule)
+        assert controls[0].bits.tolist() == [0, 1] and controls[0].ell == 1
+        assert [c.broken_edges(self.PATH3) for c in controls] == [[(1, 2)], [(0, 1)], []]
+        row = controls[1].bits                # a read-only view of its run's row, not a copy
         assert np.shares_memory(row, schedule.rows) and not row.flags.writeable
         assert schedule.rows.dtype == np.uint8 and not schedule.rows.flags.writeable
         assert schedule.masks.dtype == np.uint8 and not schedule.masks.flags.writeable
@@ -371,6 +372,23 @@ def step_masks(draw):
     return topology, masks, int(masks.sum(axis=1).max(initial=0))
 
 
+@st.composite
+def run_structures(draw):
+    """A schedule built from its runs: 0 to 8 runs of 1 to 6 steps over
+    m = 0 to 5 edges of a 4-node graph, each run's row drawn on its own (so
+    neighbours are sometimes equal and merged), with the budget of the
+    fullest row. No runs is the empty schedule."""
+    m = draw(st.integers(0, 5))
+    topology = NetworkTopology(n=4, edges=tuple(
+        (i, j, 1.0) for (i, j) in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)][:m]))
+    runs = draw(st.lists(st.tuples(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+                                   st.integers(1, 6)), max_size=8))
+    rows = np.array([row for row, _ in runs], dtype=np.uint8).reshape(len(runs), m)
+    bounds = np.cumsum([0] + [length for _, length in runs]).tolist()
+    return Schedule.from_runs(topology, bounds[:-1], rows, bounds[-1],
+                              int(rows.sum(axis=1).max(initial=0)))
+
+
 def maximal_runs(masks):
     """(start, stop) of each maximal run of equal rows, one row at a time."""
     starts = [k for k in range(len(masks)) if k == 0 or (masks[k] != masks[k - 1]).any()]
@@ -392,23 +410,25 @@ class TestRunForm:
         view = schedule.masks
         assert view.dtype == np.uint8 and not view.flags.writeable
         assert np.array_equal(view, masks) and view.shape == masks.shape
-        for q, (start, stop) in enumerate(runs):
-            for k in (start, stop - 1):
-                bits = schedule[k].bits
-                assert bits.dtype == np.uint8 and not bits.flags.writeable
-                assert np.array_equal(bits, masks[k])
-                # a view of its run's row, not a copy
-                assert (bits.__array_interface__["data"][0]
-                        == schedule.rows[q].__array_interface__["data"][0])
-        assert [c.bits.tolist() for c in schedule] == masks.tolist()
-        with pytest.raises(IndexError):
-            schedule[len(masks)]
-        if len(masks):
-            assert np.array_equal(schedule[-1].bits, masks[-1])
         # the same schedule from its runs, each split in two where it can be
         split = [s for start, stop in runs for s in sorted({start, (start + stop) // 2})]
         again = Schedule.from_runs(topology, split, masks[split], len(masks), ell)
         assert again.runs() == schedule.runs() and np.array_equal(again.rows, schedule.rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=run_structures())
+    @example(schedule=Schedule.none(k4(), 0))
+    def test_iteration_views_the_run_rows(self, schedule):
+        controls = list(schedule)
+        assert len(controls) == len(schedule)
+        assert [c.bits.tolist() for c in controls] == schedule.masks.tolist()
+        for row, (start, stop) in zip(schedule.rows, schedule.runs()):
+            for c in controls[start:stop]:
+                assert c.ell == schedule.ell
+                assert c.bits.dtype == np.uint8 and not c.bits.flags.writeable
+                # a view of its run's row, not a copy
+                assert c.bits.__array_interface__["data"] == row.__array_interface__["data"]
+                assert np.shares_memory(c.bits, schedule.rows) or not row.size
 
 
 class TestSystemMatrix:
@@ -421,8 +441,7 @@ class TestSystemMatrix:
 
     def test_broken_edge_removed_consistently(self):
         topo = k4()
-        control = LinkControl.breaking(topo, [(0, 2)], 1)
-        A = build_system_matrix(topo, control.bits)
+        A = build_system_matrix(topo, [pair == (0, 2) for pair in topo.pairs])
         assert A[0, 2] == 0.0 and A[2, 0] == 0.0
         assert np.allclose(A.sum(axis=1), 0.0, atol=1e-14)
         assert A[0, 0] == -2.0  # three unit edges minus the broken one
@@ -463,13 +482,11 @@ class TestSystemMatrix:
 class TestCutsAndComponents:
     def test_components_after_breaking(self):
         topo = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        control = LinkControl.breaking(topo, [(1, 2)], 1)
-        assert connected_components(topo, control.bits) == [(0, 1), (2,)]
+        assert connected_components(topo, [0, 1]) == [(0, 1), (2,)]
 
     def test_star_disconnects_per_leaf(self):
         star = NetworkTopology(n=4, edges=((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
-        control = LinkControl.breaking(star, [(0, 3)], 1)
-        assert (3,) in connected_components(star, control.bits)
+        assert (3,) in connected_components(star, [0, 0, 1])
 
 
 @st.composite
