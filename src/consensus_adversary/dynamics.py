@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -156,14 +157,32 @@ class Trajectory:
     def with_costate(self, p: np.ndarray) -> "Trajectory":
         return Trajectory(grid=self.grid, x=self.x, p=p)
 
-    def table(self) -> tuple[list[str], list[np.ndarray]]:
-        """trajectory.csv's header and columns: t, x1..xn, then any p1..pn."""
+    def table(self) -> "Table":
+        """trajectory.csv: t, x1..xn, then any p1..pn, each block slicing the
+        arrays the trajectory holds."""
         header = ["t"] + [f"x{i + 1}" for i in range(self.n)]
         columns = [self.grid.times(), self.x]
         if self.p is not None:
             header += [f"p{i + 1}" for i in range(self.n)]
             columns.append(self.p)
-        return header, columns
+        return Table.of(header, columns)
+
+
+class Table(NamedTuple):
+    """A CSV table that gives its rows a block at a time: its header, one
+    name per column; its row count; and `block(a, b)`, the columns of rows
+    [a, b) as a list of 1-D (one column) or 2-D (several) arrays. The
+    writer asks for one block at a time, so no table is held whole unless
+    its columns already are."""
+
+    header: list[str]
+    rows: int
+    block: Callable[[int, int], list[np.ndarray]]
+
+    @classmethod
+    def of(cls, header: list[str], columns: list[np.ndarray]) -> "Table":
+        """The table of columns already held: each block slices them."""
+        return cls(header, len(columns[0]), lambda a, b: [c[a:b] for c in columns])
 
 
 class Spectrum:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Kernel, PropagatorCache, Spectrum, Trajectory, _ModeRecurrence,
+from .dynamics import (Kernel, PropagatorCache, Spectrum, Table, Trajectory, _ModeRecurrence,
                        check_schedule_and_state, objective, propagate)
 from .topology import (NetworkTopology, Schedule, TopologyError, build_system_matrix,
                        connected_components)
@@ -56,18 +56,36 @@ class Attack1Outcome:
     def tables(self) -> dict:
         return {"broken_edges.csv": self._broken_edges}
 
-    def _broken_edges(self) -> tuple[list[str], list[np.ndarray]]:
+    def _broken_edges(self) -> Table:
         """One `t,edge_i,edge_j` row per broken edge and step, in step then edge
-        order, with 1-based node ids, built a run of the schedule at a time:
-        each step of a run breaks its row's edges."""
+        order, with 1-based node ids. Each step of a run breaks its row's
+        edges, so a searchsorted over each run's first table row finds the
+        runs of a block of rows, and a block builds only its own pairs."""
+        runs, rows = self.schedule.runs(), self.schedule.rows
         i, j, _ = self.topology.arrays
-        k, e = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for (start, stop), row in zip(self.schedule.runs(), self.schedule.rows):
-            broken = np.flatnonzero(row)
-            k.append(np.repeat(np.arange(start, stop), broken.size))
-            e.append(np.tile(broken, stop - start))
-        k, e = np.concatenate(k), np.concatenate(e)
-        return ["t", "edge_i", "edge_j"], [self.trajectory.grid.times()[k], i[e] + 1, j[e] + 1]
+        times = self.trajectory.grid.times()
+        # each run's first table row, then the row count; the row sums cast
+        # through a small buffer
+        first = np.zeros(len(runs) + 1, dtype=np.intp)
+        np.cumsum(rows.sum(axis=1, dtype=np.intp)
+                  * np.array([stop - start for start, stop in runs], dtype=np.intp),
+                  out=first[1:])
+
+        def block(a: int, b: int) -> list[np.ndarray]:
+            k, e = [], []
+            q = int(np.searchsorted(first, a, side="right")) - 1
+            while first[q] < b:   # a run with no broken edge adds no row
+                lo, hi = max(a, first[q]) - first[q], min(b, first[q + 1]) - first[q]
+                if hi > lo:
+                    broken = np.flatnonzero(rows[q])
+                    r = np.arange(lo, hi)
+                    k.append(runs[q][0] + r // broken.size)
+                    e.append(broken[r % broken.size])
+                q += 1
+            k, e = np.concatenate(k), np.concatenate(e)
+            return [times[k], i[e] + 1, j[e] + 1]
+
+        return Table(["t", "edge_i", "edge_j"], int(first[-1]), block)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DynamicsError, Kernel, Spectrum, TimeGrid, Trajectory,
+from .dynamics import (DynamicsError, Kernel, Spectrum, Table, TimeGrid, Trajectory,
                        _ModeRecurrence, finite, objective)
 from .topology import build_system_matrix
 
@@ -63,7 +63,8 @@ class Attack2Outcome:
 
     def tables(self) -> dict:
         header = ["t"] + [f"u{i + 1}" for i in range(self.control.shape[1])]
-        return {"control.csv": lambda: (header, [self.trajectory.grid.times(), self.control])}
+        return {"control.csv": lambda: Table.of(header, [self.trajectory.grid.times(),
+                                                         self.control])}
 
 
 def contraction_setup(kernel: Kernel, grid: TimeGrid, p_max: float,

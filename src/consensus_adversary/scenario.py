@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsError, Kernel, TimeGrid, check_state, finite
+from .dynamics import DynamicsError, Kernel, Table, TimeGrid, check_state, finite
 from .noise_attack import SAFETY, ContractionSetup, contraction_setup
 from .topology import NetworkTopology
 
@@ -44,14 +44,18 @@ class NoiseAttackSpec:
     nu: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """One run's inputs, checked however they are built (a file, the
     constructor, `replace`); each error names its field first. T and steps
     are TimeGrid's rules, p_max, safety and nu contraction_setup's; x0 (kept
     as a read-only float copy), ell, kernel coverage and array size are here.
     The grid and a noise attack's ContractionSetup are kept (`setup`, None
-    without a noise attack) and derived again by `replace`."""
+    without a noise attack) and derived again by `replace`.
+
+    Two configs are equal when their inputs are, x0 (always a float array)
+    compared by value and shape with `np.array_equal`; equal configs hash
+    equal, since the hash is of the content, so a config can key a dict."""
 
     name: str
     topology: NetworkTopology
@@ -99,6 +103,18 @@ class ScenarioConfig:
             except DynamicsError as exc:
                 raise ScenarioError(f"attack.noise.{exc}") from exc
         object.__setattr__(self, "setup", setup)
+
+    def _key(self) -> tuple:
+        """The compared fields but x0."""
+        return self.name, self.topology, self.T, self.steps, self.kernel, self.attack
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self.x0, other.x0)
+
+    def __hash__(self) -> int:
+        return hash((self._key(), tuple(self.x0.tolist())))
 
 
 def _number(value, field: str) -> float:
@@ -321,15 +337,17 @@ _ROW = 28
 
 
 def _split(a):
-    """Veltkamp's split a = hi + lo into two halves of at most 26 bits."""
-    c = 134217729.0 * a
-    hi = c - (c - a)
-    return hi, a - hi
+    """Veltkamp's split a = hi + lo into two halves of at most 26 bits; a's
+    own array becomes lo."""
+    hi = a * 134217729.0
+    hi -= hi - a
+    a -= hi
+    return hi, a
 
 
 # 10**(16 - X) and its halves, by the searchsorted index e = X + 5
 _POW10 = np.array([0] + [10 ** k for k in range(20, -1, -1)] + [0], dtype=float)
-_POW10_HI, _POW10_LO = _split(_POW10)
+_POW10_HI, _POW10_LO = _split(_POW10.copy())
 # the four ASCII digits of 0..9999 as one uint32, and how many are trailing zeros
 _GROUP = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
 _TRAILING = (_GROUP[:, ::-1] == 0).cumprod(axis=1).sum(axis=1).astype(np.int8)
@@ -366,30 +384,39 @@ def _significand(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     """D = a * 10**(16 - X) rounded half to even, for e = X + 5: the 17
     significant digits of a, exactly. 10**k is a double for k <= 20,
     Dekker's product gives a * 10**k = hi + lo with no rounding, and
-    hi >= 2**53 is an even integer, so D = hi + rint(lo)."""
-    ph, pl = _POW10_HI[e], _POW10_LO[e]
-    hi = a * _POW10[e]
+    hi >= 2**53 is an even integer, so D = hi + rint(lo). a's own array is
+    overwritten, and the partial products are formed in place."""
+    hi = _POW10[e]
+    hi *= a
     ah, al = _split(a)
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ph, pl = _POW10_HI[e], _POW10_LO[e]
+    lo = ah * ph
+    lo -= hi
+    ah *= pl
+    ph *= al
+    pl *= al
+    lo += ah   # ((ah ph - hi) + ah pl + al ph) + al pl, in that order
+    lo += ph
+    lo += pl
+    return hi.astype(np.int64) + np.rint(lo, out=lo).astype(np.int64)
 
 
 def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 17 digits of each D in ASCII, after three "0"s, at bytes 7..23 of
-    a NUL-padded _ROW-byte row, and the number of trailing zeros among them."""
-    high, low = np.divmod(d, 10 ** 8)
-    top, high = np.divmod(high, 10 ** 8)
-    groups = [top, *np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)]
+    a NUL-padded _ROW-byte row, and the number of trailing zeros among them.
+    The 4-digit groups are taken least significant first, in d's own array,
+    and the trailing zeros counted as they come."""
     digits = np.zeros((d.size, _ROW // 4), np.uint32)
-    for col, g in enumerate(groups, 1):
-        digits[:, col] = _GROUP[g]
-    trailing = _TRAILING[groups[-1]]
-    rest = np.flatnonzero(trailing == 4)
-    for zeros, g in zip((8, 12, 16), groups[-2:0:-1]):
-        if not rest.size:
-            break
-        trailing[rest] += _TRAILING[g[rest]]
-        rest = rest[trailing[rest] == zeros]
+    group = np.empty_like(d)
+    for col in range(5, 0, -1):
+        np.divmod(d, 10 ** 4, out=(d, group))
+        digits[:, col] = _GROUP[group]
+        if col == 5:
+            trailing = _TRAILING[group]
+            rest = np.flatnonzero(trailing == 4)
+        elif col > 1 and rest.size:   # the leading digit is never a trailing zero
+            trailing[rest] += _TRAILING[group[rest]]
+            rest = rest[trailing[rest] == 4 * (6 - col)]
     return digits.view(np.uint8).ravel(), trailing
 
 
@@ -404,18 +431,26 @@ def _format(v: np.ndarray, width: int) -> bytes:
     places the point, the leading "0.000" and the sign and blanks trailing
     zeros with NULs, which are dropped at the end. Every other value (0, -0,
     nan, inf, below about 1e-4, from about 1e17) takes one `%` for the
-    block."""
+    block. Arrays are reused in place and dropped after their last use: the
+    most held at once is three rows of _ROW bytes and the template index,
+    about 93 bytes per value."""
     a = np.abs(v)
     e = np.searchsorted(_FIXED, a, side="right")
     slow = np.flatnonzero((e == 0) | (e == len(_FIXED)))
     a[slow], e[slow] = 1.0, 5
     digits, trailing = _digits(_significand(a, e))
     index = (e * 17 + trailing) * 2 + (v < 0)
+    del a, e, trailing
     keep, shift, const = _TEMPLATE
-    row = digits & keep.take(index).view(np.uint8)
-    row[1:] |= digits[:-1] & shift.take(index).view(np.uint8)[1:]
+    row = keep.take(index).view(np.uint8)
+    row &= digits
+    shifted = shift.take(index).view(np.uint8)
+    shifted[1:] &= digits[:-1]
+    del digits
+    row[1:] |= shifted[1:]
+    del shifted
     row |= const.take(index).view(np.uint8)
-    del digits   # keeps the block's peak memory at the lines above
+    del index
     row = row.reshape(-1, width, _ROW)
     row[:, :-1, 25] = ord(",")
     row[:, -1, 25] = ord("\n")
@@ -423,29 +458,32 @@ def _format(v: np.ndarray, width: int) -> bytes:
     if slow.size:
         text = (" ".join(["%.17g"] * slow.size) % tuple(v[slow].tolist())).split()
         row[slow, :25] = np.array(text, dtype="S25").view(np.uint8).reshape(-1, 25)
-    row = row.ravel()
-    return row[row != 0].tobytes()
+    text = row.tobytes()
+    del row   # before the NULs are dropped, so its bytes are not held twice
+    return text.translate(None, b"\0")
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
+def _write_csv(path: Path, table: Table) -> None:
     """One header line, one name per column, then one line per row of the
-    stacked columns. %.17g round-trips every double and prints integral
-    values, node ids say, without a decimal point.
+    table. %.17g round-trips every double and prints integral values, node
+    ids say, without a decimal point.
 
     The bytes are those of `np.savetxt` with format %.17g and delimiter `,`
-    on the stacked table, but the rows are stacked and formatted a block of
-    at most CSV_BLOCK values (one row, if a row is wider) at a time, and no
-    full table is held. `_format` computes %.17g in numpy for every value
-    whose %.17g is in fixed notation (magnitudes from about 1e-4 to 1e17):
-    the 17 digits are exact, from an error-free product by a power of ten
-    rounded half to even. Only the other values (0, nan, inf and magnitudes
-    outside that range) go through Python's `%`, once per block."""
-    rows = max(1, CSV_BLOCK // len(header))
+    on the stacked table, but the table gives its rows a block of at most
+    CSV_BLOCK values (one row, if a row is wider) at a time, each block is
+    stacked and formatted on its own, and no full table is held. `_format`
+    computes %.17g in numpy for every value whose %.17g is in fixed notation
+    (magnitudes from about 1e-4 to 1e17): the 17 digits are exact, from an
+    error-free product by a power of ten rounded half to even. Only the
+    other values (0, nan, inf and magnitudes outside that range) go through
+    Python's `%`, once per block."""
+    width = len(table.header)
+    rows = max(1, CSV_BLOCK // width)
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), rows):
-            block = np.column_stack([c[start:start + rows] for c in columns])
-            fh.write(_format(block.astype(float, copy=False).ravel(), len(header)))
+        fh.write((",".join(table.header) + "\n").encode())
+        for start in range(0, table.rows, rows):
+            block = np.column_stack(table.block(start, min(start + rows, table.rows)))
+            fh.write(_format(block.astype(float, copy=False).ravel(), width))
 
 
 def report_summary(outcome) -> dict:
@@ -458,7 +496,7 @@ def write_report(outcome, directory) -> list[Path]:
     """Persist an outcome into a directory; return the paths written.
 
     Writes trajectory.csv, `outcome.tables()` (file name -> a function giving
-    its `(header, columns)`, called only while the file is written) and
+    its `Table`, called only while the file is written) and
     summary.json (`report_summary`). A non-finite summary value, J say,
     raises DynamicsError naming it before any file is written. Each file is
     written under a temporary name and renamed into place only once every
@@ -488,7 +526,7 @@ def write_report(outcome, directory) -> list[Path]:
             if table is None:
                 staged[path].write_text(text)
             else:
-                _write_csv(staged[path], *table())
+                _write_csv(staged[path], table())
         for path, temporary in staged.items():
             os.replace(temporary, path)
             moved.append(path)

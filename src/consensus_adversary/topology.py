@@ -21,49 +21,71 @@ class TopologyError(ValueError):
     """Raised for malformed topologies or controls that do not fit them."""
 
 
-@dataclass(frozen=True)
 class NetworkTopology:
-    """Undirected weighted graph on nodes 0..n-1.
+    """Undirected weighted graph on nodes 0..n-1, immutable.
 
-    edges are (i, j, weight) with i < j and weight > 0, kept sorted; a
-    control is one 0/1 break-mask row in this edge order. `arrays` holds the
-    same edges as read-only endpoint arrays i, j and weight array w.
-    Connectivity is a computed property, not an assumption; disconnected
-    inputs are legal and flagged downstream.
+    Its edges are (i, j, weight) with i < j and weight > 0, kept sorted; a
+    control is one 0/1 break-mask row in this edge order. They are held
+    once, as the read-only endpoint arrays i, j and weight array w of
+    `arrays`; `edges`, the tuple of (int, int, float) tuples, is built from
+    them on every read, and `pairs` on the first. Two topologies are equal,
+    and hash equal, when their n and edges are. Connectivity is a computed
+    property, not an assumption; disconnected inputs are legal and flagged
+    downstream.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral):
-            raise TopologyError(f"node count n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise TopologyError(f"node count must be positive, got {self.n}")
+    def __init__(self, n: int, edges):
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise TopologyError(f"node count n must be an integer, got {n!r}")
+        if n < 1:
+            raise TopologyError(f"node count must be positive, got {n}")
         # the array pass keys each pair by i * n + j in an int64
-        if len(self.edges) < ARRAY_EDGES or self.n > 2**31:
-            edges = _checked_edges(self.edges, self.n)
-            i, j, w = zip(*edges) if edges else ((), (), ())
+        if len(edges) < ARRAY_EDGES or n > 2**31:
+            checked = _checked_edges(edges, n)
+            i, j, w = zip(*checked) if checked else ((), (), ())
             arrays = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64), np.array(w)
         else:
-            arrays = _edge_arrays(self.edges, self.n)
+            arrays = _edge_arrays(edges, n)
             if arrays is None:
-                _checked_edges(self.edges, self.n)   # raises, naming the first bad edge
+                _checked_edges(edges, n)   # raises, naming the first bad edge
                 raise AssertionError("the array pass refused edges the per-edge pass accepts")
-            edges = tuple(zip(*(a.tolist() for a in arrays)))
         for a in arrays:
             a.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "arrays", arrays)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable topology")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self.arrays, other.arrays))
+
+    def __hash__(self) -> int:
+        # equal edges have equal bytes: ids are int64 and weights positive
+        return hash((self.n, *(a.tobytes() for a in self.arrays)))
+
+    def __repr__(self) -> str:
+        return f"NetworkTopology(n={self.n!r}, edges={self.edges!r})"
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The (i, j, weight) edges, in edge order, built from `arrays`."""
+        return tuple(zip(*(a.tolist() for a in self.arrays)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.arrays[0])
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Endpoints (i, j) of each edge, in edge order."""
-        return tuple((i, j) for (i, j, _) in self.edges)
+        i, j, _ = self.arrays
+        return tuple(zip(i.tolist(), j.tolist()))
 
     @cached_property
     def incidence(self) -> np.ndarray:

@@ -23,3 +23,22 @@ def traced_peak(fn, *args, **kwargs):
         if started:
             tracemalloc.stop()
     return result, peak
+
+
+def traced_held(fn, *args, **kwargs):
+    """(result, held) of fn(*args, **kwargs): held is the bytes still traced
+    once the call has returned, with its result alive, above those traced
+    when it began; garbage is collected before and after the call."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, held

@@ -21,7 +21,7 @@ from consensus_adversary.link_attack import (costate_backward, edge_power,
 from consensus_adversary.cli import main
 from consensus_adversary.scenario import (LinkAttackSpec, ScenarioConfig,
                                           ScenarioError, paper_k4_scenario,
-                                          save_scenario)
+                                          save_scenario, write_report)
 from consensus_adversary.topology import (NetworkTopology, Schedule, TopologyError,
                                           build_system_matrix,
                                           connected_components)
@@ -1125,6 +1125,24 @@ class TestGreedyMemory:
         assert main(["attack1", "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
         assert sorted(f.name for f in out.iterdir()) == [
             "broken_edges.csv", "summary.json", "trajectory.csv"]
+
+
+class TestReportMemory:
+    @pytest.mark.memory
+    def test_report_peak_does_not_grow_with_steps(self, tmp_path):
+        # G(100, 0.3) seed 7, 1,525 edges, ell = 379: broken_edges.csv has
+        # 151,600 rows at 400 steps and 758,000 at 2000. The traced peaks of
+        # write_report are 239,972 and 253,918 bytes, a block of rows and its
+        # formatting; building the table's five full-size columns first, they
+        # were 6.09 and 30.35 MB. Simulating and writing the 2000-step run
+        # take 0.5-0.7 s each on a 2-core x86-64 VM
+        peaks = {}
+        for steps in (400, 2000):
+            config = replace(random_link_config(100, steps, 7), attack=LinkAttackSpec(ell=379))
+            outcome = simulate_attack1(config)
+            _, peaks[steps] = traced_peak(write_report, outcome, tmp_path / str(steps))
+        assert peaks[2000] < 1_000_000
+        assert peaks[2000] <= 1.1 * peaks[400]
 
 
 class TestStationary:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import consensus_adversary.topology as topology_module
 from consensus_adversary import scenario
-from consensus_adversary.dynamics import Kernel, TimeGrid, Trajectory, simulate
+from consensus_adversary.dynamics import Kernel, Table, TimeGrid, Trajectory, simulate
 from consensus_adversary.link_attack import (Attack1Outcome, forward_backward_sweep,
                                              simulate_attack1)
 from consensus_adversary.noise_attack import contraction_setup, simulate_attack2
@@ -27,6 +27,7 @@ from consensus_adversary.scenario import (CSV_BLOCK, LinkAttackSpec,
                                           paper_k4_scenario, save_scenario,
                                           scenario_to_doc, write_report)
 from consensus_adversary.topology import NetworkTopology, Schedule
+from memory import traced_peak
 
 
 def minimal_doc(**overrides):
@@ -213,6 +214,35 @@ class TestValueRules:
     @pytest.mark.parametrize("kind", ["link", "none"])
     def test_no_setup_without_a_noise_attack(self, kind):
         assert paper_k4_scenario(kind).setup is None
+
+
+class TestConfigEquality:
+    """Configs compare their inputs, x0 by value, and hash by content."""
+
+    def test_equal_configs(self):
+        a, b = paper_k4_scenario("link"), paper_k4_scenario("link")
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        c = replace(a, x0=np.array([1, 2, 3, 4]))   # integers, kept as floats
+        assert c == a and hash(c) == hash(a)
+        noise, again = paper_k4_scenario("noise"), paper_k4_scenario("noise")
+        assert noise == again and hash(noise) == hash(again)
+
+    @pytest.mark.parametrize("change", [
+        {"x0": [1.0, 2.0, 3.0, 5.0]}, {"name": "other"}, {"T": 3.0}, {"steps": 20},
+        {"kernel": Kernel.constant(2.0)}, {"attack": LinkAttackSpec(ell=1)}, {"attack": None},
+        {"topology": NetworkTopology(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))}],
+        ids=["x0", "name", "T", "steps", "kernel", "attack", "no-attack", "topology"])
+    def test_unequal_configs(self, change):
+        config = paper_k4_scenario("link")
+        other = replace(config, **change)
+        assert other != config and not other == config
+        assert replace(other, **{k: getattr(config, k) for k in change}) == config
+
+    def test_x0_of_another_length_is_unequal(self):
+        a = parse_scenario(minimal_doc())
+        b = parse_scenario(minimal_doc(topology={"n": 3, "edges": [[1, 2, 1.0]]},
+                                       x0=[0.0, 2.0, 0.0]))
+        assert a != b and a != "mini"
 
 
 def per_edge_topology(doc):
@@ -442,7 +472,7 @@ class TestCsvBytes:
     def test_write_csv_matches_savetxt(self, tmp_path, rows, width):
         columns = table_columns(rows, width, seed=rows * 1000 + width)
         header = [f"c{k}" for k in range(width)]
-        scenario._write_csv(tmp_path / "got.csv", header, columns)
+        scenario._write_csv(tmp_path / "got.csv", Table.of(header, columns))
         assert ((tmp_path / "got.csv").read_bytes()
                 == savetxt_bytes(tmp_path / "want.csv", header, columns))
 
@@ -454,7 +484,7 @@ class TestCsvBytes:
                              [outcome.trajectory.grid.times()[k], i[e] + 1, j[e] + 1])
 
     def check_broken_edges(self, outcome, tmp_path):
-        scenario._write_csv(tmp_path / "got.csv", *outcome.tables()["broken_edges.csv"]())
+        scenario._write_csv(tmp_path / "got.csv", outcome.tables()["broken_edges.csv"]())
         want = self.savetxt_broken_edges(outcome, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == want
         return want
@@ -470,6 +500,35 @@ class TestCsvBytes:
                                 T=3.0, steps=700, kernel=Kernel.constant(1.0),
                                 attack=LinkAttackSpec(ell=4))
         self.check_broken_edges(simulate_attack1(config), tmp_path)
+
+    def test_broken_edges_step_straddles_blocks(self, tmp_path):
+        # 379 broken edges per step: a block of CSV_BLOCK // 3 rows ends
+        # inside a step's rows, and runs of one and of several steps alternate
+        topology = NetworkTopology(n=30, edges=tuple((i, j, 1.0) for i in range(30)
+                                                     for j in range(i + 1, 30)))
+        rng = np.random.default_rng(379)
+        rows = np.zeros((6, topology.m), dtype=np.uint8)
+        for row in rows:
+            row[rng.choice(topology.m, 379, replace=False)] = 1
+        masks = np.repeat(rows, [1, 3, 1, 2, 1, 1], axis=0)
+        outcome = link_outcome(topology, masks, 379)
+        assert 379 % (CSV_BLOCK // 3) and len(outcome.schedule.runs()) == 6
+        self.check_broken_edges(outcome, tmp_path)
+
+    def test_broken_edges_run_longer_than_a_block(self, tmp_path):
+        # one run of 1,000 steps breaking 3 edges: 3,000 rows, several blocks
+        topology = NetworkTopology(n=5, edges=tuple((i, j, 1.0) for i in range(5)
+                                                    for j in range(i + 1, 5)))
+        row = np.zeros(topology.m, dtype=np.uint8)
+        row[[1, 4, 8]] = 1
+        outcome = link_outcome(topology, np.tile(row, (1000, 1)), 3)
+        assert outcome.schedule.runs() == ((0, 1000),)
+        self.check_broken_edges(outcome, tmp_path)
+
+    def test_broken_edges_no_budget_header_only(self, tmp_path):
+        config = replace(paper_k4_scenario("link"), attack=LinkAttackSpec(ell=0))
+        want = self.check_broken_edges(simulate_attack1(config), tmp_path)
+        assert want == b"t,edge_i,edge_j\n"
 
     @pytest.mark.parametrize("ell", [0, 1, 3, 10])
     def test_broken_edges_random_schedule(self, tmp_path, ell):
@@ -519,7 +578,7 @@ class TestBrokenEdgesWriter:
             steps=5, kernel=Kernel.constant(1.0), attack=LinkAttackSpec(ell=0)))
         assert outcome.schedule.masks.shape == (5, 0)
         with np.errstate(all="raise"):
-            scenario._write_csv(tmp_path / "got.csv", *outcome.tables()["broken_edges.csv"]())
+            scenario._write_csv(tmp_path / "got.csv", outcome.tables()["broken_edges.csv"]())
         assert (tmp_path / "got.csv").read_bytes() == b"t,edge_i,edge_j\n"
 
 
@@ -587,6 +646,17 @@ class TestFormatter:
             assert "%.17g" % below != "%.17g" % threshold
         assert len(scenario._FIXED) == 22
 
+    @pytest.mark.memory
+    def test_block_memory_per_value(self):
+        # a CSV_BLOCK-value block of normal data: the traced peak is 93 B per
+        # value (190,745 bytes), three rows of _ROW bytes and the template
+        # index. Out of place, with every group held and the NULs dropped by
+        # a boolean mask, it was 138 B
+        values = np.random.default_rng(3).standard_normal(CSV_BLOCK)
+        text, peak = traced_peak(scenario._format, values, 1)
+        assert text == percent_bytes(values)
+        assert peak <= 100 * CSV_BLOCK
+
     def test_write_csv_fast_range_matches_savetxt(self, tmp_path):
         # trajectory-like values: nearly all take the vectorised path
         rng = np.random.default_rng(5)
@@ -596,7 +666,7 @@ class TestFormatter:
         table[:, 0] = np.linspace(0.0, 2.0, rows)
         columns = [table[:, 0], table[:, 1:]]
         header = [f"c{k}" for k in range(width)]
-        scenario._write_csv(tmp_path / "got.csv", header, columns)
+        scenario._write_csv(tmp_path / "got.csv", Table.of(header, columns))
         assert ((tmp_path / "got.csv").read_bytes()
                 == savetxt_bytes(tmp_path / "want.csv", header, columns))
 

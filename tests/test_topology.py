@@ -14,7 +14,7 @@ from consensus_adversary.topology import (LinkControl, NetworkTopology,
                                           Schedule, TopologyError,
                                           build_system_matrix,
                                           connected_components)
-from memory import traced_peak
+from memory import traced_held, traced_peak
 
 
 def k4(weights=None):
@@ -92,6 +92,71 @@ class TestNetworkTopology:
         topo = k4()
         assert topo.is_connected() and topo.is_connected()
         assert len(calls) == 1
+
+
+@st.composite
+def graphs(draw):
+    """n from 2 to 12 and a list of distinct edges on it, up to all 66 of
+    them, each given either way round, with any positive finite weight."""
+    n = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    edges = []
+    for i, j in chosen:
+        w = draw(weight)
+        edges.append((j, i, w) if draw(st.booleans()) else (i, j, w))
+    return n, edges
+
+
+class TestEdgesHeldOnce:
+    """A topology holds its edges only as `arrays`; `edges` and `pairs` are
+    built from them, and equality, hash and repr read n and the edges."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=graphs())
+    @example(case=(12, [(i, j, 1.0 + i) for i in range(12) for j in range(i + 1, 12)]))
+    def test_edges_rebuild_the_same_topology(self, case):
+        n, edges = case
+        for array_edges in (0, len(edges) + 1):   # the array pass, then the per-edge pass
+            topo = construct(n, edges, array_edges)
+            again = NetworkTopology(n, topo.edges)
+            assert again == topo and hash(again) == hash(topo)
+            assert again != NetworkTopology(n + 1, topo.edges)
+            assert all(type(i) is int and type(j) is int and type(w) is float
+                       for i, j, w in topo.edges)
+            assert topo.pairs == tuple((i, j) for i, j, _ in topo.edges)
+            assert topo.m == len(edges) == len(topo.edges)
+            assert repr(topo) == f"NetworkTopology(n={n}, edges={topo.edges!r})"
+
+    def test_unequal_weights_or_edges(self):
+        assert k4() != k4([1.0] * 5 + [2.0])
+        assert k4() != NetworkTopology(n=4, edges=k4().edges[:5])
+        assert k4() != k4().edges and k4() == k4()
+
+    def test_immutable(self):
+        topo = k4()
+        with pytest.raises(AttributeError):
+            topo.n = 5
+        assert topo.n == 4
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize("as_array", [True, False], ids=["array", "tuples"])
+    def test_holds_only_its_arrays(self, as_array):
+        # 1,518 edges on 100 nodes, the size of the benchmark's G(100, 0.3):
+        # the topology retains 37,315 bytes from either input, its three
+        # arrays (36,432 bytes) and 883 bytes of objects. With the tuple of
+        # edge tuples kept beside the arrays it retained 183,083 bytes
+        rng = np.random.default_rng(7)
+        iu, ju = np.triu_indices(100, 1)
+        pick = np.sort(rng.choice(iu.size, 1518, replace=False))
+        edges = np.column_stack([iu[pick], ju[pick], rng.uniform(0.2, 2.0, 1518)])
+        if not as_array:
+            edges = tuple((int(i), int(j), w) for i, j, w in edges.tolist())
+        NetworkTopology(100, edges)   # warm-up
+        topo, held = traced_held(NetworkTopology, 100, edges)
+        assert topo.m == 1518
+        assert held <= sum(a.nbytes for a in topo.arrays) + 4096
 
 
 @st.composite
