@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -135,9 +136,11 @@ class Kernel:
         return k_check, k_hat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled state (and optionally co-state) on a uniform grid."""
+    """Sampled state (and optionally co-state) on a uniform grid. It holds
+    arrays, so it compares and hashes by identity: a trajectory equals
+    itself alone, as the package's other array-holding results do."""
 
     grid: TimeGrid
     x: np.ndarray          # (steps+1, n)
@@ -210,8 +213,10 @@ class Spectrum:
         vecs (e^{vals t_i} * vecs' d). Each row is its own matrix-vector
         product, so its value does not depend on which other times come in
         the same call (a matrix-matrix product's rows can differ in the last
-        bit with the row count)."""
-        z = np.exp(np.multiply.outer(t, self.vals))
+        bit with the row count). The exponentials are taken in place, so a
+        call holds one (len(t), n) temporary beside `out`."""
+        z = np.multiply.outer(t, self.vals)
+        np.exp(z, out=z)
         z *= d @ self.vecs
         np.matmul(z[:, None, :], self.vecs.T, out=out[:, None, :])
 
@@ -236,19 +241,25 @@ class _ModeRecurrence:
     (sub-diagonal -r_d, cut between modes), so a run is one banded
     triangular solve; its transpose runs the recurrence backwards. The noise
     attack's co-state map and the link attack's co-state, one run of equal
-    masks at a time, both solve their recurrences here.
+    masks at a time, both solve their recurrences here. The band is built
+    at the first solve and kept for later ones, so `tail` sums its forcing
+    before the band exists.
     """
 
     def __init__(self, rate: np.ndarray, samples: int):
         self.rate = rate
         self.samples = samples
-        # LAPACK's band storage, written in place: row 0 the unit diagonal,
-        # row 1 the sub-diagonal, one block of `samples` entries per mode
-        self.band = np.empty((2, rate.shape[0] * samples), order="F")
-        self.band[0] = 1.0
-        sub = self.band[1].reshape(-1, samples)
-        np.negative(rate[:, None], out=sub)
+
+    @cached_property
+    def band(self) -> np.ndarray:
+        """LAPACK's band storage, written in place: row 0 the unit diagonal,
+        row 1 the sub-diagonal, one block of `samples` entries per mode."""
+        band = np.empty((2, self.rate.shape[0] * self.samples), order="F")
+        band[0] = 1.0
+        sub = band[1].reshape(-1, self.samples)
+        sub[...] = -self.rate[:, None]         # an assignment: no ufunc buffer beside the band
         sub[:, -1] = 0.0
+        return band
 
     def run(self, f: np.ndarray, reverse: bool = False) -> np.ndarray:
         """Solution x[d, a] for a mode-major forcing f of shape (modes,
@@ -266,11 +277,22 @@ class _ModeRecurrence:
         + r^{last-a} end: R[a] = r R[a+1] + h/2 (k_a + r k_{a+1}),
         R[last] = end, returned as (samples, modes). The forcing k is one
         value per sample, shape (samples,), or one per sample and mode,
-        shape (samples, modes)."""
-        k = k.reshape(self.samples, -1).T
-        rate = self.rate[:, None]
+        shape (samples, modes).
+
+        The forcing is summed in place in one sample-major array, t[a] =
+        r k[a+1], then t[a] += k[a] and t[a] *= h/2, which rounds as the
+        formula above does, double for double. The caller's k is let go
+        once summed, so a k passed as a temporary (`tail(d @ vecs, h)`) is
+        freed before the forcing is copied mode-major for the solve, and the
+        band is built only once t is freed too."""
+        k = k.reshape(self.samples, -1)
+        t = k[1:] * self.rate
+        t += k[:-1]
+        del k
+        t *= 0.5 * h
         f = np.empty((self.rate.shape[0], self.samples))
-        f[:, :-1] = 0.5 * h * (k[:, :-1] + rate * k[:, 1:])
+        f[:, :-1] = t.T
+        del t
         f[:, -1] = end
         return self.run(f, reverse=True).T
 
@@ -371,9 +393,10 @@ def objective(traj: Trajectory, kernel: Kernel) -> float:
     return float(np.trapezoid(integrand, t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlainOutcome:
-    """Outcome of an attack-free simulation run."""
+    """Outcome of an attack-free simulation run, compared and hashed by
+    identity, as its trajectory is."""
 
     trajectory: Trajectory
     J: float

@@ -12,8 +12,8 @@ ranks none of them while the current row still holds, which a comparison
 across the row's cut shows; it looks further ahead the longer the row
 holds, and its result is bit-identical to re-ranking every step. The sweep
 ranks edges by the switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j)
-instead, over a whole trajectory in one call, through the same top-ell cut
-(`switching_control`). On the reference K4 both give the same schedule,
+instead, a block of a trajectory's rows at a time, through the same top-ell
+cut (`switching_control`). On the reference K4 both give the same schedule,
 but the greedy rule is myopic and not globally optimal: on the weighted
 4-path counterexample pinned in `tests/test_enumeration.py` the sweep
 converges to a different cut with more than twice greedy's objective.
@@ -33,11 +33,15 @@ from .topology import (NetworkTopology, Schedule, TopologyError, build_system_ma
 
 CONSENSUS_TOL = 1e-6   # losing classification: disagreement below this fraction of initial
 SWEEP_MAX_ITER = 100   # forward-backward passes before falling back to the best schedule
-RANK_BLOCK = 2**15     # most edge powers (steps x edges) per greedy look-ahead block
+RANK_BLOCK = 2**15     # most edge powers (steps x edges) per greedy look-ahead block;
+                       # a chunk of powers or a sweep block of rows holds a quarter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Attack1Outcome:
+    """Outcome of the closed-loop greedy attack. It holds arrays, so it
+    compares and hashes by identity: an outcome equals itself alone."""
+
     trajectory: Trajectory
     schedule: Schedule
     J: float
@@ -88,8 +92,11 @@ class Attack1Outcome:
         return Table(["t", "edge_i", "edge_j"], int(first[-1]), block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Result of the forward-backward sweep, compared and hashed by
+    identity, as the attacks' outcomes are."""
+
     trajectory: Trajectory               # includes co-state
     schedule: Schedule
     J: float
@@ -156,25 +163,45 @@ def greedy_control(x: np.ndarray, topology: NetworkTopology, ell: int) -> np.nda
 def _top_ell(w: np.ndarray, ell: int) -> np.ndarray:
     """uint8 mask of the ell largest entries of each row w[..., :], ties to
     the lowest index (0 <= ell <= w.shape[-1]): the first ell of the stable
-    descending order.
-
-    The ell-th largest value is found by linear-time selection, not a sort.
-    Every entry at or above that cut is kept, and only when ties at the cut
-    overfill some row (one count over the whole stack) are the rows rebuilt
-    from the entries strictly above it plus the lowest-index ones at it.
-    """
-    m = w.shape[-1]
+    descending order (`_top_mask`)."""
     if ell == 0:
         return np.zeros(w.shape, dtype=np.uint8)
-    cut = np.partition(w, m - ell, axis=-1)[..., m - ell, None]
+    return _top_mask(w, ell, False).view(np.uint8)
+
+
+def _top_mask(w: np.ndarray, ell: int, above_zero: bool) -> np.ndarray:
+    """Bool mask of the ell largest entries of each row w[..., :] (1 <= ell
+    <= m), ties to the lowest index, NaN counted above every number but
+    never kept; with `above_zero`, rows whose cut is at or below zero are
+    left with ties unresolved, for a caller that keeps only w > 0 of them.
+
+    The ell-th largest value, the cut, is found by linear-time selection,
+    not a sort; the selection's copy of w is freed before w is compared
+    with the cut. Every entry at or above the cut is kept, and ties at the
+    cut are resolved only in the rows they overfill: those rows are rebuilt
+    from the entries strictly above their cut and the lowest-index ones at
+    it. When no NaN lies at or above a cut, every row holds at least ell
+    entries, and one count over the stack shows whether any holds more.
+    Each row is decided on its own, so a stack ranked in blocks of rows
+    gives the rows it gives whole.
+    """
+    m = w.shape[-1]
+    part = np.partition(w, m - ell, axis=-1)
+    cut = part[..., m - ell, None].copy()
+    full = not np.isnan(part[..., m - ell:]).any()
+    del part
     mask = w >= cut
-    # every row holds at least ell entries at or above its cut
-    if np.count_nonzero(mask) > ell * (w.size // m):
-        # ties at the cut overfill some row: keep them in index order
+    if full and np.count_nonzero(mask) <= ell * (w.size // m):
+        return mask
+    over = np.count_nonzero(mask, axis=-1) > ell
+    if above_zero:
+        over &= cut[..., 0] > 0
+    if over.any():
+        w, cut = w[over], cut[over]
         tie = w == cut
         room = ell - np.count_nonzero(w > cut, axis=-1, keepdims=True)
-        mask = (w > cut) | (tie & (np.cumsum(tie, axis=-1) <= room))
-    return mask.view(np.uint8)
+        mask[over] = (w > cut) | (tie & (np.cumsum(tie, axis=-1) <= room))
+    return mask
 
 
 def classify(topology: NetworkTopology, schedule: Schedule,
@@ -300,6 +327,13 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
     per mode), so the run, last one first, is the trapezoid tail
     (`_ModeRecurrence.tail`) of g's modes on its own slice, ending at the
     later run's p. A shared `cache` keeps the decompositions for later calls.
+
+    Beside p, a run holds g's modes only until `tail` has summed them into
+    its forcing, and the solve's band only once the forcing is built; the
+    run's slice of p is written by its matrix product directly. A run of L
+    samples so holds at most the forcing and the 2-row band, three (L, n)
+    arrays, beside p. Each matrix product covers the whole run, never a
+    part of its rows, whose result could differ in the last bit.
     """
     grid = traj.grid
     check_schedule_and_state(schedule, grid, traj.x[0], topology)
@@ -310,16 +344,19 @@ def costate_backward(traj: Trajectory, schedule: Schedule, topology: NetworkTopo
     for (start, stop), row in zip(reversed(schedule.runs()), schedule.rows[::-1]):
         spectrum = cache.spectrum(row)
         vecs = spectrum.vecs
-        g = (two_k[start:stop + 1, None] * (traj.x[start:stop + 1] - xbar)) @ vecs
+        # g's modes go to `tail` as a temporary, which it frees once summed
         q = _ModeRecurrence(np.exp(spectrum.vals * grid.h), stop - start + 1).tail(
-            g, grid.h, end=p[stop] @ vecs)
-        p[start:stop] = q[:-1] @ vecs.T
+            (two_k[start:stop + 1, None] * (traj.x[start:stop + 1] - xbar)) @ vecs,
+            grid.h, end=p[stop] @ vecs)
+        np.matmul(q[:-1], vecs.T, out=p[start:stop])
     return p
 
 
-def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology) -> np.ndarray:
+def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Switching functions f_ij = a_ij (p_j - p_i)(x_i - x_j) per edge of each
-    state x[..., :] and co-state p[..., :].
+    state x[..., :] and co-state p[..., :], written into `out` when given (a
+    float array of f's shape), else into a new array.
 
     The differences are two products with the signed incidence matrix B
     (`NetworkTopology.incidence`): f = (a * pB) * -(xB). Each column of B
@@ -336,7 +373,7 @@ def switching_functions(x: np.ndarray, p: np.ndarray, topology: NetworkTopology)
     p = np.asarray(p, dtype=float)
     b = topology.incidence
     dx = x @ b
-    f = p @ b
+    f = np.matmul(p, b, out=out)
     f *= topology.arrays[2]
     f *= dx
     return np.negative(f, out=f)
@@ -356,8 +393,17 @@ def _switching_mask(g: np.ndarray, ell: int) -> np.ndarray:
     """`switching_control` of the negated switching functions g = -f: the
     top-ell cut of g restricted to g > 0, so -0.0 and NaN entries resolve
     to 0 as f's +0.0 and NaN do. The sweep negates its f in place and ranks
-    it here, with no copy of its own."""
-    return _top_ell(g, min(ell, g.shape[-1])) & (g > 0)
+    it here, with no copy of its own.
+
+    A row whose cut is at or below zero keeps its entries above zero alone,
+    fewer than ell, since fewer than ell lie strictly above the cut, so
+    only rows cut above zero resolve ties at their cut."""
+    ell = min(ell, g.shape[-1])
+    if ell == 0:
+        return np.zeros(g.shape, dtype=np.uint8)
+    mask = _top_mask(g, ell, True)
+    mask &= g > 0
+    return mask.view(np.uint8)
 
 
 def _cycle_key(masks: np.ndarray) -> bytes:
@@ -374,10 +420,17 @@ def forward_backward_sweep(config) -> SweepResult:
     Each pass propagates the state forward under the current schedule,
     integrates the co-state backward, and recomputes the bang-bang control
     per step from the switching functions. Bang-bang controls cannot be
-    convex-combined, so there is no relaxation. A pass ranks its switching
-    functions in the array `switching_functions` returns, negated in place,
-    and keys the masks so ranked by their packed bits (`_cycle_key`): the
-    sweep has converged when the key is the last pass's (the no-break
+    convex-combined, so there is no relaxation. A pass fills its uint8
+    masks one block of rows at a time: the block's switching functions
+    (`switching_functions`), written into one buffer of the pass, negated
+    in place and ranked there (`_switching_mask`), so no pass holds a
+    (steps, m) float array. A block holds RANK_BLOCK // 4 values, and at
+    least n rows, so that its two products with the n x m incidence
+    matrix write at least as much as they read of it. Each entry of f is
+    one rounding however the rows are blocked, and each row is ranked on
+    its own, so the masks are those of the whole stack at once. The pass
+    keys its masks by their packed bits (`_cycle_key`): the sweep has
+    converged when the key is the last pass's (the no-break
     masks' before the first pass), and stops on a cycle when it is an
     earlier pass's. Only a pass that passes both tests builds its
     `Schedule`. On convergence the last pass is the result; otherwise the
@@ -387,6 +440,7 @@ def forward_backward_sweep(config) -> SweepResult:
     """
     topology, grid, kernel = config.topology, config.grid, config.kernel
     ell = config.attack.ell
+    rows = max(RANK_BLOCK // 4 // max(topology.m, 1), topology.n)
     schedule = Schedule.from_runs(topology, [0], np.zeros((1, topology.m), dtype=np.uint8),
                                   grid.steps, ell)
     cache = PropagatorCache(topology, grid.h)
@@ -400,9 +454,15 @@ def forward_backward_sweep(config) -> SweepResult:
         J = objective(traj, kernel)
         if best is None or J > best[0]:
             best = (J, schedule, traj, p)
-        g = switching_functions(traj.x[:-1], p[:-1], topology)
-        masks = _switching_mask(np.negative(g, out=g), ell)
-        del g                                    # not held through the next pass
+        masks = np.empty((grid.steps, topology.m), dtype=np.uint8)
+        # one buffer for every block of the pass: a fresh array per block
+        # re-faults its pages once blocks outgrow malloc's heap reuse
+        buffer = np.empty((min(rows, grid.steps), topology.m))
+        for a in range(0, grid.steps, rows):
+            b = min(a + rows, grid.steps)
+            g = switching_functions(traj.x[a:b], p[a:b], topology, buffer[:b - a])
+            masks[a:b] = _switching_mask(np.negative(g, out=g), ell)
+        del buffer, g                            # not held through the next pass
         key = _cycle_key(masks)
         if key == last:
             converged = True

@@ -42,8 +42,11 @@ class FixedPointResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Attack2Outcome:
+    """Outcome of the noise attack. It holds arrays, so it compares and
+    hashes by identity: an outcome equals itself alone."""
+
     trajectory: Trajectory       # state with co-state columns
     control: np.ndarray          # (steps+1, n)
     J: float

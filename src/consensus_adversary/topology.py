@@ -15,6 +15,7 @@ import numpy as np
 
 
 ARRAY_EDGES = 32   # fewest edges checked as arrays; fewer are faster one at a time
+ROW_BLOCK = 2**15    # most mask entries compared at once when a schedule finds its runs
 
 
 class TopologyError(ValueError):
@@ -324,12 +325,15 @@ def _uint8_rows(topology: NetworkTopology, rows, ell: int, what: str, axis: str)
 def _row_changes(masks: np.ndarray) -> list[int]:
     """The steps at which a row of a 2-D uint8 array starts a new run of
     equal rows: 0 and every step whose row differs from the one before.
-    Each row is compared as one opaque value, so no full-size temporary is
-    made."""
-    if not masks.shape[1]:
-        return [0][:len(masks)]
-    rows = np.ascontiguousarray(masks).view(np.dtype((np.void, masks.shape[1])))[:, 0]
-    return [0][:len(masks)] + (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+    Rows are compared entry by entry, ROW_BLOCK entries' worth of rows at a
+    time, so no full-size temporary is made; a run of equal rows costs
+    what a run of differing ones does."""
+    rows = max(1, ROW_BLOCK // max(masks.shape[1], 1))
+    starts = [0][:len(masks)]
+    for a in range(0, len(masks) - 1, rows):
+        block = masks[a:a + rows + 1]          # the last row is the next block's first
+        starts += (np.flatnonzero((block[1:] != block[:-1]).any(axis=1)) + (a + 1)).tolist()
+    return starts
 
 
 def _edge_mask(topology: NetworkTopology, bits) -> np.ndarray:

@@ -370,10 +370,11 @@ class TestVerify:
             "known counterexample at weight seed 2), worst relative excess ")
 
     def test_fault_injection_is_caught(self, monkeypatch, capsys):
-        # negating the co-state flips the sign of every switching function
+        # negating the co-state flips the sign of every switching function;
+        # the sweep also passes its buffer for f
         orig = link_attack.switching_functions
         monkeypatch.setattr(link_attack, "switching_functions",
-                            lambda x, p, t: orig(x, -p, t))
+                            lambda x, p, t, *out: orig(x, -p, t, *out))
         assert main(["verify", "--fast"]) == 1
         assert "[FAIL] thm2-mp-consistency" in capsys.readouterr().out
 

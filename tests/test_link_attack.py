@@ -31,6 +31,7 @@ from memory import traced_peak
 
 TWO_NODE = NetworkTopology(n=2, edges=((0, 1, 1.0),))
 PATH3 = NetworkTopology(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+PATH4 = NetworkTopology(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
 
 
 def link_config(topology, x0, ell, T=2.0, steps=400, name="test"):
@@ -247,6 +248,27 @@ class TestCostateBackward:
                              Kernel.constant(1.0))
 
 
+class TestCostateMemory:
+    @pytest.mark.memory
+    def test_forcing_built_in_place(self):
+        # G(24, 0.3), 400 steps, one run: the traced peak is 4.08 (401, 24)
+        # arrays: p, the mode-major forcing and the solve's 2-row band.
+        # Holding the deviation and g's modes through the solve, and the
+        # band beside the forcing's temporaries, it was 7.08; writing the
+        # band with a broadcast ufunc added a 64 KB iterator buffer (4.92)
+        config = random_link_config(24, 400, 7)
+        topology, grid = config.topology, config.grid
+        schedule = Schedule.none(topology, grid.steps)
+        cache = link_attack.PropagatorCache(topology, grid.h)
+        traj = propagate(config.x0, schedule, topology, grid, cache=cache)
+        # a first call imports scipy.linalg
+        costate_backward(traj, schedule, topology, config.kernel, cache=cache)
+        p, peak = traced_peak(costate_backward, traj, schedule, topology, config.kernel,
+                              cache=cache)
+        assert p.shape == traj.x.shape
+        assert peak < 4 * traj.x.nbytes + 16 * 1024
+
+
 class TestSwitchingFunctions:
     def test_manual_values_and_selection(self):
         x = np.array([0.0, 2.0, 1.0])
@@ -401,6 +423,16 @@ class TestSwitchingAgainstArgsort:
     @settings(max_examples=300, deadline=None)
     @given(case=tie_heavy_switching())
     @example(case=(PATH3, np.array([0.0, -0.0, 0.0]), np.array([1.0, 0.0, -1.0]), 1))
+    # -f = (0, 0, 0), overfilled at a cut of 0; (1, 1, 0), overfilled at a
+    # cut of 1; (2, 1, -1), not overfilled
+    @example(case=(PATH4, np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 2.0, 2.0],
+                                    [0.0, 1.0, 2.0, 3.0]]),
+                   np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 2.0],
+                             [0.0, 2.0, 3.0, 2.0]]), 1))
+    # -f = (1, 1, 0), overfilled, beside a row of NaN, which holds no entry
+    # at or above its cut: a count over the whole stack saw no excess
+    @example(case=(PATH4, np.array([[0.0, 1.0, 2.0, 2.0], [np.nan, 0.0, 0.0, 0.0]]),
+                   np.array([[0.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0]]), 1))
     def test_control_and_order(self, case):
         topology, x, p, ell = case
         f = switching_functions(x, p, topology)
@@ -451,8 +483,11 @@ class TestIncidenceSwitching:
     @given(case=st.one_of(attack_inputs(), tie_heavy_switching(), path_switching()))
     def test_equals_gather_formula_on_finite_input(self, case):
         topology, x, p, _ = case
-        assert_same_but_zero_sign(switching_functions(x, p, topology),
-                                  gather_switching(x, p, topology))
+        f = switching_functions(x, p, topology)
+        assert_same_but_zero_sign(f, gather_switching(x, p, topology))
+        out = np.full(f.shape, np.nan)          # a buffer receives the same bytes
+        assert switching_functions(x, p, topology, out) is out
+        assert out.tobytes() == f.tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("where", ["x", "p"])
@@ -916,7 +951,10 @@ class TestSweepUnderIncidenceProducts:
     def test_same_sweep_as_the_gather_formula(self, config):
         sweep = forward_backward_sweep(config)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(link_attack, "switching_functions", gather_switching)
+            # the sweep passes a buffer for f as a fourth argument; the
+            # reference returns its own array, which the sweep ranks as well
+            patch.setattr(link_attack, "switching_functions",
+                          lambda x, p, topology, out=None: gather_switching(x, p, topology))
             ref = forward_backward_sweep(config)
         assert (sweep.J, sweep.iterations, sweep.converged) == (
             ref.J, ref.iterations, ref.converged)
@@ -1020,6 +1058,43 @@ class TestSweepRanksInPlace:
         assert len(calls) == sweep.iterations
 
 
+class TestRankingByRowBlock:
+    """Each row is ranked on its own, so ranking a stack in blocks of rows
+    of any size gives the rows of ranking it whole, and the sweep's masks
+    do not depend on its block size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=switching_stacks(), rows=st.integers(1, 7))
+    @example(case=(np.array([[np.nan, np.nan, np.nan], [-1.0, -1.0, 0.0]]), 1), rows=1)
+    @example(case=(np.array([[-0.0, 0.0, -0.0], [-1.0, -1.0, -0.5], [-2.0, -1.0, 1.0]]), 1),
+             rows=2)
+    def test_blocks_rank_as_the_whole_stack(self, case, rows):
+        f, ell = case
+        g = np.negative(f)
+        top = link_attack._top_ell(g, min(ell, g.shape[-1]))
+        mask = link_attack._switching_mask(g, ell)
+        for a in range(0, len(g), rows):
+            block = g[a:a + rows]
+            assert np.array_equal(link_attack._top_ell(block, min(ell, g.shape[-1])),
+                                  top[a:a + rows])
+            assert np.array_equal(link_attack._switching_mask(block, ell), mask[a:a + rows])
+
+    @pytest.mark.parametrize("config", [
+        paper_k4_scenario("link"), weighted_path_config(), random_link_config(12, 60, 0)],
+        ids=["k4", "weighted-path", "gnp12"])
+    def test_sweep_bits_do_not_depend_on_the_block(self, monkeypatch, config):
+        # RANK_BLOCK = 1 gives blocks of n rows, 2**40 one block per pass
+        sweeps = []
+        for block in (1, 2**40):
+            monkeypatch.setattr(link_attack, "RANK_BLOCK", block)
+            sweeps.append(forward_backward_sweep(config))
+        a, b = sweeps
+        assert (a.J, a.iterations, a.converged) == (b.J, b.iterations, b.converged)
+        assert np.array_equal(a.schedule.masks, b.schedule.masks)
+        assert a.trajectory.x.tobytes() == b.trajectory.x.tobytes()
+        assert a.trajectory.p.tobytes() == b.trajectory.p.tobytes()
+
+
 class TestCycleKey:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (3, 5), (7, 13)])
     def test_one_bit_apart_gives_another_key(self, shape):
@@ -1045,13 +1120,40 @@ class TestSweepMemory:
     def test_long_sweep_peak(self):
         # the 99 cycle keys of this 100-pass sweep take 0.92 MB packed; as raw
         # mask bytes they alone would take 99 * 200 * 373 = 7.4 MB. The traced
-        # peak is 2.88 MB with packed keys and masks ranked in place, 10.01 MB
+        # peak is 1.91 MB with packed keys and masks ranked a block of rows at
+        # a time, 2.88 MB ranking each pass's whole stack in place, 10.01 MB
         # with raw keys and a negated copy per pass
         forward_backward_sweep(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
         config = long_sweep_config()
         sweep, peak = traced_peak(forward_backward_sweep, config)
         assert sweep.iterations == link_attack.SWEEP_MAX_ITER and not sweep.converged
-        assert peak < 4_000_000
+        assert peak < 2_500_000
+
+    @pytest.mark.memory
+    def test_one_block_of_switching_functions(self, monkeypatch):
+        # G(100, 0.3), 1,502 edges, 24 passes, 26 distinct rows. The traced
+        # peak is 8.26 MB against 9.39 MB of arrays a pass may hold (below);
+        # ranking each pass's whole (400, 1,502) stack it was 16.07 MB
+        forward_backward_sweep(paper_k4_scenario("link", steps=40))   # imports scipy.linalg
+        config = random_link_config(100, 400, 1)
+        spectrum, distinct = link_attack.PropagatorCache.spectrum, set()
+
+        def counting(cache, row):       # the shared cache decomposes each distinct row once
+            distinct.add(row.tobytes())
+            return spectrum(cache, row)
+        monkeypatch.setattr(link_attack.PropagatorCache, "spectrum", counting)
+        forward_backward_sweep(config)
+        monkeypatch.undo()
+        sweep, peak = traced_peak(forward_backward_sweep, config)
+        n, m, steps = config.topology.n, config.topology.m, config.grid.steps
+        rows = max(link_attack.RANK_BLOCK // 4 // m, n)
+        held = (len(distinct) * (n * n + n) * 8          # the cache's decompositions
+                + 4 * (steps + 1) * n * 8                # x and p of this pass and the best
+                + 3 * steps * m                          # masks, this and the best schedule
+                + sweep.iterations * steps * m // 8      # the packed cycle keys
+                + 2 * rows * m * 8)                      # a block's f, and xB or a selection copy
+        assert sweep.iterations == 24 and len(distinct) == 26
+        assert peak < held + 256 * 1024                  # and a block's bool masks
 
 
 class TestGreedyMemory:

@@ -245,6 +245,22 @@ class TestConfigEquality:
         assert a != b and a != "mini"
 
 
+class TestOutcomeIdentity:
+    """Results that hold arrays compare and hash by identity: each equals
+    itself alone, and a second identical run is another result."""
+
+    @pytest.mark.parametrize("run, kind", [
+        (simulate, "link"), (simulate_attack1, "link"), (simulate_attack2, "noise"),
+        (forward_backward_sweep, "link")], ids=["plain", "attack1", "attack2", "sweep"])
+    def test_identity_equality(self, run, kind):
+        config = paper_k4_scenario(kind, steps=20)
+        outcome, again = run(config), run(config)
+        for a, b in ((outcome, again), (outcome.trajectory, again.trajectory)):
+            assert a == a and not a != a
+            assert a != b and not a == b
+            assert hash(a) == hash(a) and {a: 1}[a] == 1
+
+
 def per_edge_topology(doc):
     """The topology of a JSON topology object by the rules written out here
     one edge at a time: first the JSON types of every edge, then the graph

@@ -496,6 +496,60 @@ class TestRunForm:
                 assert np.shares_memory(c.bits, schedule.rows) or not row.size
 
 
+@st.composite
+def row_stacks(draw):
+    """A uint8 stack of 0 to 40 rows over m = 0 to 9 entries, or over a few
+    more than ROW_BLOCK (one row per block), in runs of equal rows drawn
+    from a pool of rows that may differ only in their last entry; and a
+    ROW_BLOCK from 1 entry to the module's own, so blocks end anywhere."""
+    wide = topology_module.ROW_BLOCK + draw(st.integers(1, 3))
+    m = draw(st.one_of(st.integers(0, 9), st.just(wide)))
+    base = np.array(draw(st.lists(st.integers(0, 1), min_size=min(m, 9), max_size=min(m, 9))),
+                    dtype=np.uint8)
+    base = np.resize(base, m) if base.size else np.zeros(m, dtype=np.uint8)
+    pool = [base]
+    for _ in range(draw(st.integers(0, 2))):
+        row = base.copy()
+        if m:
+            row[draw(st.sampled_from([0, m - 1, m // 2]))] ^= 1
+        pool.append(row)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 8)),
+                          max_size=8 if m < wide else 3))
+    steps = [pool[q] for q, length in picks for _ in range(length)]
+    masks = np.array(steps, dtype=np.uint8).reshape(len(steps), m)
+    block = draw(st.one_of(st.none(), st.integers(1, 3 * max(m, 1))))
+    return masks, block
+
+
+class TestRowChanges:
+    """`_row_changes` compares rows entry by entry a block of rows at a
+    time; the steps it finds are those of a row-by-row comparison."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=row_stacks())
+    @example(case=(np.zeros((5, 0), dtype=np.uint8), None))
+    @example(case=(np.zeros((0, 3), dtype=np.uint8), 1))
+    @example(case=(np.array([[0, 1], [0, 1], [1, 1], [1, 1], [0, 1]], dtype=np.uint8), 2))
+    def test_matches_row_by_row(self, case):
+        masks, block = case
+        want = [k for k in range(len(masks))
+                if k == 0 or not np.array_equal(masks[k], masks[k - 1])]
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(topology_module, "ROW_BLOCK", block)
+            assert topology_module._row_changes(masks) == want
+
+    @pytest.mark.memory
+    def test_no_full_size_temporary(self):
+        # 400 equal rows of 1,518 entries, 607 KB: a whole-stack comparison
+        # would hold a 607 KB bool temporary; one block holds ROW_BLOCK
+        # entries (32 KB)
+        masks = np.ones((400, 1518), dtype=np.uint8)
+        starts, peak = traced_peak(topology_module._row_changes, masks)
+        assert starts == [0]
+        assert peak < topology_module.ROW_BLOCK + 16 * 1024
+
+
 class TestSystemMatrix:
     def test_zero_row_sums_and_symmetry(self):
         topo = k4([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
